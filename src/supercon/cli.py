@@ -15,10 +15,11 @@ import sys
 from fractions import Fraction
 
 from .arith import OddPrime, is_prime, reduce
-from .engine import FULL, HALF, SumSpec, WeightSpec, binomial_sum
+from .engine import FULL, HALF, SumSpec, WeightSpec, binomial_sum, check_engine_prime
 from .errors import (
     ConventionUnachievable,
     NotRepresentable,
+    PrimeTooLarge,
     RamifiedPrime,
     SuperconError,
     UnknownCheckId,
@@ -51,18 +52,24 @@ def _signed(value: int, mod: int) -> str:
 
 
 def _parse_primes(text: str) -> list:
-    """Prime list from '5..100' range syntax or '5,7,13' explicit list."""
+    """Prime list from '5..100' range syntax or '5,7,13' explicit list.
+
+    PrimeTooLarge when a prime is above the engine bound.
+    """
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
-        return [q for q in range(max(lo, 3), hi + 1) if q % 2 and is_prime(q)]
-    out = []
-    for part in text.split(","):
-        q = int(part)
-        if q < 3 or q % 2 == 0 or not is_prime(q):
-            raise ValueError(f"{q} is not an odd prime")
-        out.append(q)
+        out = [q for q in range(max(lo, 3), hi + 1) if q % 2 and is_prime(q)]
+    else:
+        out = []
+        for part in text.split(","):
+            q = int(part)
+            if q < 3 or q % 2 == 0 or not is_prime(q):
+                raise ValueError(f"{q} is not an odd prime")
+            out.append(q)
+    if out:
+        check_engine_prime(OddPrime(max(out)))
     return out
 
 
@@ -229,7 +236,7 @@ def cmd_verify(args) -> int:
         )
         if fmt not in ("human", "json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
-    except (ValueError, UnknownCheckId) as exc:
+    except (ValueError, UnknownCheckId, PrimeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not primes:
@@ -276,12 +283,13 @@ def cmd_represent(args) -> int:
 def cmd_sum(args) -> int:
     try:
         p = OddPrime(args.p)
+        check_engine_prime(p)
         m = Fraction(args.m)
         m = int(m) if m.denominator == 1 else m
         poly = tuple(int(c) for c in args.poly.split(","))
         weight = WeightSpec(args.weight, args.lucas_a, args.lucas_b)
         spec = SumSpec(args.h, m, poly, weight, args.range, args.e)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, PrimeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -3,8 +3,18 @@
 The generic object is sum_k P(k) * binomial(2k,k)^h * w_k / m^k over the
 half range k <= (p-1)/2 or the full range k <= p-1, evaluated modulo a
 power of p.  All per-prime state (inverse tables, binomial powers, weight
-tables, memoized moment sums) lives in a PrimeContext so that the many
-checks sharing a prime pay for each table once.
+tables, the Apery table, memoized moment sums) lives in a PrimeContext so
+that the many checks sharing a prime pay for each table once.  A sweep
+gives each prime one context, owned by the registry's Workspace and passed
+to every function here; get_context caches contexts for library calls
+that come without one.
+
+Every sum is one walk of a single kernel, _horner: descending Horner in
+x = m^{-1} over c_k = binom^h w_k (times P(k) above degree 1).  It never
+divides by x, so m^{-1} may be divisible by p.  Legendre polynomials over
+Z_p are summed by the same kernel.  Degree <= 1 sums are
+memoized per (h, m^{-1}, weight) as a half segment k <= n and a full
+value; a full request after a half one walks only the tail n < k < p.
 
 Residue bookkeeping: tables store true residues mod p^digits, including
 the p-divisibility of binomial(2k,k) for k > (p-1)/2.  The one negative
@@ -19,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .arith import (
     OddPrime,
@@ -34,6 +45,7 @@ from .errors import (
     IndexOutOfRange,
     NegativeValuation,
     PrecisionExhausted,
+    PrimeTooLarge,
 )
 from .seq import (
     COMPANION_PELL,
@@ -53,6 +65,15 @@ FULL = "full"
 
 GUARD_DIGITS = 2
 MAX_DIGITS = 6
+# A context holds lists of p to 2p residues; at p^6 the inverse table alone is
+# about 0.1 GB at this bound, and each further table about half that.
+ENGINE_PRIME_BOUND = 10**6
+
+
+def check_engine_prime(p: OddPrime) -> None:
+    """PrimeTooLarge when p is above ENGINE_PRIME_BOUND."""
+    if p.p > ENGINE_PRIME_BOUND:
+        raise PrimeTooLarge(f"p = {p.p} is above the engine bound {ENGINE_PRIME_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -104,11 +125,13 @@ class SumSpec:
 class PrimeContext:
     """Per-prime tables mod p^digits shared by every sum at that prime."""
 
-    __slots__ = ("prime", "p", "digits", "mod", "n", "inv", "_binom", "_bh", "_weights", "_moments")
+    __slots__ = ("prime", "p", "digits", "mod", "n", "inv", "_binom", "_bh", "_weights",
+                 "_apery", "_moments")
 
     def __init__(self, prime: OddPrime, digits: int):
         if not 2 <= digits <= MAX_DIGITS:
             raise ValueError(f"digits {digits} outside 2..{MAX_DIGITS}")
+        check_engine_prime(prime)
         self.prime = prime
         self.p = prime.p
         self.digits = digits
@@ -118,6 +141,7 @@ class PrimeContext:
         self._binom = None
         self._bh: dict = {}
         self._weights: dict = {}
+        self._apery = None
         self._moments: dict = {}
 
     def _build_inverses(self) -> list:
@@ -220,54 +244,77 @@ class PrimeContext:
         self._weights[ws] = out
         return out
 
+    def apery(self) -> list:
+        """Apery numbers A_k mod p^digits, k = 0..p-1, by their recurrence.
+
+        (m+1)^3 A_{m+1} = (2m+1)(17m^2+17m+5) A_m - m^3 A_{m-1}; m+1 < p keeps
+        the cube invertible.
+        """
+        if self._apery is None:
+            mod, inv = self.mod, self.inv
+            a = [1] * self.p
+            a[1] = 5
+            for m in range(1, self.p - 1):
+                i = inv[m + 1]
+                step = (2 * m + 1) * (17 * m * m + 17 * m + 5) * a[m] - m * m * m * a[m - 1]
+                a[m + 1] = step * (i * i * i % mod) % mod
+            self._apery = a
+        return self._apery
+
+    def _terms(self, h: int, ws: WeightSpec, lo: int, hi: int) -> list:
+        """c_k = binom^h w_k for lo <= k < hi, each below mod^2."""
+        B = self.bh(h)[lo:hi]
+        wt, _ = self.weight_table(ws)
+        return B if wt is None else list(map(mul, B, wt[lo:hi]))
+
     def moments(self, h: int, minv: int, ws: WeightSpec, rng: str):
-        """(S0, S1, S2, scaled) with Sj = sum k^j binom^h w_k m^{-k} mod p^digits."""
-        key = (h, minv, ws, rng)
-        hit = self._moments.get(key)
-        if hit is not None:
-            return hit
-        wt, scaled = self.weight_table(ws)
-        B = self.bh(h)
-        kmax = self.p if rng == FULL else self.n + 1
-        mod = self.mod
-        s0 = s1 = s2 = 0
-        mk = 1
-        if wt is None:
-            for k in range(kmax):
-                t = B[k] * mk % mod
-                s0 += t
-                s1 += k * t
-                s2 += k * k * t
-                mk = mk * minv % mod
-        else:
-            for k in range(kmax):
-                t = B[k] * wt[k] % mod * mk % mod
-                s0 += t
-                s1 += k * t
-                s2 += k * k * t
-                mk = mk * minv % mod
-        out = (s0 % mod, s1 % mod, s2 % mod, scaled)
-        self._moments[key] = out
-        return out
+        """(S0, S1, scaled) with Sj = sum k^j binom^h w_k m^{-k} mod p^digits.
+
+        Memoized per (h, minv, ws) as [half, full]: each request walks only
+        the segments not yet walked, the half k <= n and the tail n < k < p.
+        """
+        memo = self._moments.setdefault((h, minv, ws), [None, None])
+        slot = 0 if rng == HALF else 1
+        if memo[slot] is None:
+            mod, n1 = self.mod, self.n + 1
+            scaled = self.weight_table(ws)[1]
+            if memo[0] is None:
+                memo[0] = _horner(self._terms(h, ws, 0, n1), minv, mod, True) + (scaled,)
+            if slot:
+                # full = half + m^{-(n+1)} * tail, the tail's k counted from n+1
+                t0, t1 = _horner(self._terms(h, ws, n1, self.p), minv, mod, True)
+                shift = pow(minv, n1, mod)
+                h0, h1, _ = memo[0]
+                memo[1] = ((h0 + shift * t0) % mod, (h1 + shift * (n1 * t0 + t1)) % mod, scaled)
+        return memo[slot]
 
     def poly_weighted_sum(self, h: int, minv: int, ws: WeightSpec, rng: str, poly: tuple):
-        """Direct pass for deg > 2 polynomials (no memo)."""
-        wt, scaled = self.weight_table(ws)
-        B = self.bh(h)
-        kmax = self.p if rng == FULL else self.n + 1
-        mod = self.mod
-        acc = 0
-        mk = 1
-        for k in range(kmax):
+        """(sum P(k) binom^h w_k m^{-k}, scaled) for any degree, one walk, no memo."""
+        hi = self.p if rng == FULL else self.n + 1
+        terms = self._terms(h, ws, 0, hi)
+        for k in range(hi):
             c = 0
             for ci in poly:
                 c = c * k + ci
-            t = B[k] * (c % mod) % mod * mk % mod
-            if wt is not None:
-                t = t * wt[k] % mod
-            acc += t
-            mk = mk * minv % mod
-        return acc % mod, scaled
+            terms[k] *= c
+        return _horner(terms, minv, self.mod, False)[0], self.weight_table(ws)[1]
+
+
+def _horner(c: list, x: int, mod: int, first_moment: bool) -> tuple:
+    """(sum_j c[j] x^j, sum_j j c[j] x^j) mod mod by descending Horner in x.
+
+    The one summation kernel: it only multiplies by x, so x need not be a
+    unit.  The second sum is computed only when first_moment is set (else 0).
+    """
+    t = u = 0
+    if first_moment:
+        for ck in reversed(c):
+            u = (u * x + t) % mod
+            t = (t * x + ck) % mod
+        return t, x * u % mod
+    for ck in reversed(c):
+        t = (t * x + ck) % mod
+    return t, 0
 
 
 _CTX_CACHE: dict = {}
@@ -284,6 +331,13 @@ def get_context(p: OddPrime, digits: int) -> PrimeContext:
             _CTX_CACHE.pop(next(iter(_CTX_CACHE)))
         _CTX_CACHE[key] = ctx
     return ctx
+
+
+def _context(p: OddPrime, digits: int, ctx: "PrimeContext | None") -> PrimeContext:
+    """ctx when it is a context for p with at least `digits` digits, else get_context."""
+    if ctx is not None and ctx.p == p.p and ctx.digits >= digits:
+        return ctx
+    return get_context(p, digits)
 
 
 def m_inverse_residue(ctx: PrimeContext, m) -> int:
@@ -309,25 +363,21 @@ def m_inverse_residue(ctx: PrimeContext, m) -> int:
     return frac.denominator * pow(frac.numerator, -1, mod) % mod
 
 
-def binomial_sum(spec: SumSpec, p: OddPrime) -> PAdicValue:
+def binomial_sum(spec: SumSpec, p: OddPrime, ctx: "PrimeContext | None" = None) -> PAdicValue:
     """Evaluate the sum described by spec as a PAdicValue.
 
-    Works with e + 2 guard digits; the result always carries enough
-    precision for reduce(result, spec.e).
+    Works with e + 2 guard digits, or with the digits of ctx when it has
+    more; the result always carries enough precision for reduce(result, spec.e).
     """
-    digits = min(spec.e + GUARD_DIGITS, MAX_DIGITS)
-    ctx = get_context(p, digits)
+    ctx = _context(p, min(spec.e + GUARD_DIGITS, MAX_DIGITS), ctx)
     minv = m_inverse_residue(ctx, spec.m)
-    deg = len(spec.poly) - 1
-    if deg <= 2:
-        s0, s1, s2, scaled = ctx.moments(spec.h, minv, spec.weight, spec.range)
-        c0 = spec.poly[-1]
-        c1 = spec.poly[-2] if deg >= 1 else 0
-        c2 = spec.poly[-3] if deg >= 2 else 0
-        raw = (c0 * s0 + c1 * s1 + c2 * s2) % ctx.mod
+    if len(spec.poly) <= 2:
+        s0, s1, scaled = ctx.moments(spec.h, minv, spec.weight, spec.range)
+        c1, c0 = (0,) * (2 - len(spec.poly)) + spec.poly
+        raw = (c0 * s0 + c1 * s1) % ctx.mod
     else:
         raw, scaled = ctx.poly_weighted_sum(spec.h, minv, spec.weight, spec.range, spec.poly)
-    return PAdicValue(p, -1 if scaled else 0, raw, digits)
+    return PAdicValue(p, -1 if scaled else 0, raw, ctx.digits)
 
 
 @dataclass(frozen=True)
@@ -338,12 +388,15 @@ class LegendreEvalSpec:
     x: PAdicValue
 
 
-def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime) -> PAdicValue:
+def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime,
+                       ctx: "PrimeContext | None" = None) -> PAdicValue:
     """P_n(x) = sum_k C(n,k) C(n+k,k) ((x-1)/2)^k via the coefficient ratio.
 
-    The running coefficient picks up (n-k)(n+k+1)/(k+1)^2 per step; only
-    (k+1)^2 needs inverting, so any p-divisibility in C(n+k,k) is carried
-    by the residue itself.
+    Each coefficient is the last times (n-k)(n+k+1)/(k+1)^2; only (k+1)^2
+    needs inverting, so any p-divisibility in C(n+k,k) is carried by the
+    residue itself.  The kernel then sums them in z = (x-1)/2.  The inverses
+    come from ctx when given, but the arithmetic stays mod p^digits for the
+    digits x is known to.
     """
     n, x = spec.n, spec.x
     if not 0 <= n < p.p:
@@ -353,19 +406,15 @@ def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime) -> PAdicValue:
     if not x.exact_zero and x.v < 0 and x.unit:
         raise NegativeValuation(f"P_n argument has valuation {x.v} < 0")
     digits = max(2, min(x.known_power if not x.exact_zero else MAX_DIGITS, MAX_DIGITS))
-    ctx = get_context(p, digits)
-    mod = ctx.mod
+    inv = _context(p, digits, ctx).inv
+    mod = p.power(digits)
     xres = 0 if x.exact_zero else x.unit * p.p**x.v % mod
-    z = (xres - 1) * ctx.inv[2] % mod
-    acc = 1
-    coeff = 1
-    zp = 1
+    z = (xres - 1) * inv[2] % mod
+    coeff = [1] * (n + 1)
     for k in range(n):
-        ik = ctx.inv[k + 1]
-        coeff = coeff * ((n - k) * (n + k + 1)) % mod * ik % mod * ik % mod
-        zp = zp * z % mod
-        acc = (acc + coeff * zp) % mod
-    return PAdicValue(p, 0, acc, digits)
+        ik = inv[k + 1]
+        coeff[k + 1] = coeff[k] * ((n - k) * (n + k + 1)) * ik % mod * ik % mod
+    return PAdicValue(p, 0, _horner(coeff, z, mod, False)[0], digits)
 
 
 def legendre_poly_eval_ext(ctx: PrimeContext, n: int, x0: int, x1: int, disc: int):
@@ -407,7 +456,7 @@ def clausen_square_check(n: int, x) -> bool:
     return lhs == rhs
 
 
-def lemma_4_1_check(p: OddPrime) -> tuple[bool, int, int]:
+def lemma_4_1_check(p: OddPrime, ctx: "PrimeContext | None" = None) -> tuple[bool, int, int]:
     """binom(2n-k,k) = (-1)^k binom(2k,k)(1 - p(H_{2k}-H_k)) mod p^2, k <= n.
 
     n = (p-1)/2; the left side advances by the exact integer ratio
@@ -415,7 +464,7 @@ def lemma_4_1_check(p: OddPrime) -> tuple[bool, int, int]:
     residue pair witnesses the first mismatch, or the k = n instance
     when every index agrees.
     """
-    ctx = get_context(p, 4)
+    ctx = _context(p, 4, ctx)
     q, n, mod = ctx.p, ctx.n, ctx.mod
     mod2 = q * q
     hg, _ = ctx.weight_table(WeightSpec(HARMONIC_GAP))
@@ -457,13 +506,15 @@ def _poly_reflect_half(poly: tuple) -> tuple:
     return tuple(reversed(asc))
 
 
-def theorem_4_1_transform(h: int, m, poly: tuple, p: OddPrime) -> tuple[ResidueMod, ResidueMod]:
+def theorem_4_1_transform(h: int, m, poly: tuple, p: OddPrime,
+                          ctx: "PrimeContext | None" = None) -> tuple[ResidueMod, ResidueMod]:
     """Both sides of the half-range reflection identity, mod p^2.
 
     LHS: ((-1)^h m / p) * sum_{k<=n} P(k) binom^h / m^k.
     RHS: sum_{k<=n} binom^h / mbar^k [ (mbar^{p-1}+1)/2 * P(-k-1/2)
          + (p/2) P'(-k-1/2) ] - p h sum_{k<=n} binom^h P(-k-1/2) (H_2k-H_k)/mbar^k
     with mbar = 16^h / m.  All three right-hand sums run over the half range.
+    The four sums are evaluated on ctx when given.
     """
     poly = tuple(poly)
     q = p.p
@@ -471,19 +522,19 @@ def theorem_4_1_transform(h: int, m, poly: tuple, p: OddPrime) -> tuple[ResidueM
     mfrac = Fraction(m)
     mbar = Fraction(16**h) / mfrac
     sym = legendre_symbol((-1) ** h * mfrac.numerator * mfrac.denominator, q)
-    lhs_sum = binomial_sum(SumSpec(h, m, poly, CONST_WEIGHT, HALF, 2), p)
+    lhs_sum = binomial_sum(SumSpec(h, m, poly, CONST_WEIGHT, HALF, 2), p, ctx)
     lhs = sym * reduce(lhs_sum, 2).value % mod2
 
     d = len(poly) - 1
     qpoly = _poly_reflect_half(poly)
     rpoly = _poly_reflect_half(_poly_derivative(poly)) if d >= 1 else None
-    s_q = reduce(binomial_sum(SumSpec(h, mbar, qpoly, CONST_WEIGHT, HALF, 2), p), 2).value
+    s_q = reduce(binomial_sum(SumSpec(h, mbar, qpoly, CONST_WEIGHT, HALF, 2), p, ctx), 2).value
     s_r = (
-        reduce(binomial_sum(SumSpec(h, mbar, rpoly, CONST_WEIGHT, HALF, 2), p), 2).value
+        reduce(binomial_sum(SumSpec(h, mbar, rpoly, CONST_WEIGHT, HALF, 2), p, ctx), 2).value
         if rpoly
         else 0
     )
-    gap_sum = binomial_sum(SumSpec(h, mbar, qpoly, WeightSpec(HARMONIC_GAP), HALF, 2), p)
+    gap_sum = binomial_sum(SumSpec(h, mbar, qpoly, WeightSpec(HARMONIC_GAP), HALF, 2), p, ctx)
     # p * gap_sum reduced mod p^2 (gap_sum itself is p-integral on the half range)
     p_gap = q * reduce(gap_sum, 1).value % mod2
     if mbar.numerator % q == 0:
@@ -495,7 +546,8 @@ def theorem_4_1_transform(h: int, m, poly: tuple, p: OddPrime) -> tuple[ResidueM
     return ResidueMod(p, 2, lhs), ResidueMod(p, 2, rhs)
 
 
-def lemma_2_1_check(m: int, branch: int, a, b, p: OddPrime) -> bool:
+def lemma_2_1_check(m: int, branch: int, a, b, p: OddPrime,
+                    ctx: "PrimeContext | None" = None) -> bool:
     """Quadratic-resolvent identity tying a cubic sum at m to squares at m*.
 
     m* is the branch root of z^2 - m z + 16 m = 0; requires the resolvent
@@ -503,11 +555,12 @@ def lemma_2_1_check(m: int, branch: int, a, b, p: OddPrime) -> bool:
     DiscriminantNonResidue (callers skip).  Checks, mod p^2 over the full
     range: sum binom^3/m^k ((a k/16)(m* - m + 32) + b)
            = 2a S1(m*) S0(m*) + b S0(m*)^2
-    with Sj(m*) = sum k^j binom^2 / m*^k.
+    with Sj(m*) = sum k^j binom^2 / m*^k.  The square root, m* and the sums
+    are taken mod p^digits of ctx (4 digits without one), and branch picks
+    the smaller or larger root at that precision.
     """
-    digits = 4
-    ctx = get_context(p, digits)
-    q, mod = ctx.p, ctx.mod
+    ctx = _context(p, 4, ctx)
+    digits, q, mod = ctx.digits, ctx.p, ctx.mod
     mod2 = q * q
     disc = m * m - 64 * m
     if disc % q == 0:
@@ -523,11 +576,11 @@ def lemma_2_1_check(m: int, branch: int, a, b, p: OddPrime) -> bool:
     a_res = reduce(a, 2).value
     b_res = reduce(b, 2).value
 
-    s0_3, s1_3, _, _ = ctx.moments(3, m_inverse_residue(ctx, m), CONST_WEIGHT, FULL)
+    s0_3, s1_3, _ = ctx.moments(3, m_inverse_residue(ctx, m), CONST_WEIGHT, FULL)
     inv16 = pow(16, -1, mod2)
     factor = a_res * inv16 % mod2 * ((mstar - m + 32) % mod2) % mod2
     lhs = (factor * s1_3 + b_res * s0_3) % mod2
 
-    s0_2, s1_2, _, _ = ctx.moments(2, pow(mstar, -1, mod), CONST_WEIGHT, FULL)
+    s0_2, s1_2, _ = ctx.moments(2, pow(mstar, -1, mod), CONST_WEIGHT, FULL)
     rhs = (2 * a_res * s1_2 % mod2 * s0_2 + b_res * s0_2 * s0_2) % mod2
     return lhs == rhs

@@ -64,3 +64,7 @@ class IndexOutOfRange(SuperconError):
 
 class UnknownCheckId(SuperconError):
     """Check id not present in the registry."""
+
+
+class PrimeTooLarge(SuperconError):
+    """p is above the bound the O(p) engine can hold tables for."""

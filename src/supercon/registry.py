@@ -31,10 +31,10 @@ from .engine import (
     HALF,
     MAX_DIGITS,
     LegendreEvalSpec,
+    PrimeContext,
     SumSpec,
     WeightSpec,
     binomial_sum,
-    get_context,
     lemma_4_1_check,
     legendre_poly_eval,
     legendre_poly_eval_ext,
@@ -62,7 +62,6 @@ from .seq import (
     LUCAS_V,
     PELL,
     THREE_INDICATOR,
-    apery_stream,
 )
 
 PROVED = "PROVED"
@@ -126,7 +125,11 @@ def _ext_pow(base, k: int, disc: int, mod: int):
 
 
 class Workspace:
-    """Per-prime evaluation bundle shared by every check in a batch."""
+    """Per-prime evaluation bundle shared by every check in a batch.
+
+    It owns the prime's one PrimeContext, at the workspace digits, and hands
+    it to every engine call; the context is dropped with the workspace.
+    """
 
     __slots__ = ("prime", "q", "n", "digits", "ctx", "_cache")
 
@@ -135,7 +138,7 @@ class Workspace:
         self.q = p.p
         self.n = (p.p - 1) // 2
         self.digits = max(1 + GUARD_DIGITS, min(digits, MAX_DIGITS))
-        self.ctx = get_context(p, self.digits)
+        self.ctx = PrimeContext(p, self.digits)
         self._cache: dict = {}
 
     def mod(self, e: int) -> int:
@@ -148,7 +151,7 @@ class Workspace:
     def sum(self, h, m, poly=(1,), weight=CONST_WEIGHT, rng=FULL, e=2) -> int:
         # evaluate once at the workspace precision, then cut down to e
         spec = SumSpec(h, m, tuple(poly), weight, rng, self.digits - GUARD_DIGITS)
-        return reduce(binomial_sum(spec, self.prime), e).value
+        return reduce(binomial_sum(spec, self.prime, self.ctx), e).value
 
     def gap1(self, m, e: int = 1) -> int:
         """True value of sum_k k binom^3 (H_2k - H_k)/m^k mod p^e."""
@@ -186,7 +189,7 @@ class Workspace:
     def legendre_poly(self, value: int, e: int = 2) -> int:
         """P_n(value) mod p^e for n = (p-1)/2."""
         x = PAdicValue.from_int(value % self.mod(e), self.prime, e)
-        out = legendre_poly_eval(LegendreEvalSpec(self.n, x), self.prime)
+        out = legendre_poly_eval(LegendreEvalSpec(self.n, x), self.prime, self.ctx)
         return reduce(out, e).value
 
 
@@ -300,10 +303,8 @@ def _ev_eq1_6(ws: Workspace, e: int):
 
 def _ev_eq1_8(ws: Workspace, e: int):
     mod = ws.mod(2)
-    acc = 0
-    for k, a_k in enumerate(apery_stream(ws.prime, 2)):
-        acc += _sgn(k) * reduce(a_k, 2).value
-    return [(acc % mod, ws.sum(3, 16, e=2), mod)]
+    apery = ws.ctx.apery()
+    return [((sum(apery[0::2]) - sum(apery[1::2])) % mod, ws.sum(3, 16, e=2), mod)]
 
 
 def _ev_eq1_9(ws: Workspace, e: int):
@@ -606,7 +607,7 @@ def _ev_lemma2_4_d7(ws: Workspace, e: int):
 
 
 def _ev_lemma4_1(ws: Workspace, e: int):
-    _, lhs, rhs = lemma_4_1_check(ws.prime)
+    _, lhs, rhs = lemma_4_1_check(ws.prime, ws.ctx)
     return [(lhs, rhs, ws.mod(2))]
 
 
@@ -615,7 +616,7 @@ def _ev_thm4_1(ws: Workspace, e: int):
     for h, m, poly in THM41_GRID:
         if m % ws.q == 0:
             continue
-        lhs, rhs = theorem_4_1_transform(h, m, poly, ws.prime)
+        lhs, rhs = theorem_4_1_transform(h, m, poly, ws.prime, ws.ctx)
         out.append((lhs.value, rhs.value, ws.mod(2)))
     return out
 
@@ -1089,11 +1090,20 @@ def _summarize(reports) -> dict:
     return summary
 
 
+def _first_abort(batch) -> "CheckReport | None":
+    return next((r for r in batch if r.verdict in (FAIL, ERROR)
+                 and get_check(r.check).failure_mode == ABORT), None)
+
+
 def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) -> SuiteResult:
     """Run the named checks over the given primes.
 
     Results come back sorted by (p, check id) no matter how many workers
-    ran them.  The first FAIL on an abort-mode check stops the run.
+    ran them.  A FAIL or ERROR on an abort-mode check stops the run at the
+    smallest prime P where one occurs: the reports end with P's batch and
+    `aborted` is the first such report at P, whatever the worker count.
+    With workers, an abort at P cancels the jobs above P and lets those
+    below finish, since one of them may abort first.
     """
     ids = sorted(ids)
     for cid in ids:
@@ -1105,31 +1115,32 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
     if not ids or not primes:
         return SuiteResult((), {})
     jobs = [(tuple(ids), q, overrides) for q in primes]
-    reports: list = []
-    aborted = None
+    batches: dict = {}
     if workers <= 1:
         for job in jobs:
-            batch = _evaluate_prime(job)
-            reports.extend(batch)
-            aborted = next((r for r in batch if r.verdict in (FAIL, ERROR)
-                            and get_check(r.check).failure_mode == ABORT), None)
-            if aborted:
+            batches[job[1]] = _evaluate_prime(job)
+            if _first_abort(batches[job[1]]):
                 break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(_evaluate_prime, job) for job in jobs}
+            pending = {pool.submit(_evaluate_prime, job): job[1] for job in jobs}
+            cut = None
             while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    batch = fut.result()
-                    reports.extend(batch)
-                    if aborted is None:
-                        aborted = next(
-                            (r for r in batch if r.verdict in (FAIL, ERROR)
-                             and get_check(r.check).failure_mode == ABORT), None)
-                if aborted:
-                    for fut in pending:
+                    q = pending.pop(fut)
+                    batches[q] = fut.result()
+                    if _first_abort(batches[q]) and (cut is None or q < cut):
+                        cut = q
+                if cut is not None:
+                    for fut in [f for f, q in pending.items() if q > cut]:
                         fut.cancel()
-                    break
-    reports.sort(key=lambda r: (r.p, r.check))
+                        del pending[fut]
+    reports: list = []
+    aborted = None
+    for q in sorted(batches):
+        reports.extend(batches[q])
+        aborted = _first_abort(batches[q])
+        if aborted:
+            break
     return SuiteResult(tuple(reports), _summarize(reports), aborted)

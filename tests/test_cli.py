@@ -77,6 +77,21 @@ def test_sum_fraction_m_and_errors(capsys):
     assert rc == 2
 
 
+def test_sum_and_verify_refuse_primes_above_engine_bound(capsys, monkeypatch):
+    from supercon.engine import PrimeContext
+
+    def no_tables(self):
+        raise AssertionError("tables allocated")
+
+    monkeypatch.setattr(PrimeContext, "_build_inverses", no_tables)
+    rc, out, err = run_cli(
+        capsys, "sum", "--h", "3", "--m", "64", "--e", "2", "-p", "1000000007"
+    )
+    assert rc == 2 and out == "" and "above the engine bound" in err
+    rc, out, err = run_cli(capsys, "verify", "--checks", "eq1.0", "--primes", "5,1000000007")
+    assert rc == 2 and out == "" and "above the engine bound" in err
+
+
 def test_represent_examples(capsys):
     rc, out, _ = run_cli(capsys, "represent", "13", "3")
     assert rc == 0 and "(x, y) = (1, 2)" in out

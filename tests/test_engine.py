@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from supercon import engine
 from supercon.arith import (
     OddPrime,
     PAdicValue,
@@ -13,9 +16,11 @@ from supercon.arith import (
 )
 from supercon.engine import (
     CONST_WEIGHT,
+    ENGINE_PRIME_BOUND,
     FULL,
     HALF,
     LegendreEvalSpec,
+    PrimeContext,
     SumSpec,
     WeightSpec,
     binomial_sum,
@@ -24,11 +29,13 @@ from supercon.engine import (
     lemma_2_1_check,
     lemma_4_1_check,
     legendre_poly_eval,
+    m_inverse_residue,
     theorem_4_1_transform,
 )
-from supercon.errors import DenominatorDivisible, DiscriminantNonResidue
+from supercon.errors import DenominatorDivisible, DiscriminantNonResidue, PrimeTooLarge
+from supercon.oracle import exact_apery, exact_sum
 from supercon.quadform import represent
-from supercon.seq import HARMONIC_GAP
+from supercon.seq import HARMONIC, HARMONIC_GAP, LUCAS_U, LUCAS_V, WEIGHT_KINDS
 
 PRIMES_50 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -169,10 +176,12 @@ def test_lemma_2_1_square_specialization():
     # a=0, b=1 reduces to: sum binom^3/m^k = (sum binom^2/m*^k)^2
     for q in (7, 11, 13, 17, 19, 23, 29, 37, 41, 43, 47):
         p = OddPrime(q)
+        shared = PrimeContext(p, 6)
         for m in (1, 16, 64, -8, 256):
             try:
-                assert lemma_2_1_check(m, 1, 0, 1, p)
-                assert lemma_2_1_check(m, -1, 0, 1, p)
+                for ctx in (None, shared):
+                    assert lemma_2_1_check(m, 1, 0, 1, p, ctx)
+                    assert lemma_2_1_check(m, -1, 0, 1, p, ctx)
             except DiscriminantNonResidue:
                 continue
 
@@ -199,3 +208,90 @@ def test_full_equals_half_h3_e2():
 def test_context_cache_reuse():
     p = OddPrime(13)
     assert get_context(p, 4) is get_context(p, 4)
+
+
+PRIMES_60 = [3] + PRIMES_50 + [53, 59]
+
+
+@st.composite
+def sum_cases(draw):
+    """(SumSpec, p) over every weight kind, degree 0..4, both ranges, e 1..4."""
+    q = draw(st.sampled_from(PRIMES_60))
+    kind = draw(st.sampled_from(WEIGHT_KINDS))
+    a = b = 0
+    if kind in (LUCAS_U, LUCAS_V):
+        a, b = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any))
+    num = draw(st.integers(-300, 300).filter(lambda v: v % q))
+    # a denominator divisible by q makes m^{-1} divisible by q
+    den = draw(st.sampled_from([1, 2, 3, 7, q, 5 * q]))
+    deg = draw(st.integers(0, 4))
+    poly = (draw(st.integers(1, 9)),) + tuple(draw(st.integers(-9, 9)) for _ in range(deg))
+    spec = SumSpec(draw(st.integers(1, 3)), Fraction(num, den), poly, WeightSpec(kind, a, b),
+                   draw(st.sampled_from([HALF, FULL])), draw(st.integers(1, 4)))
+    return spec, OddPrime(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sum_cases())
+def test_binomial_sum_matches_oracle(case):
+    spec, p = case
+    assert reduce(binomial_sum(spec, p), spec.e).value == exact_sum(spec, p).value
+
+
+def test_half_full_order_reuses_segments(monkeypatch):
+    walks = []
+    kernel = engine._horner
+    monkeypatch.setattr(engine, "_horner", lambda *a: walks.append(1) or kernel(*a))
+    for q in (5, 13, 29):
+        p = OddPrime(q)
+        for h, m, ws in ((3, 64, CONST_WEIGHT), (2, Fraction(-16, q), WeightSpec(HARMONIC)),
+                         (3, 1, WeightSpec(HARMONIC_GAP))):
+            fresh = {}
+            for rng in (HALF, FULL):
+                ctx = PrimeContext(p, 4)
+                fresh[rng] = ctx.moments(h, m_inverse_residue(ctx, m), ws, rng)
+            for order in ((HALF, FULL), (FULL, HALF)):
+                ctx = PrimeContext(p, 4)
+                minv = m_inverse_residue(ctx, m)
+                walks.clear()
+                for rng in order + order:
+                    assert ctx.moments(h, minv, ws, rng) == fresh[rng]
+                # the half segment and the tail, each walked once
+                assert len(walks) == 2
+
+
+def test_apery_table_matches_oracle():
+    for q in (3, 5, 7, 13, 31):
+        ctx = PrimeContext(OddPrime(q), 3)
+        assert ctx.apery() == [exact_apery(k) % ctx.mod for k in range(q)]
+
+
+def test_context_refuses_primes_above_engine_bound(monkeypatch):
+    def no_tables(self):
+        raise AssertionError("tables allocated")
+
+    monkeypatch.setattr(PrimeContext, "_build_inverses", no_tables)
+    with pytest.raises(PrimeTooLarge, match=str(ENGINE_PRIME_BOUND)):
+        PrimeContext(OddPrime(1000000007), 2)
+    monkeypatch.setattr(engine, "ENGINE_PRIME_BOUND", 13)
+    monkeypatch.setattr(engine, "_CTX_CACHE", {})
+    with pytest.raises(PrimeTooLarge):
+        binomial_sum(SumSpec(3, 64), OddPrime(17))
+    with pytest.raises(AssertionError, match="tables allocated"):
+        PrimeContext(OddPrime(13), 2)
+
+
+def test_shared_context_matches_cold_paths():
+    for q in (11, 13, 29):
+        p = OddPrime(q)
+        ctx = PrimeContext(p, 6)
+        for value in (2, 5, -7):
+            x = PAdicValue.from_int(value, p, 2)
+            spec = LegendreEvalSpec((q - 1) // 2, x)
+            assert reduce(legendre_poly_eval(spec, p, ctx), 2).value == reduce(
+                legendre_poly_eval(spec, p), 2).value
+        assert lemma_4_1_check(p, ctx) == lemma_4_1_check(p)
+        for h, m, poly in ((3, 64, (1,)), (2, 256, (1, 1)), (1, -4, (1, 2))):
+            shared = theorem_4_1_transform(h, m, poly, p, ctx)
+            cold = theorem_4_1_transform(h, m, poly, p)
+            assert [r.value for r in shared] == [r.value for r in cold]

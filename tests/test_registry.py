@@ -1,8 +1,11 @@
 """Check catalogue semantics and the suite runner."""
 
+import dataclasses
+
 import pytest
 
-from supercon.arith import OddPrime
+from supercon import engine, registry
+from supercon.arith import OddPrime, is_prime
 from supercon.errors import UnknownCheckId
 from supercon.quadform import RAW, QuadRep
 from supercon.registry import (
@@ -11,6 +14,7 @@ from supercon.registry import (
     COUNTEREXAMPLE,
     COUNTEREXAMPLE_MODE,
     ERROR,
+    FAIL,
     PASS,
     PROVED,
     SKIP,
@@ -149,3 +153,48 @@ def test_registered_specs_deduplicated():
     specs = registered_sum_specs()
     assert len(specs) == len(set(specs))
     assert len(specs) > 80
+
+
+def _fail_eq10_at(bad_p):
+    check = get_check("eq1.0")
+
+    def evaluate(ws, e):
+        if ws.q == bad_p:
+            return [(0, 1, ws.mod(2))]
+        return check.evaluate(ws, e)
+
+    return dataclasses.replace(check, evaluate=evaluate)
+
+
+@pytest.mark.parametrize("bad_p", [1009, 1103])
+def test_abort_cuts_serial_and_parallel_runs_alike(monkeypatch, bad_p):
+    # workers fork after the patch, so they see the failing check too
+    monkeypatch.setitem(registry._CHECKS, "eq1.0", _fail_eq10_at(bad_p))
+
+    def fields(res):
+        reports = [dataclasses.replace(r, elapsed=0.0) for r in res.reports]
+        return reports, res.summary, dataclasses.replace(res.aborted, elapsed=0.0)
+
+    serial = run_suite(["eq1.0", "eq1.1"], range(1000, 1201))
+    parallel = run_suite(["eq1.0", "eq1.1"], range(1000, 1201), workers=2)
+    assert fields(serial) == fields(parallel)
+    assert serial.aborted.check == "eq1.0" and serial.aborted.p == bad_p
+    assert serial.aborted.verdict == FAIL
+    assert serial.reports[-1].p == bad_p
+    assert {r.p for r in serial.reports} == {q for q in range(1009, bad_p + 1) if is_prime(q)}
+
+
+def test_run_suite_builds_one_context_per_prime(monkeypatch):
+    builds = []
+    init = engine.PrimeContext.__init__
+
+    def counting_init(self, prime, digits):
+        builds.append(prime.p)
+        init(self, prime, digits)
+
+    monkeypatch.setattr(engine.PrimeContext, "__init__", counting_init)
+    monkeypatch.setattr(engine, "_CTX_CACHE", {})
+    primes = [5, 7, 13, 29, 73, 97]
+    res = run_suite(check_ids(), primes)
+    assert not res.aborted
+    assert builds == primes
