@@ -1,9 +1,10 @@
 """Verification toolkit for central-binomial congruences over prime moduli.
 
 The package has three layers: exact p-adic and residue arithmetic
-(``arith``, ``quadform``, ``seq``), a truncated summation engine with an
-exact rational oracle (``engine``, ``oracle``), and a catalogue of named
-congruence checks with a parallel suite runner (``registry``, ``cli``).
+(``arith``, ``quadform``), a truncated summation engine with an exact
+rational oracle (``engine``, ``oracle``, and the weight names in ``seq``),
+and a catalogue of named congruence checks with a parallel suite runner
+(``registry``, ``cli``).
 """
 
 from .arith import (

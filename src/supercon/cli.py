@@ -19,6 +19,7 @@ from .engine import FULL, HALF, SumSpec, WeightSpec, binomial_sum, check_engine_
 from .errors import (
     ConventionUnachievable,
     NotRepresentable,
+    OverrideRefused,
     PrimeTooLarge,
     RamifiedPrime,
     SuperconError,
@@ -30,6 +31,7 @@ from .registry import (
     CONJECTURAL,
     PROVED,
     check_ids,
+    check_overrides,
     checks,
     get_check,
     run_suite,
@@ -93,11 +95,11 @@ def _parse_overrides(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"override {pair!r} is not id=e")
         cid, _, e_s = pair.partition("=")
-        get_check(cid.strip())
         e = int(e_s)
         if not 1 <= e <= 4:
             raise ValueError(f"override power {e} outside 1..4")
         out[cid.strip()] = e
+    check_overrides(out)
     return out
 
 
@@ -236,7 +238,7 @@ def cmd_verify(args) -> int:
         )
         if fmt not in ("human", "json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
-    except (ValueError, UnknownCheckId, PrimeTooLarge) as exc:
+    except (ValueError, UnknownCheckId, OverrideRefused, PrimeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not primes:

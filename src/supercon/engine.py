@@ -9,6 +9,14 @@ gives each prime one context, owned by the registry's Workspace and passed
 to every function here; get_context caches contexts for library calls
 that come without one.
 
+Tables grow on demand to the prefix a request needs: a half-range sum
+builds entries k <= n = (p-1)/2 only (inverses to 2n for the harmonic gap),
+and a later full-range sum appends the tail.  binomial_sum skips the tail
+of a FULL sum when it vanishes at the requested precision: p divides
+binomial(2k,k) once for n < k < p, so the tail has valuation at least
+h + v(w) + (n+1) v(m^{-1}).  Such a result claims only that precision, and
+reducing it further raises PrecisionExhausted.
+
 Every sum is one walk of a single kernel, _horner: descending Horner in
 x = m^{-1} over c_k = binom^h w_k (times P(k) above degree 1).  It never
 divides by x, so m^{-1} may be divisible by p.  Legendre polynomials over
@@ -65,8 +73,8 @@ FULL = "full"
 
 GUARD_DIGITS = 2
 MAX_DIGITS = 6
-# A context holds lists of p to 2p residues; at p^6 the inverse table alone is
-# about 0.1 GB at this bound, and each further table about half that.
+# A full-range context holds lists of p to 2p residues; at p^6 the inverse
+# table alone is about 0.1 GB at this bound, and each further table about half that.
 ENGINE_PRIME_BOUND = 10**6
 
 
@@ -89,6 +97,11 @@ class WeightSpec:
             raise ValueError(f"unknown weight kind {self.kind!r}")
         if self.kind in (LUCAS_U, LUCAS_V) and (self.a, self.b) == (0, 0):
             raise ValueError(f"{self.kind} weight needs nonzero Lucas parameters")
+
+    @property
+    def valuation(self) -> int:
+        """Lower bound on v_p(w_k) over k < p: -1 for the harmonic gap, else 0."""
+        return -1 if self.kind == HARMONIC_GAP else 0
 
 
 CONST_WEIGHT = WeightSpec(CONST1)
@@ -123,9 +136,14 @@ class SumSpec:
 
 
 class PrimeContext:
-    """Per-prime tables mod p^digits shared by every sum at that prime."""
+    """Per-prime tables mod p^digits shared by every sum at that prime.
 
-    __slots__ = ("prime", "p", "digits", "mod", "n", "inv", "_binom", "_bh", "_weights",
+    Construction allocates nothing.  Every table is a prefix k < hi that a
+    request grows on demand: a half-range walk builds k <= n, and a later
+    full walk appends only the tail.
+    """
+
+    __slots__ = ("prime", "p", "digits", "mod", "n", "_inv", "_binom", "_bh", "_weights",
                  "_apery", "_moments")
 
     def __init__(self, prime: OddPrime, digits: int):
@@ -137,112 +155,123 @@ class PrimeContext:
         self.digits = digits
         self.mod = prime.power(digits)
         self.n = (self.p - 1) // 2
-        self.inv = self._build_inverses()
-        self._binom = None
+        self._inv = [0]
+        self._binom = [1]
         self._bh: dict = {}
         self._weights: dict = {}
         self._apery = None
         self._moments: dict = {}
 
-    def _build_inverses(self) -> list:
-        """inv[j] = j^{-1} mod p^digits for 1 <= j <= 2p-1, j != p (one pow)."""
-        q, mod = self.p, self.mod
-        pref = [1] * (2 * q)
-        r = 1
-        for j in range(1, 2 * q):
-            if j != q:
-                r = r * j % mod
-            pref[j] = r
-        inv = [0] * (2 * q)
-        t = pow(r, -1, mod)
-        for j in range(2 * q - 1, 0, -1):
-            if j != q:
-                inv[j] = t * pref[j - 1] % mod
-                t = t * j % mod
+    def inverses(self, hi: int) -> list:
+        """inv[j] = j^{-1} mod p^digits for 0 < j < hi, j != p (inv[p] = 0); hi <= 2p.
+
+        New entries cost one batch inversion: prefix products, one pow and
+        a backward sweep.
+        """
+        inv = self._inv
+        lo = len(inv)
+        if hi > lo:
+            q, mod = self.p, self.mod
+            size = hi - lo
+            pref = [1] * size
+            r = 1
+            for i in range(size):
+                j = lo + i
+                if j != q:
+                    r = r * j % mod
+                pref[i] = r
+            new = [0] * size
+            t = pow(r, -1, mod)
+            for i in range(size - 1, 0, -1):
+                j = lo + i
+                if j != q:
+                    new[i] = t * pref[i - 1] % mod
+                    t = t * j % mod
+            if lo != q:
+                new[0] = t
+            inv += new
         return inv
 
-    def binom_units(self) -> list:
-        """Unit parts u_k of binomial(2k,k) = p^{[k>n]} u_k, k = 0..p-1."""
-        if self._binom is None:
-            q, mod, inv = self.p, self.mod, self.inv
-            u = [1] * q
-            cur = 1
-            for k in range(1, q):
+    def binom_units(self, hi: "int | None" = None) -> list:
+        """Unit parts u_k of binomial(2k,k) = p^{[k>n]} u_k for k < hi (default p)."""
+        hi = self.p if hi is None else hi
+        u = self._binom
+        lo = len(u)
+        if hi > lo:
+            q, mod = self.p, self.mod
+            inv = self.inverses(hi)
+            cur = u[-1]
+            for k in range(lo, hi):
                 num = 2 if 2 * k - 1 == q else 2 * (2 * k - 1)
                 cur = cur * num % mod * inv[k] % mod
-                u[k] = cur
-            self._binom = u
-        return self._binom
+                u.append(cur)
+        return u
 
-    def bh(self, h: int) -> list:
-        """True residues of binomial(2k,k)^h mod p^digits, k = 0..p-1."""
-        table = self._bh.get(h)
-        if table is None:
-            u = self.binom_units()
+    def bh(self, h: int, hi: "int | None" = None) -> list:
+        """True residues of binomial(2k,k)^h mod p^digits for k < hi (default p)."""
+        hi = self.p if hi is None else hi
+        table = self._bh.setdefault(h, [])
+        lo = len(table)
+        if hi > lo:
+            seg = self.binom_units(hi)[lo:hi]
             mod = self.mod
+            if h == 2:
+                seg = [x * x % mod for x in seg]
+            elif h == 3:
+                seg = [x * x % mod * x % mod for x in seg]
+            # k > n carries the single p of binomial(2k,k)
             ph = self.p**h % mod
-            if h == 1:
-                table = [x for x in u]
-            elif h == 2:
-                table = [x * x % mod for x in u]
-            else:
-                table = [x * x % mod * x % mod for x in u]
-            for k in range(self.n + 1, self.p):
-                table[k] = table[k] * ph % mod
-            self._bh[h] = table
+            for i in range(max(self.n + 1 - lo, 0), hi - lo):
+                seg[i] = seg[i] * ph % mod
+            table += seg
         return table
 
-    def weight_table(self, ws: WeightSpec):
-        """(table, scaled): residues w_k for k = 0..p-1, or (None, False).
+    def weight_table(self, ws: WeightSpec, hi: "int | None" = None):
+        """Residues w_k for k < hi (default p); p*w_k where ws.valuation is -1.
 
-        scaled means the table holds p*w_k (harmonic gap only); const-1
-        weights return None so the hot loop can skip a multiplication.
+        Const-1 weights return None so the hot loop can skip a multiplication.
         """
         if ws.kind == CONST1:
-            return None, False
-        hit = self._weights.get(ws)
-        if hit is not None:
-            return hit
+            return None
+        hi = self.p if hi is None else hi
+        table = self._weights.setdefault(ws, [])
+        lo = len(table)
+        if hi <= lo:
+            return table
         q, mod = self.p, self.mod
         kind = ws.kind
         if kind in (LUCAS_U, LUCAS_V, PELL, COMPANION_PELL):
             a, b = (2, -1) if kind in (PELL, COMPANION_PELL) else (ws.a, ws.b)
-            w0, w1 = (0, 1) if kind in (LUCAS_U, PELL) else (2, a)
-            table = [0] * q
-            w0 %= mod
-            w1 %= mod
-            for k in range(q):
-                table[k] = w0
+            if not table:
+                w0, w1 = (0, 1) if kind in (LUCAS_U, PELL) else (2, a)
+                table += (w0 % mod, w1 % mod)
+            w0, w1 = table[-2:]
+            for _ in range(len(table), hi):
                 w0, w1 = w1, (a * w1 - b * w0) % mod
-            out = (table, False)
-        elif kind == CUBIC_CHAR:
-            pat = (0, 1, mod - 1)
-            out = ([pat[k % 3] for k in range(q)], False)
-        elif kind == THREE_INDICATOR:
-            pat = (2, mod - 1, mod - 1)
-            out = ([pat[k % 3] for k in range(q)], False)
+                table.append(w1)
+        elif kind in (CUBIC_CHAR, THREE_INDICATOR):
+            pat = (0, 1, mod - 1) if kind == CUBIC_CHAR else (2, mod - 1, mod - 1)
+            table += [pat[k % 3] for k in range(lo, hi)]
         elif kind == HARMONIC:
-            table = [0] * q
-            acc = 0
-            for k in range(1, q):
-                acc = (acc + self.inv[k]) % mod
-                table[k] = acc
-            out = (table, False)
+            inv = self.inverses(hi)
+            acc = table[-1] if table else 0
+            for k in range(lo, hi):
+                acc = (acc + inv[k]) % mod
+                table.append(acc)
         elif kind == HARMONIC_GAP:
             # p*(H_{2k} - H_k); the j = p term contributes exactly 1
-            table = [0] * q
-            acc = 0
-            inv = self.inv
-            for k in range(1, q):
+            inv = self.inverses(2 * hi - 1)
+            if not table:
+                table.append(0)
+            acc = table[-1]
+            for k in range(len(table), hi):
                 j = 2 * k - 1
                 acc += 1 if j == q else q * inv[j] % mod
                 acc = (acc + q * inv[2 * k] - q * inv[k]) % mod
-                table[k] = acc
-            out = (table, True)
+                table.append(acc)
         else:  # pragma: no cover
             raise ValueError(f"unknown weight kind {kind!r}")
-        self._weights[ws] = out
-        return out
+        return table
 
     def apery(self) -> list:
         """Apery numbers A_k mod p^digits, k = 0..p-1, by their recurrence.
@@ -251,7 +280,7 @@ class PrimeContext:
         the cube invertible.
         """
         if self._apery is None:
-            mod, inv = self.mod, self.inv
+            mod, inv = self.mod, self.inverses(self.p)
             a = [1] * self.p
             a[1] = 5
             for m in range(1, self.p - 1):
@@ -263,12 +292,14 @@ class PrimeContext:
 
     def _terms(self, h: int, ws: WeightSpec, lo: int, hi: int) -> list:
         """c_k = binom^h w_k for lo <= k < hi, each below mod^2."""
-        B = self.bh(h)[lo:hi]
-        wt, _ = self.weight_table(ws)
+        B = self.bh(h, hi)[lo:hi]
+        wt = self.weight_table(ws, hi)
         return B if wt is None else list(map(mul, B, wt[lo:hi]))
 
     def moments(self, h: int, minv: int, ws: WeightSpec, rng: str):
-        """(S0, S1, scaled) with Sj = sum k^j binom^h w_k m^{-k} mod p^digits.
+        """(S0, S1) with Sj = sum k^j binom^h w_k m^{-k} mod p^digits.
+
+        For the harmonic gap both are p times the true sums (see weight_table).
 
         Memoized per (h, minv, ws) as [half, full]: each request walks only
         the segments not yet walked, the half k <= n and the tail n < k < p.
@@ -277,19 +308,18 @@ class PrimeContext:
         slot = 0 if rng == HALF else 1
         if memo[slot] is None:
             mod, n1 = self.mod, self.n + 1
-            scaled = self.weight_table(ws)[1]
             if memo[0] is None:
-                memo[0] = _horner(self._terms(h, ws, 0, n1), minv, mod, True) + (scaled,)
+                memo[0] = _horner(self._terms(h, ws, 0, n1), minv, mod, True)
             if slot:
                 # full = half + m^{-(n+1)} * tail, the tail's k counted from n+1
                 t0, t1 = _horner(self._terms(h, ws, n1, self.p), minv, mod, True)
                 shift = pow(minv, n1, mod)
-                h0, h1, _ = memo[0]
-                memo[1] = ((h0 + shift * t0) % mod, (h1 + shift * (n1 * t0 + t1)) % mod, scaled)
+                h0, h1 = memo[0]
+                memo[1] = ((h0 + shift * t0) % mod, (h1 + shift * (n1 * t0 + t1)) % mod)
         return memo[slot]
 
     def poly_weighted_sum(self, h: int, minv: int, ws: WeightSpec, rng: str, poly: tuple):
-        """(sum P(k) binom^h w_k m^{-k}, scaled) for any degree, one walk, no memo."""
+        """sum P(k) binom^h w_k m^{-k} mod p^digits for any degree, one walk, no memo."""
         hi = self.p if rng == FULL else self.n + 1
         terms = self._terms(h, ws, 0, hi)
         for k in range(hi):
@@ -297,7 +327,7 @@ class PrimeContext:
             for ci in poly:
                 c = c * k + ci
             terms[k] *= c
-        return _horner(terms, minv, self.mod, False)[0], self.weight_table(ws)[1]
+        return _horner(terms, minv, self.mod, False)[0]
 
 
 def _horner(c: list, x: int, mod: int, first_moment: bool) -> tuple:
@@ -368,16 +398,36 @@ def binomial_sum(spec: SumSpec, p: OddPrime, ctx: "PrimeContext | None" = None) 
 
     Works with e + 2 guard digits, or with the digits of ctx when it has
     more; the result always carries enough precision for reduce(result, spec.e).
+
+    For n < k < p, p divides binomial(2k,k) exactly once, so the tail of a
+    FULL sum has valuation at least h + v(w) + (n+1) v(m^{-1}), with v(w)
+    from WeightSpec.valuation.  When spec.e is within that bound only the
+    half range is walked, and the result is known only to that bound.
     """
     ctx = _context(p, min(spec.e + GUARD_DIGITS, MAX_DIGITS), ctx)
     minv = m_inverse_residue(ctx, spec.m)
+    rng, prec = spec.range, ctx.digits
+    if rng == FULL:
+        # the tail's valuation less v(w): what the half sum's raw residue can claim
+        bound = spec.h + (ctx.n + 1) * _valuation(minv, ctx.p, ctx.digits)
+        if spec.e <= bound + spec.weight.valuation:
+            rng, prec = HALF, min(prec, bound)
     if len(spec.poly) <= 2:
-        s0, s1, scaled = ctx.moments(spec.h, minv, spec.weight, spec.range)
+        s0, s1 = ctx.moments(spec.h, minv, spec.weight, rng)
         c1, c0 = (0,) * (2 - len(spec.poly)) + spec.poly
         raw = (c0 * s0 + c1 * s1) % ctx.mod
     else:
-        raw, scaled = ctx.poly_weighted_sum(spec.h, minv, spec.weight, spec.range, spec.poly)
-    return PAdicValue(p, -1 if scaled else 0, raw, ctx.digits)
+        raw = ctx.poly_weighted_sum(spec.h, minv, spec.weight, rng, spec.poly)
+    return PAdicValue(p, spec.weight.valuation, raw, prec)
+
+
+def _valuation(x: int, q: int, cap: int) -> int:
+    """v_q(x), or cap when q^cap divides x."""
+    v = 0
+    while v < cap and x % q == 0:
+        x //= q
+        v += 1
+    return v
 
 
 @dataclass(frozen=True)
@@ -406,7 +456,7 @@ def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime,
     if not x.exact_zero and x.v < 0 and x.unit:
         raise NegativeValuation(f"P_n argument has valuation {x.v} < 0")
     digits = max(2, min(x.known_power if not x.exact_zero else MAX_DIGITS, MAX_DIGITS))
-    inv = _context(p, digits, ctx).inv
+    inv = _context(p, digits, ctx).inverses(max(n + 1, 3))
     mod = p.power(digits)
     xres = 0 if x.exact_zero else x.unit * p.p**x.v % mod
     z = (xres - 1) * inv[2] % mod
@@ -420,15 +470,15 @@ def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime,
 def legendre_poly_eval_ext(ctx: PrimeContext, n: int, x0: int, x1: int, disc: int):
     """P_n(x0 + x1*w) in Z[w]/(w^2 - disc) mod p^digits, returned as a pair."""
     mod = ctx.mod
-    inv2 = ctx.inv[2]
-    z0 = (x0 - 1) * inv2 % mod
-    z1 = x1 * inv2 % mod
+    inv = ctx.inverses(max(n + 1, 3))
+    z0 = (x0 - 1) * inv[2] % mod
+    z1 = x1 * inv[2] % mod
     acc0, acc1 = 1, 0
     zp0, zp1 = 1, 0
     coeff = 1
     first = True
     for k in range(n):
-        ik = ctx.inv[k + 1]
+        ik = inv[k + 1]
         coeff = coeff * ((n - k) * (n + k + 1)) % mod * ik % mod * ik % mod
         if first:
             zp0, zp1 = z0, z1
@@ -467,8 +517,9 @@ def lemma_4_1_check(p: OddPrime, ctx: "PrimeContext | None" = None) -> tuple[boo
     ctx = _context(p, 4, ctx)
     q, n, mod = ctx.p, ctx.n, ctx.mod
     mod2 = q * q
-    hg, _ = ctx.weight_table(WeightSpec(HARMONIC_GAP))
-    B = ctx.bh(1)
+    hg = ctx.weight_table(WeightSpec(HARMONIC_GAP), n + 1)
+    B = ctx.bh(1, n + 1)
+    inv = ctx.inverses(2 * n + 1)
     lhs = 1
     for k in range(n + 1):
         rhs = B[k] * (1 - hg[k]) % mod2
@@ -481,9 +532,9 @@ def lemma_4_1_check(p: OddPrime, ctx: "PrimeContext | None" = None) -> tuple[boo
                 lhs
                 * ((2 * n - 2 * k) * (2 * n - 2 * k - 1) % mod)
                 % mod
-                * ctx.inv[2 * n - k]
+                * inv[2 * n - k]
                 % mod
-                * ctx.inv[k + 1]
+                * inv[k + 1]
                 % mod
             )
     return True, lhs % mod2, rhs
@@ -568,7 +619,7 @@ def lemma_2_1_check(m: int, branch: int, a, b, p: OddPrime,
     if legendre_symbol(disc, q) == -1:
         raise DiscriminantNonResidue(f"m^2 - 64m = {disc} is not a square mod {q}")
     root = sqrt_mod(disc, p, digits)[0 if branch >= 0 else 1].value
-    mstar = (m + root) * ctx.inv[2] % mod
+    mstar = (m + root) * ctx.inverses(3)[2] % mod
     if not isinstance(a, PAdicValue):
         a = PAdicValue.from_int(a, p, digits)
     if not isinstance(b, PAdicValue):
@@ -576,11 +627,11 @@ def lemma_2_1_check(m: int, branch: int, a, b, p: OddPrime,
     a_res = reduce(a, 2).value
     b_res = reduce(b, 2).value
 
-    s0_3, s1_3, _ = ctx.moments(3, m_inverse_residue(ctx, m), CONST_WEIGHT, FULL)
+    s0_3, s1_3 = ctx.moments(3, m_inverse_residue(ctx, m), CONST_WEIGHT, FULL)
     inv16 = pow(16, -1, mod2)
     factor = a_res * inv16 % mod2 * ((mstar - m + 32) % mod2) % mod2
     lhs = (factor * s1_3 + b_res * s0_3) % mod2
 
-    s0_2, s1_2, _ = ctx.moments(2, pow(mstar, -1, mod), CONST_WEIGHT, FULL)
+    s0_2, s1_2 = ctx.moments(2, pow(mstar, -1, mod), CONST_WEIGHT, FULL)
     rhs = (2 * a_res * s1_2 % mod2 * s0_2 + b_res * s0_2 * s0_2) % mod2
     return lhs == rhs

@@ -68,3 +68,7 @@ class UnknownCheckId(SuperconError):
 
 class PrimeTooLarge(SuperconError):
     """p is above the bound the O(p) engine can hold tables for."""
+
+
+class OverrideRefused(SuperconError):
+    """Modulus-power override for a check whose evaluator does not read its power."""

@@ -77,7 +77,7 @@ def exact_legendre_poly(n: int, x: Fraction) -> Fraction:
     return sum(comb(n, k) * comb(n + k, k) * z**k for k in range(n + 1))
 
 
-def _weight_values(kind: str, a: int, b: int, count: int) -> list:
+def exact_weights(kind: str, a: int, b: int, count: int) -> list:
     """First `count` terms of a weight sequence, as ints or Fractions."""
     if kind == CONST1:
         return [1] * count
@@ -112,7 +112,7 @@ def exact_sum(spec, p) -> ResidueMod:
     if not isinstance(m, (int, Fraction)):
         raise TypeError(f"exact_sum needs an exact m, got {type(m).__name__}")
     kmax = (q - 1) // 2 if spec.range == "half" else q - 1
-    weights = _weight_values(spec.weight.kind, spec.weight.a, spec.weight.b, kmax + 1)
+    weights = exact_weights(spec.weight.kind, spec.weight.a, spec.weight.b, kmax + 1)
     minv = Fraction(1, 1) / Fraction(m)
     total = Fraction(0)
     mk = Fraction(1)

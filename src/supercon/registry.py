@@ -8,8 +8,11 @@ or biconditional statements record counterexamples and continue.
 
 from __future__ import annotations
 
+import dis
+import os
 import random
 import time
+import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,7 +43,7 @@ from .engine import (
     legendre_poly_eval_ext,
     theorem_4_1_transform,
 )
-from .errors import DiscriminantNonResidue, SuperconError, UnknownCheckId
+from .errors import DiscriminantNonResidue, OverrideRefused, SuperconError, UnknownCheckId
 from .quadform import (
     D1_ODDX1MOD4,
     RAW,
@@ -215,6 +218,20 @@ class CongruenceCheck:
 
     def modulus_power(self, p: OddPrime) -> int:
         return self.max_e(p) if callable(self.max_e) else self.max_e
+
+    @property
+    def reads_power(self) -> bool:
+        """Whether evaluate reads its power e, so that an override changes the test."""
+        code = self.evaluate.__code__
+        name = code.co_varnames[1]
+        if name in code.co_cellvars:  # read by a nested function
+            return True
+        for ins in dis.get_instructions(code):
+            if ins.opname.startswith("LOAD_FAST"):
+                names = ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)
+                if name in names:
+                    return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -1021,6 +1038,8 @@ def registered_sum_specs() -> tuple:
 def run_check(check_id: str, p, e_override: "int | None" = None,
               workspace: "Workspace | None" = None) -> CheckReport:
     check = get_check(check_id)
+    if e_override:
+        check_overrides({check_id: e_override})
     prime = p if isinstance(p, OddPrime) else OddPrime(int(p))
     e = e_override if e_override else check.modulus_power(prime)
     started = time.perf_counter()
@@ -1039,6 +1058,12 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
     except SuperconError as exc:
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
                            f"{type(exc).__name__}: {exc}",
+                           time.perf_counter() - started)
+    except Exception as exc:  # an evaluator defect: an ERROR report, not a traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        return CheckReport(check_id, prime.p, ERROR, None, None, None,
+                           f"{type(exc).__name__} in {check_id} at p={prime.p}: {exc} ({where})",
                            time.perf_counter() - started)
     elapsed = time.perf_counter() - started
     if isinstance(outcome, Equivalence):
@@ -1061,6 +1086,13 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
     else:
         verdict = COUNTEREXAMPLE
     return CheckReport(check_id, prime.p, verdict, lhs, rhs, modulus, detail, elapsed)
+
+
+def check_overrides(overrides: dict) -> None:
+    """UnknownCheckId or OverrideRefused unless every id's evaluator reads its power."""
+    for cid in overrides:
+        if not get_check(cid).reads_power:
+            raise OverrideRefused(f"{cid} is evaluated at a fixed power; it takes no override")
 
 
 def _evaluate_prime(args) -> list:
@@ -1103,7 +1135,8 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
     smallest prime P where one occurs: the reports end with P's batch and
     `aborted` is the first such report at P, whatever the worker count.
     With workers, an abort at P cancels the jobs above P and lets those
-    below finish, since one of them may abort first.
+    below finish, since one of them may abort first.  An override for a
+    check whose evaluator does not read its power raises OverrideRefused.
     """
     ids = sorted(ids)
     for cid in ids:
@@ -1112,6 +1145,7 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
     primes = sorted({int(q) for q in primes
                      if int(q) >= 3 and int(q) % 2 and is_prime(int(q))})
     overrides = dict(overrides or {})
+    check_overrides(overrides)
     if not ids or not primes:
         return SuiteResult((), {})
     jobs = [(tuple(ids), q, overrides) for q in primes]

@@ -1,17 +1,8 @@
-"""Integer sequences entering the congruences.
+"""Names of the weight sequences w_k a binomial sum can carry.
 
-Everything here is O(1) per step: Lucas pairs by their two-term recurrence,
-central binomial coefficients by the ratio recurrence with the single p in
-the numerator extracted explicitly, harmonic gaps by incremental updates.
+The sequences themselves are tables on engine.PrimeContext (weight_table,
+binom_units, apery), and oracle.py holds their exact definitions.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
-
-from .arith import OddPrime, PAdicValue, padic_add, padic_mul
-from .errors import IndexOutOfRange
 
 CONST1 = "const1"
 LUCAS_U = "lucas_u"
@@ -34,205 +25,3 @@ WEIGHT_KINDS = (
     HARMONIC,
     HARMONIC_GAP,
 )
-
-
-@dataclass(frozen=True)
-class LucasParams:
-    """Recurrence w_{n+1} = a*w_n - b*w_{n-1}; u starts 0,1 and v starts 2,a."""
-
-    a: int
-    b: int
-
-
-def lucas_pair(params: LucasParams, n: int, p: OddPrime, e: int) -> tuple[PAdicValue, PAdicValue]:
-    """(u_n, v_n) mod p^e."""
-    if n < 0:
-        raise IndexOutOfRange(f"Lucas index {n} < 0")
-    mod = p.power(e)
-    a, b = params.a % mod, params.b % mod
-    u0, u1 = 0, 1
-    v0, v1 = 2 % mod, a
-    for _ in range(n):
-        u0, u1 = u1, (a * u1 - b * u0) % mod
-        v0, v1 = v1, (a * v1 - b * v0) % mod
-    return PAdicValue.from_int(u0, p, e), PAdicValue.from_int(v0, p, e)
-
-
-def lucas_u_int(params: LucasParams, n: int) -> int:
-    u0, u1 = 0, 1
-    for _ in range(n):
-        u0, u1 = u1, params.a * u1 - params.b * u0
-    return u0
-
-
-def lucas_v_int(params: LucasParams, n: int) -> int:
-    v0, v1 = 2, params.a
-    for _ in range(n):
-        v0, v1 = v1, params.a * v1 - params.b * v0
-    return v0
-
-
-_PELL = LucasParams(2, -1)
-
-
-def pell(n: int) -> int:
-    """P_n: 0, 1, 2, 5, 12, ..."""
-    return lucas_u_int(_PELL, n)
-
-
-def companion_pell(n: int) -> int:
-    """Q_n: 2, 2, 6, 14, 34, ...  (Q_n = (1+sqrt2)^n + (1-sqrt2)^n)."""
-    return lucas_v_int(_PELL, n)
-
-
-def cubic_char(k: int) -> int:
-    """The Legendre symbol (k/3): period 0, 1, -1.  Equals u_k(-1, 1)."""
-    return (0, 1, -1)[k % 3]
-
-
-def three_indicator(k: int) -> int:
-    """3*[3 | k] - 1: period 2, -1, -1.  Equals v_k(-1, 1)."""
-    return 2 if k % 3 == 0 else -1
-
-
-def central_binomial_stream(p: OddPrime, e: int) -> Iterator[PAdicValue]:
-    """binomial(2k, k) mod p^e for k = 0 .. p-1 as PAdicValue.
-
-    Uses c_k = c_{k-1} * 2(2k-1)/k.  For k <= (p-1)/2 all factors are units;
-    at k = (p+1)/2 the numerator 2(2k-1) = 2p contributes the single factor
-    of p that every later term keeps: ord_p binomial(2k,k) = 1 for
-    (p+1)/2 <= k <= p-1.
-    """
-    q = p.p
-    mod = q**e
-    unit, val = 1, 0
-    yield PAdicValue.from_int(1, p, e)
-    for k in range(1, q):
-        num = 2 * (2 * k - 1)
-        if 2 * k - 1 == q:
-            val += 1
-            num = 2
-        unit = unit * num % mod * pow(k, -1, mod) % mod
-        yield PAdicValue(p, val, unit, e)
-
-
-def harmonic(k: int, p: OddPrime, e: int) -> PAdicValue:
-    """H_k = sum_{j<=k} 1/j mod p^e, for 0 <= k <= p-1 (no p in range)."""
-    if not 0 <= k <= p.p - 1:
-        raise IndexOutOfRange(f"harmonic index {k} outside 0..{p.p - 1}")
-    mod = p.power(e)
-    acc = 0
-    for j in range(1, k + 1):
-        acc = (acc + pow(j, -1, mod)) % mod
-    return PAdicValue.from_int(acc, p, e) if acc else PAdicValue.zero(p, e)
-
-
-def harmonic_gap(k: int, p: OddPrime, e: int) -> PAdicValue:
-    """H_{2k} - H_k = sum_{k < j <= 2k} 1/j as a p-adic value.
-
-    For (p+1)/2 <= k <= p-1 the range contains j = p, so the value has
-    valuation exactly -1; the 1/p term is injected with explicit valuation
-    rather than through a modular inverse.
-    """
-    if not 0 <= k <= p.p - 1:
-        raise IndexOutOfRange(f"harmonic gap index {k} outside 0..{p.p - 1}")
-    q = p.p
-    acc = PAdicValue.zero(p, e)
-    for j in range(k + 1, 2 * k + 1):
-        if j == q:
-            term = PAdicValue(p, -1, 1, e)
-        else:
-            term = PAdicValue.from_rational(1, j, p, e)
-        acc = padic_add(acc, term)
-    return acc
-
-
-def apery(n: int, p: OddPrime, e: int) -> PAdicValue:
-    """Apery number A_n mod p^e by the three-term recurrence.
-
-    (n+1)^3 A_{n+1} = (34n^3 + 51n^2 + 27n + 5) A_n - n^3 A_{n-1}; the cube
-    divisor is invertible only while n+1 < p, so indices n >= p raise.
-    """
-    if n < 0 or n >= p.p:
-        raise IndexOutOfRange(f"Apery index {n} outside 0..{p.p - 1}")
-    mod = p.power(e)
-    a0, a1 = 1, 5 % mod
-    if n == 0:
-        return PAdicValue.from_int(1, p, e)
-    for m in range(1, n):
-        rhs = ((34 * m**3 + 51 * m**2 + 27 * m + 5) * a1 - m**3 * a0) % mod
-        a0, a1 = a1, rhs * pow((m + 1) ** 3, -1, mod) % mod
-    return PAdicValue.from_int(a1, p, e) if a1 else PAdicValue.zero(p, e)
-
-
-def apery_stream(p: OddPrime, e: int) -> Iterator[PAdicValue]:
-    """A_0, A_1, ..., A_{p-1} mod p^e in one recurrence walk."""
-    mod = p.power(e)
-    a0, a1 = 1, 5 % mod
-    yield PAdicValue.from_int(1, p, e)
-    for m in range(1, p.p):
-        yield PAdicValue.from_int(a1, p, e) if a1 else PAdicValue.zero(p, e)
-        if m == p.p - 1:
-            break
-        rhs = ((34 * m**3 + 51 * m**2 + 27 * m + 5) * a1 - m**3 * a0) % mod
-        a0, a1 = a1, rhs * pow((m + 1) ** 3, -1, mod) % mod
-
-
-def weight_stream(kind: str, p: OddPrime, e: int, params: LucasParams | None = None) -> Iterator[PAdicValue]:
-    """Terms w_0, w_1, ... of a named weight sequence as PAdicValue.
-
-    Streams are bounded by k = p-1 where the underlying sequence is (the
-    harmonic family); Lucas-type streams are unbounded.
-    """
-    if kind == CONST1:
-        one = PAdicValue.from_int(1, p, e)
-        while True:
-            yield one
-    elif kind in (LUCAS_U, LUCAS_V, PELL, COMPANION_PELL):
-        if kind == PELL:
-            params, kind = _PELL, LUCAS_U
-        elif kind == COMPANION_PELL:
-            params, kind = _PELL, LUCAS_V
-        if params is None:
-            raise ValueError(f"{kind} stream needs LucasParams")
-        mod = p.power(e)
-        a, b = params.a % mod, params.b % mod
-        w0, w1 = (0, 1) if kind == LUCAS_U else (2 % mod, a)
-        while True:
-            yield PAdicValue.from_int(w0, p, e) if w0 else PAdicValue.zero(p, e)
-            w0, w1 = w1, (a * w1 - b * w0) % mod
-    elif kind == CUBIC_CHAR:
-        k = 0
-        while True:
-            yield PAdicValue.from_int(cubic_char(k), p, e)
-            k += 1
-    elif kind == THREE_INDICATOR:
-        k = 0
-        while True:
-            yield PAdicValue.from_int(three_indicator(k), p, e)
-            k += 1
-    elif kind == HARMONIC:
-        mod = p.power(e)
-        acc = 0
-        for j in range(0, p.p):
-            if j:
-                acc = (acc + pow(j, -1, mod)) % mod
-            yield PAdicValue.from_int(acc, p, e) if acc else PAdicValue.zero(p, e)
-    elif kind == HARMONIC_GAP:
-        acc = PAdicValue.zero(p, e)
-        q = p.p
-        for k in range(0, q):
-            yield acc
-            if k == q - 1:
-                break
-            # step to H_{2k+2} - H_{k+1}: gains 1/(2k+1), 1/(2k+2), loses 1/(k+1)
-            for num, j in ((1, 2 * k + 1), (1, 2 * k + 2), (-1, k + 1)):
-                if j % q == 0:
-                    # 1/(q*t) has valuation -1 and unit 1/t
-                    t = j // q
-                    term = PAdicValue(p, -1, num * pow(t, -1, p.power(e)), e)
-                else:
-                    term = PAdicValue.from_rational(num, j, p, e)
-                acc = padic_add(acc, term)
-    else:
-        raise ValueError(f"unknown weight kind {kind!r}")

@@ -80,10 +80,10 @@ def test_sum_fraction_m_and_errors(capsys):
 def test_sum_and_verify_refuse_primes_above_engine_bound(capsys, monkeypatch):
     from supercon.engine import PrimeContext
 
-    def no_tables(self):
+    def no_tables(self, hi):
         raise AssertionError("tables allocated")
 
-    monkeypatch.setattr(PrimeContext, "_build_inverses", no_tables)
+    monkeypatch.setattr(PrimeContext, "inverses", no_tables)
     rc, out, err = run_cli(
         capsys, "sum", "--h", "3", "--m", "64", "--e", "2", "-p", "1000000007"
     )
@@ -130,6 +130,11 @@ def test_verify_bad_inputs_exit_2(capsys):
         "--override", "eq1.0=9",
     )
     assert rc == 2
+    # eq1.0 is evaluated mod p^2 whatever its override says
+    rc, out, err = run_cli(
+        capsys, "verify", "--checks", "eq1.0", "--primes", "11", "--override", "eq1.0=3",
+    )
+    assert rc == 2 and out == "" and "takes no override" in err
     rc, _, err = run_cli(
         capsys, "verify", "--checks", "eq1.0", "--primes", "5..7",
         "--format", "xml",

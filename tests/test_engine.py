@@ -1,6 +1,8 @@
 """Summation engine, Legendre polynomial evaluation, structural identities."""
 
+import dataclasses
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -32,10 +34,15 @@ from supercon.engine import (
     m_inverse_residue,
     theorem_4_1_transform,
 )
-from supercon.errors import DenominatorDivisible, DiscriminantNonResidue, PrimeTooLarge
-from supercon.oracle import exact_apery, exact_sum
+from supercon.errors import (
+    DenominatorDivisible,
+    DiscriminantNonResidue,
+    PrecisionExhausted,
+    PrimeTooLarge,
+)
+from supercon.oracle import exact_apery, exact_sum, exact_weights, reduce_fraction
 from supercon.quadform import represent
-from supercon.seq import HARMONIC, HARMONIC_GAP, LUCAS_U, LUCAS_V, WEIGHT_KINDS
+from supercon.seq import CONST1, HARMONIC, HARMONIC_GAP, LUCAS_U, LUCAS_V, WEIGHT_KINDS
 
 PRIMES_50 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -205,6 +212,93 @@ def test_full_equals_half_h3_e2():
         assert gap_full == gap_half
 
 
+def test_full_sum_walks_a_visible_tail():
+    # e > h + v(w): the tail n < k < p shows mod p^e and is walked
+    for h, e, ws in ((1, 2, CONST_WEIGHT), (3, 3, WeightSpec(HARMONIC_GAP))):
+        differs = False
+        for q in (5, 7, 13, 29):
+            p = OddPrime(q)
+            ctx = PrimeContext(p, 6)
+            full = binomial_sum(SumSpec(h, 3, (1,), ws, FULL, e), p, ctx)
+            assert len(ctx._bh[h]) == q
+            assert reduce(full, e).value == exact_sum(SumSpec(h, 3, (1,), ws, FULL, e), p).value
+            half = exact_sum(SumSpec(h, 3, (1,), ws, HALF, e), p).value
+            differs |= reduce(full, e).value != half
+        assert differs
+
+
+def test_full_sum_answered_from_half_segment():
+    # e <= h + v(w) + (n+1) v(1/m): the tail vanishes mod p^e and is skipped,
+    # and the value claims only that precision
+    for q in (5, 7, 13, 29):
+        p = OddPrime(q)
+        n = (q - 1) // 2
+        for h, m, ws, e, known in ((2, 3, CONST_WEIGHT, 2, 2),
+                                   (3, 3, WeightSpec(HARMONIC_GAP), 2, 2),
+                                   (1, Fraction(1, q), CONST_WEIGHT, 4, min(n + 2, 6))):
+            ctx = PrimeContext(p, 6)
+            spec = SumSpec(h, m, (1,), ws, FULL, e)
+            value = binomial_sum(spec, p, ctx)
+            assert len(ctx._bh[h]) == n + 1
+            assert reduce(value, e).value == exact_sum(spec, p).value
+            assert value.known_power == known
+            if known < 6:
+                with pytest.raises(PrecisionExhausted):
+                    reduce(value, known + 1)
+
+
+_GROWTH_WEIGHTS = [WeightSpec(kind) for kind in WEIGHT_KINDS if kind not in (LUCAS_U, LUCAS_V)]
+_GROWTH_WEIGHTS += [WeightSpec(kind, a, b) for kind in (LUCAS_U, LUCAS_V)
+                    for a, b in ((1, 16), (-1, 1), (4, -3), (0, 5), (2, -1))]
+
+
+def test_tables_grown_in_steps_equal_one_shot_builds():
+    for q in (3, 5, 13, 29, 61):
+        p = OddPrime(q)
+        n = (q - 1) // 2
+        stepped, once = PrimeContext(p, 3), PrimeContext(p, 3)
+        mod = stepped.mod
+        for hi in (2, n + 1, q, q + 2, 2 * q):
+            stepped.inverses(hi)
+        assert stepped.inverses(2 * q) == once.inverses(2 * q)
+        assert once.inverses(2 * q) == [pow(j, -1, mod) if j % q else 0 for j in range(2 * q)]
+        for h in (1, 2, 3):
+            stepped.bh(h, n + 1)
+            assert stepped.bh(h) == once.bh(h) == [comb(2 * k, k) ** h % mod for k in range(q)]
+        assert stepped.binom_units() == once.binom_units()
+        for ws in _GROWTH_WEIGHTS:
+            if ws.kind == CONST1:
+                continue
+            stepped.weight_table(ws, n + 1)
+            grown = stepped.weight_table(ws)
+            assert grown == once.weight_table(ws)
+            exact = exact_weights(ws.kind, ws.a, ws.b, q)
+            scale = q ** -ws.valuation
+            assert grown == [reduce_fraction(w * scale, q, 3) for w in exact]
+
+
+def test_cold_half_sum_builds_only_half_tables(monkeypatch):
+    # HALF sums, and FULL sums whose tail is invisible, stop every table at
+    # k = n; only the harmonic gap reads inverses up to 2n
+    q = 997
+    p, n = OddPrime(q), (q - 1) // 2
+    for weights, inv_len in (([ws for ws in _GROWTH_WEIGHTS if ws.kind != HARMONIC_GAP], n + 1),
+                             ([WeightSpec(HARMONIC_GAP)], 2 * n + 1)):
+        monkeypatch.setattr(engine, "_CTX_CACHE", {})
+        for ws in weights:
+            for h in (1, 2, 3):
+                for poly, rng, e in (((1,), HALF, 3), ((2, 1, 5), HALF, 2),
+                                     ((1, 1), FULL, h + ws.valuation)):
+                    if e >= 1:
+                        binomial_sum(SumSpec(h, -64, poly, ws, rng, e), p)
+        contexts = engine._CTX_CACHE.values()
+        assert max(len(ctx._inv) for ctx in contexts) == inv_len
+        for ctx in contexts:
+            assert len(ctx._binom) <= n + 1
+            assert all(len(t) <= n + 1 for t in ctx._bh.values())
+            assert all(len(t) <= n + 1 for t in ctx._weights.values())
+
+
 def test_context_cache_reuse():
     p = OddPrime(13)
     assert get_context(p, 4) is get_context(p, 4)
@@ -235,7 +329,11 @@ def sum_cases(draw):
 @given(sum_cases())
 def test_binomial_sum_matches_oracle(case):
     spec, p = case
-    assert reduce(binomial_sum(spec, p), spec.e).value == exact_sum(spec, p).value
+    value = binomial_sum(spec, p)
+    assert reduce(value, spec.e).value == exact_sum(spec, p).value
+    # the digits claimed beyond e are right too, also where the tail was skipped
+    deeper = dataclasses.replace(spec, e=min(value.known_power, 4))
+    assert reduce(value, deeper.e).value == exact_sum(deeper, p).value
 
 
 def test_half_full_order_reuses_segments(monkeypatch):
@@ -267,18 +365,20 @@ def test_apery_table_matches_oracle():
 
 
 def test_context_refuses_primes_above_engine_bound(monkeypatch):
-    def no_tables(self):
+    def no_tables(self, hi):
         raise AssertionError("tables allocated")
 
-    monkeypatch.setattr(PrimeContext, "_build_inverses", no_tables)
+    # binomial and harmonic tables grow from the inverse table on first request
+    monkeypatch.setattr(PrimeContext, "inverses", no_tables)
     with pytest.raises(PrimeTooLarge, match=str(ENGINE_PRIME_BOUND)):
         PrimeContext(OddPrime(1000000007), 2)
     monkeypatch.setattr(engine, "ENGINE_PRIME_BOUND", 13)
     monkeypatch.setattr(engine, "_CTX_CACHE", {})
     with pytest.raises(PrimeTooLarge):
         binomial_sum(SumSpec(3, 64), OddPrime(17))
+    ctx = PrimeContext(OddPrime(13), 2)
     with pytest.raises(AssertionError, match="tables allocated"):
-        PrimeContext(OddPrime(13), 2)
+        ctx.binom_units()
 
 
 def test_shared_context_matches_cold_paths():

@@ -6,7 +6,7 @@ import pytest
 
 from supercon import engine, registry
 from supercon.arith import OddPrime, is_prime
-from supercon.errors import UnknownCheckId
+from supercon.errors import OverrideRefused, UnknownCheckId
 from supercon.quadform import RAW, QuadRep
 from supercon.registry import (
     ABORT,
@@ -166,22 +166,52 @@ def _fail_eq10_at(bad_p):
     return dataclasses.replace(check, evaluate=evaluate)
 
 
+def _fields(res):
+    reports = [dataclasses.replace(r, elapsed=0.0) for r in res.reports]
+    return reports, res.summary, dataclasses.replace(res.aborted, elapsed=0.0)
+
+
 @pytest.mark.parametrize("bad_p", [1009, 1103])
 def test_abort_cuts_serial_and_parallel_runs_alike(monkeypatch, bad_p):
     # workers fork after the patch, so they see the failing check too
     monkeypatch.setitem(registry._CHECKS, "eq1.0", _fail_eq10_at(bad_p))
-
-    def fields(res):
-        reports = [dataclasses.replace(r, elapsed=0.0) for r in res.reports]
-        return reports, res.summary, dataclasses.replace(res.aborted, elapsed=0.0)
-
     serial = run_suite(["eq1.0", "eq1.1"], range(1000, 1201))
     parallel = run_suite(["eq1.0", "eq1.1"], range(1000, 1201), workers=2)
-    assert fields(serial) == fields(parallel)
+    assert _fields(serial) == _fields(parallel)
     assert serial.aborted.check == "eq1.0" and serial.aborted.p == bad_p
     assert serial.aborted.verdict == FAIL
     assert serial.reports[-1].p == bad_p
     assert {r.p for r in serial.reports} == {q for q in range(1009, bad_p + 1) if is_prime(q)}
+
+
+def test_evaluator_exception_is_an_error_report(monkeypatch):
+    check = get_check("eq1.0")
+
+    def evaluate(ws, e):
+        if ws.q == 1013:
+            return 1 // (ws.q - 1013)
+        return check.evaluate(ws, e)
+
+    monkeypatch.setitem(registry._CHECKS, "eq1.0", dataclasses.replace(check, evaluate=evaluate))
+    report = run_check("eq1.0", 1013)
+    assert report.verdict == ERROR and (report.lhs, report.rhs, report.modulus) == (None,) * 3
+    assert report.detail.startswith("ZeroDivisionError in eq1.0 at p=1013: ")
+    serial = run_suite(["eq1.0", "eq1.1"], range(1000, 1101))
+    parallel = run_suite(["eq1.0", "eq1.1"], range(1000, 1101), workers=2)
+    assert _fields(serial) == _fields(parallel)
+    assert serial.aborted == dataclasses.replace(report, elapsed=serial.aborted.elapsed)
+    assert serial.reports[-1].p == 1013
+
+
+def test_override_refused_where_the_power_is_fixed():
+    # derived from the evaluators' code: only these read their power e
+    assert [c.id for c in checks() if c.reads_power] == ["eq1.2", "eq1.5", "eq1.6", "su2.21k8"]
+    with pytest.raises(OverrideRefused, match="eq1.0"):
+        run_suite(["eq1.0"], [11], overrides={"eq1.0": 3})
+    with pytest.raises(OverrideRefused, match="eq1.0"):
+        run_check("eq1.0", 11, e_override=3)
+    res = run_suite(["su2.21k8"], [11], overrides={"su2.21k8": 4})
+    assert res.reports[0].verdict == PASS and res.reports[0].modulus == 11**4
 
 
 def test_run_suite_builds_one_context_per_prime(monkeypatch):

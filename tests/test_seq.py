@@ -1,88 +1,104 @@
-"""Sequence streams: Lucas pairs, binomials, harmonics, Apery numbers."""
+"""Sequence tables on PrimeContext: Lucas pairs, binomials, harmonics, Apery numbers."""
 
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
 
-from supercon.arith import OddPrime, PAdicValue, congruent, padic_add, reduce
-from supercon.errors import IndexOutOfRange
-from supercon.oracle import exact_apery, exact_harmonic, exact_harmonic_gap, reduce_fraction
+from supercon.arith import OddPrime
+from supercon.engine import PrimeContext, WeightSpec
+from supercon.oracle import (
+    exact_apery,
+    exact_harmonic,
+    exact_harmonic_gap,
+    exact_lucas_u,
+    exact_lucas_v,
+    reduce_fraction,
+)
 from supercon.seq import (
     COMPANION_PELL,
+    CONST1,
     CUBIC_CHAR,
+    HARMONIC,
     HARMONIC_GAP,
-    LucasParams,
-    apery,
-    apery_stream,
-    central_binomial_stream,
-    companion_pell,
-    cubic_char,
-    harmonic,
-    harmonic_gap,
-    lucas_pair,
-    lucas_u_int,
-    lucas_v_int,
-    pell,
-    three_indicator,
-    weight_stream,
+    LUCAS_U,
+    LUCAS_V,
+    PELL,
+    THREE_INDICATOR,
 )
 
 PRIMES_100 = [q for q in range(3, 100) if all(q % d for d in range(2, q))]
 
 
+def _table(q: int, kind: str, a: int = 0, b: int = 0, digits: int = 2) -> list:
+    return PrimeContext(OddPrime(q), digits).weight_table(WeightSpec(kind, a, b))
+
+
+def _signed(values: list, mod: int) -> list:
+    return [v - mod if v > mod // 2 else v for v in values]
+
+
 def test_lucas_examples():
-    assert lucas_u_int(LucasParams(1, 16), 3) == -15
-    assert lucas_v_int(LucasParams(1, 16), 3) == -47
-    assert lucas_u_int(LucasParams(4, 1), 4) == 56
-    assert [lucas_u_int(LucasParams(-1, 1), n) for n in range(9)] == [
-        0, 1, -1, 0, 1, -1, 0, 1, -1,
-    ]
-    assert [cubic_char(n) for n in range(9)] == [0, 1, -1, 0, 1, -1, 0, 1, -1]
-    assert [lucas_v_int(LucasParams(-1, 1), n) for n in range(6)] == [
-        2, -1, -1, 2, -1, -1,
-    ]
-    assert [three_indicator(n) for n in range(6)] == [2, -1, -1, 2, -1, -1]
+    assert exact_lucas_u(1, 16, 3) == -15
+    assert exact_lucas_v(1, 16, 3) == -47
+    assert exact_lucas_u(4, 1, 4) == 56
+    mod = 13**2
+    assert _signed(_table(13, LUCAS_U, 1, 16)[:4], mod) == [0, 1, 1, -15]
+    assert _signed(_table(13, LUCAS_V, 1, 16)[:4], mod) == [2, 1, -31, -47]
+    assert _table(13, LUCAS_U, 4, 1)[4] == 56
+    # the characters mod 3 are the Lucas sequences at (a, b) = (-1, 1)
+    assert _signed(_table(13, LUCAS_U, -1, 1)[:9], mod) == [0, 1, -1, 0, 1, -1, 0, 1, -1]
+    assert _signed(_table(13, CUBIC_CHAR)[:9], mod) == [0, 1, -1, 0, 1, -1, 0, 1, -1]
+    assert _signed(_table(13, LUCAS_V, -1, 1)[:6], mod) == [2, -1, -1, 2, -1, -1]
+    assert _signed(_table(13, THREE_INDICATOR)[:6], mod) == [2, -1, -1, 2, -1, -1]
+    assert _table(13, LUCAS_U, -1, 1) == _table(13, CUBIC_CHAR)
+    assert _table(13, LUCAS_V, -1, 1) == _table(13, THREE_INDICATOR)
 
 
 def test_pell_values():
-    assert [pell(n) for n in range(6)] == [0, 1, 2, 5, 12, 29]
-    assert [companion_pell(n) for n in range(5)] == [2, 2, 6, 14, 34]
+    assert _table(13, PELL)[:6] == [0, 1, 2, 5, 12, 29]
+    assert _table(13, COMPANION_PELL)[:5] == [2, 2, 6, 14, 34]
+    assert _table(13, PELL) == _table(13, LUCAS_U, 2, -1)
+    assert _table(13, COMPANION_PELL) == _table(13, LUCAS_V, 2, -1)
 
 
 def test_companion_pell_is_root_power_sum():
     # Q_n = (1+sqrt2)^n + (1-sqrt2)^n forces the B = -1 recurrence
+    table = _table(101, COMPANION_PELL)
     for n in range(12):
         alpha_pow = sum(
             comb(n, k) * 2 ** (k // 2) for k in range(0, n + 1, 2)
         ) * 2  # integer part doubles; sqrt2 parts cancel
-        assert companion_pell(n) == alpha_pow
+        assert exact_lucas_v(2, -1, n) == alpha_pow
+        assert table[n] == alpha_pow % 101**2
 
 
 def test_lucas_pair_matches_int_recurrences():
     rng = random.Random(7)
     for _ in range(25):
         a, b = rng.randint(-6, 6), rng.randint(-6, 6)
+        if (a, b) == (0, 0):
+            continue
         q = rng.choice(PRIMES_100)
-        n = rng.randint(0, 30)
-        u, v = lucas_pair(LucasParams(a, b), n, OddPrime(q), 2)
-        assert reduce(u, 2).value == lucas_u_int(LucasParams(a, b), n) % q**2
-        assert reduce(v, 2).value == lucas_v_int(LucasParams(a, b), n) % q**2
-    with pytest.raises(IndexOutOfRange):
-        lucas_pair(LucasParams(1, 1), -1, OddPrime(5), 1)
+        n = rng.randint(0, q - 1)
+        assert _table(q, LUCAS_U, a, b)[n] == exact_lucas_u(a, b, n) % q**2
+        assert _table(q, LUCAS_V, a, b)[n] == exact_lucas_v(a, b, n) % q**2
+    with pytest.raises(ValueError):
+        WeightSpec(LUCAS_U, 0, 0)
 
 
 def test_lucas_double_index_identity():
     # u_2n = u_n * v_n
     rng = random.Random(11)
+    q = 401
+    mod = q * q
     for _ in range(40):
         a, b = rng.randint(-5, 5), rng.randint(-5, 5)
         n = rng.randint(0, 200)
-        params = LucasParams(a, b)
-        assert lucas_u_int(params, 2 * n) == lucas_u_int(params, n) * lucas_v_int(
-            params, n
-        )
+        assert exact_lucas_u(a, b, 2 * n) == exact_lucas_u(a, b, n) * exact_lucas_v(a, b, n)
+        if (a, b) != (0, 0):
+            u, v = _table(q, LUCAS_U, a, b), _table(q, LUCAS_V, a, b)
+            assert u[2 * n] == u[n] * v[n] % mod
 
 
 def test_lucas_pair_versus_roots_mod_p2():
@@ -103,10 +119,10 @@ def test_lucas_pair_versus_roots_mod_p2():
             root = sqrt_mod(disc, p, 2)[0].value
             alpha = (a + root) * pow(2, -1, mod) % mod
             beta = (a - root) * pow(2, -1, mod) % mod
-            params = LucasParams(a, b)
+            u_table, v_table = _table(q, LUCAS_U, a, b), _table(q, LUCAS_V, a, b)
             for n in (0, 1, 2, 5, q - 1, q):
-                u = lucas_u_int(params, n) % mod
-                v = lucas_v_int(params, n) % mod
+                u = u_table[n] if n < q else exact_lucas_u(a, b, n) % mod
+                v = v_table[n] if n < q else exact_lucas_v(a, b, n) % mod
                 assert root * u % mod == (pow(alpha, n, mod) - pow(beta, n, mod)) % mod
                 assert v == (pow(alpha, n, mod) + pow(beta, n, mod)) % mod
 
@@ -114,103 +130,97 @@ def test_lucas_pair_versus_roots_mod_p2():
 def test_lucas_quadratic_relation():
     # v_n^2 - (a^2 - 4b) u_n^2 = 4 b^n
     rng = random.Random(17)
+    q = 29
+    mod = q * q
     for _ in range(60):
         a, b = rng.randint(-6, 6), rng.randint(-6, 6)
         if b == 0:
             continue
         n = rng.randint(0, 25)
-        params = LucasParams(a, b)
-        u, v = lucas_u_int(params, n), lucas_v_int(params, n)
+        u, v = exact_lucas_u(a, b, n), exact_lucas_v(a, b, n)
         assert v * v - (a * a - 4 * b) * u * u == 4 * b**n
+        u, v = _table(q, LUCAS_U, a, b)[n], _table(q, LUCAS_V, a, b)[n]
+        assert (v * v - (a * a - 4 * b) * u * u - 4 * b**n) % mod == 0
 
 
-def test_central_binomial_stream_values_and_valuation():
-    p = OddPrime(7)
-    terms = list(central_binomial_stream(p, 2))
-    assert len(terms) == 7
-    assert reduce(terms[3], 2).value == 20 % 49
-    assert terms[4].v == 1 and comb(8, 4) == 70
+def test_binom_units_values_and_valuation():
+    ctx = PrimeContext(OddPrime(7), 2)
+    binoms = ctx.bh(1)
+    assert len(binoms) == 7
+    assert binoms[3] == 20 % 49
+    assert binoms[4] == 70 % 49 == 7 * ctx.binom_units()[4] % 49
     for q in PRIMES_100:
-        stream = central_binomial_stream(OddPrime(q), 1)
-        for k, term in enumerate(stream):
+        ctx = PrimeContext(OddPrime(q), 2)
+        units, binoms = ctx.binom_units(), ctx.bh(1)
+        for k in range(q):
             want = 0 if k <= (q - 1) // 2 else 1
-            got = term.v if not term.is_zero_to_precision() else None
-            assert got == want
+            assert units[k] % q and (binoms[k] % q == 0) == (want == 1)
             exact = comb(2 * k, k)
             count = 0
             while exact % q == 0:
                 exact //= q
                 count += 1
             assert count == want
+            assert units[k] == exact % ctx.mod and binoms[k] == comb(2 * k, k) % ctx.mod
 
 
 def test_harmonic_examples():
-    p = OddPrime(11)
-    assert harmonic_gap(0, p, 2).is_zero_to_precision()
+    mod = 11**2
+    gap = _table(11, HARMONIC_GAP)
+    # the table holds p * (H_2k - H_k)
+    assert gap[0] == 0
     # H_2 - H_1 = 1/2
-    assert reduce(harmonic_gap(1, p, 2), 2).value == pow(2, -1, 121)
-    # k >= (p+1)/2 picks up the j = p term with valuation -1
-    assert harmonic_gap(6, p, 2).v == -1
+    assert gap[1] == 11 * pow(2, -1, mod) % mod
+    # k >= (p+1)/2 picks up the j = p term: p * gap is then a unit
+    assert gap[6] % 11
 
 
 def test_harmonic_gap_plus_harmonic_is_harmonic_2k():
     for q in [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]:
-        p = OddPrime(q)
+        gap, harm = _table(q, HARMONIC_GAP, digits=4), _table(q, HARMONIC, digits=4)
+        mod = q**4
         for k in range(q):
-            lhs = padic_add(harmonic_gap(k, p, 4), harmonic(k, p, 4))
-            rhs_exact = exact_harmonic(2 * k)
-            # compare in the p-adic domain: H_2k has a pole once 2k >= q,
-            # so check the difference vanishes instead of reducing
-            rhs = PAdicValue.from_rational(
-                -rhs_exact.numerator, rhs_exact.denominator, p, 4
-            )
-            diff = padic_add(lhs, rhs)
-            assert diff.is_zero_to_precision() or diff.v >= 2
+            # H_2k has a pole once 2k >= q; compare q times each side
+            want = reduce_fraction(q * exact_harmonic(2 * k), q, 4)
+            assert (gap[k] + q * harm[k]) % mod == want
 
 
 def test_harmonic_matches_exact():
     for q in (5, 13, 29):
-        p = OddPrime(q)
+        harm, gap = _table(q, HARMONIC), _table(q, HARMONIC_GAP)
         for k in range(q - 1):
             h = exact_harmonic(k)
             if h.denominator % q == 0:
                 continue
-            assert reduce(harmonic(k, p, 2), 2).value == reduce_fraction(h, q, 2)
-            g = exact_harmonic_gap(k)
-            if g.denominator % q:
-                assert reduce(harmonic_gap(k, p, 2), 2).value == reduce_fraction(
-                    g, q, 2
-                )
+            assert harm[k] == reduce_fraction(h, q, 2)
+            assert gap[k] == reduce_fraction(q * exact_harmonic_gap(k), q, 2)
 
 
 def test_apery_values():
     assert exact_apery(0) == 1
     assert exact_apery(1) == 5
     assert exact_apery(2) == 73
-    p = OddPrime(13)
-    assert reduce(apery(2, p, 2), 2).value == 73
-    stream = list(apery_stream(p, 2))
-    assert len(stream) == 13
-    for n, term in enumerate(stream):
-        assert reduce(term, 2).value == exact_apery(n) % 169
+    table = PrimeContext(OddPrime(13), 2).apery()
+    assert table[2] == 73
+    assert len(table) == 13
+    for n, term in enumerate(table):
+        assert term == exact_apery(n) % 169
 
 
 def test_apery_recurrence_matches_defining_sum():
     for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        p = OddPrime(q)
-        for n, term in enumerate(apery_stream(p, 2)):
+        for n, term in enumerate(PrimeContext(OddPrime(q), 2).apery()):
             want = sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
-            assert reduce(term, 2).value == want % q**2
+            assert term == want % q**2
 
 
-def test_weight_stream_kinds():
-    # harmonic streams stop at k = p-1; Lucas-type streams are unbounded
-    from itertools import islice
-
-    p = OddPrime(13)
-    gap = list(weight_stream(HARMONIC_GAP, p, 2))
-    assert len(gap) == 13 and gap[0].is_zero_to_precision()
-    cubic = list(islice(weight_stream(CUBIC_CHAR, p, 2), 6))
-    assert [reduce(c, 1).signed() for c in cubic] == [0, 1, -1, 0, 1, -1]
-    qn = list(islice(weight_stream(COMPANION_PELL, p, 2), 5))
-    assert reduce(qn[4], 2).value == 34
+def test_weight_table_kinds():
+    # every table covers k < p; const-1 weights have none
+    ctx = PrimeContext(OddPrime(13), 2)
+    assert ctx.weight_table(WeightSpec(CONST1)) is None
+    gap = ctx.weight_table(WeightSpec(HARMONIC_GAP))
+    assert len(gap) == 13 and gap[0] == 0 and WeightSpec(HARMONIC_GAP).valuation == -1
+    cubic = ctx.weight_table(WeightSpec(CUBIC_CHAR))
+    assert _signed(cubic[:6], ctx.mod) == [0, 1, -1, 0, 1, -1]
+    assert WeightSpec(CUBIC_CHAR).valuation == 0
+    assert ctx.weight_table(WeightSpec(COMPANION_PELL))[4] == 34
