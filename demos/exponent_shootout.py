@@ -1,9 +1,10 @@
 """Let a prime sweep decide between two rival exponents for one congruence.
 
-The catalogue registers the same Lucas-weighted sum twice, once against
-the square of the central binomial coefficient (thm1.2.ii.b2) and once
-against the cube (thm1.2.ii.b3).  Only one can be right; the sweep says
-which.
+The catalogue registers the same sum twice, weighted by the cubic
+character mod 3: once against the square of the central binomial
+coefficient (thm1.2.ii.b2) and once against the cube (thm1.2.ii.b3).
+Both variants also check the companion sum weighted by the three-indicator.
+Only one can be right; the sweep says which.
 """
 
 from supercon.registry import COUNTEREXAMPLE, PASS, run_suite

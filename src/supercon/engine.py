@@ -460,34 +460,28 @@ def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime,
     mod = p.power(digits)
     xres = 0 if x.exact_zero else x.unit * p.p**x.v % mod
     z = (xres - 1) * inv[2] % mod
+    return PAdicValue(p, 0, _horner(_legendre_coeffs(n, inv, mod), z, mod, False)[0], digits)
+
+
+def _legendre_coeffs(n: int, inv: list, mod: int) -> list:
+    """C(n,k) C(n+k,k) mod `mod` for k = 0..n; inv must cover 1..n."""
     coeff = [1] * (n + 1)
     for k in range(n):
         ik = inv[k + 1]
         coeff[k + 1] = coeff[k] * ((n - k) * (n + k + 1)) * ik % mod * ik % mod
-    return PAdicValue(p, 0, _horner(coeff, z, mod, False)[0], digits)
+    return coeff
 
 
 def legendre_poly_eval_ext(ctx: PrimeContext, n: int, x0: int, x1: int, disc: int):
-    """P_n(x0 + x1*w) in Z[w]/(w^2 - disc) mod p^digits, returned as a pair."""
+    """P_n(x0 + x1*w) in Z[w]/(w^2 - disc) mod p^digits, as a pair, by Horner in Z[w]."""
     mod = ctx.mod
     inv = ctx.inverses(max(n + 1, 3))
     z0 = (x0 - 1) * inv[2] % mod
     z1 = x1 * inv[2] % mod
-    acc0, acc1 = 1, 0
-    zp0, zp1 = 1, 0
-    coeff = 1
-    first = True
-    for k in range(n):
-        ik = inv[k + 1]
-        coeff = coeff * ((n - k) * (n + k + 1)) % mod * ik % mod * ik % mod
-        if first:
-            zp0, zp1 = z0, z1
-            first = False
-        else:
-            zp0, zp1 = (zp0 * z0 + disc * zp1 * z1) % mod, (zp0 * z1 + zp1 * z0) % mod
-        acc0 = (acc0 + coeff * zp0) % mod
-        acc1 = (acc1 + coeff * zp1) % mod
-    return acc0 % mod, acc1 % mod
+    a0 = a1 = 0
+    for c in reversed(_legendre_coeffs(n, inv, mod)):
+        a0, a1 = (a0 * z0 + disc * a1 * z1 + c) % mod, (a0 * z1 + a1 * z0) % mod
+    return a0, a1
 
 
 def _legendre_poly_exact(n: int, x: Fraction) -> Fraction:

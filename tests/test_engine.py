@@ -101,6 +101,29 @@ def test_legendre_poly_sign_symmetry():
             assert b == (a if n % 2 == 0 else -a) % mod
 
 
+def test_legendre_poly_eval_ext_matches_both_square_roots():
+    # w -> r for either root r of disc maps Z[w]/(w^2 - disc) onto Z/p^4, so
+    # the pair (l0, l1) must give P_n(x0 + x1 r) as l0 + l1 r at both roots
+    cases = 0
+    for q in (5, 11, 13, 19, 23, 37):
+        p = OddPrime(q)
+        ctx = PrimeContext(p, 4)
+        mod = ctx.mod
+        for disc in (-7, -3, -1, 2, 3, 7):
+            if disc % q == 0 or legendre_symbol(disc, q) != 1:
+                continue
+            roots = [r.value for r in sqrt_mod(disc, p, 4)]
+            for n in sorted({0, 1, 2, (q - 1) // 2, q - 1}):
+                for x0, x1 in ((0, 1), (3, 5), (1, q), (q * q + 2, mod - 4)):
+                    l0, l1 = engine.legendre_poly_eval_ext(ctx, n, x0, x1, disc)
+                    for r in roots:
+                        x = PAdicValue.from_int((x0 + x1 * r) % mod, p, 4)
+                        want = reduce(legendre_poly_eval(LegendreEvalSpec(n, x), p, ctx), 4)
+                        assert (l0 + l1 * r) % mod == want.value, (q, disc, n, x0, x1, r)
+                        cases += 1
+    assert cases > 300
+
+
 def test_lemma_2_2_congruence_random_args():
     # P_n(x) = sum binom^2/(-16)^k ((x-1)/2)^k (mod p^2), h=2 sum at m = -16/z
     import random

@@ -22,7 +22,6 @@ from supercon.registry import (
     check_ids,
     checks,
     get_check,
-    registered_sum_specs,
     run_check,
     run_suite,
 )
@@ -149,12 +148,6 @@ def test_run_suite_conjectural_failures_do_not_abort():
     assert all(r.verdict == COUNTEREXAMPLE for r in res.reports)
 
 
-def test_registered_specs_deduplicated():
-    specs = registered_sum_specs()
-    assert len(specs) == len(set(specs))
-    assert len(specs) > 80
-
-
 def _fail_eq10_at(bad_p):
     check = get_check("eq1.0")
 
@@ -201,6 +194,18 @@ def test_evaluator_exception_is_an_error_report(monkeypatch):
     assert _fields(serial) == _fields(parallel)
     assert serial.aborted == dataclasses.replace(report, elapsed=serial.aborted.elapsed)
     assert serial.reports[-1].p == 1013
+
+
+def test_hypothesis_exception_is_an_error_report(monkeypatch):
+    check = get_check("eq1.0")
+    raising = dataclasses.replace(check, hypothesis=lambda p: 1 // (p.p - 11) >= 0)
+    monkeypatch.setitem(registry._CHECKS, "eq1.0", raising)
+    serial = run_suite(["eq1.0"], [5, 7, 11, 13])
+    parallel = run_suite(["eq1.0"], [5, 7, 11, 13], workers=2)
+    assert _fields(serial) == _fields(parallel)
+    assert [r.p for r in serial.reports] == [5, 7, 11]
+    assert serial.aborted.p == 11 and serial.aborted.verdict == ERROR
+    assert serial.aborted.detail.startswith("ZeroDivisionError in eq1.0 at p=11: ")
 
 
 def test_override_refused_where_the_power_is_fixed():
