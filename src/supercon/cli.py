@@ -15,7 +15,15 @@ import sys
 from fractions import Fraction
 
 from .arith import OddPrime, is_prime, reduce
-from .engine import FULL, HALF, SumSpec, WeightSpec, binomial_sum, check_engine_prime
+from .engine import (
+    ENGINE_PRIME_BOUND,
+    FULL,
+    HALF,
+    SumSpec,
+    WeightSpec,
+    binomial_sum,
+    check_engine_prime,
+)
 from .errors import (
     ConventionUnachievable,
     NotRepresentable,
@@ -62,6 +70,11 @@ def _parse_primes(text: str) -> list:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = int(lo_s), int(hi_s)
+        # refuse before the scan: the first prime above the bound is a prime gap away
+        above = (q for q in range(max(lo, ENGINE_PRIME_BOUND + 1), hi + 1) if is_prime(q))
+        first = next(above, None)
+        if first is not None:
+            check_engine_prime(OddPrime(first))
         out = [q for q in range(max(lo, 3), hi + 1) if q % 2 and is_prime(q)]
     else:
         out = []
@@ -226,9 +239,12 @@ def cmd_verify(args) -> int:
             args.override
             or ([p for p in conf.get("override", "").split(",") if p] or None)
         )
-        workers = args.workers or int(
-            conf.get("workers", os.environ.get("SUPERCON_WORKERS", "1"))
+        workers = int(
+            args.workers if args.workers is not None
+            else conf.get("workers", os.environ.get("SUPERCON_WORKERS", "1"))
         )
+        if workers < 1:
+            raise ValueError(f"workers = {workers}, must be at least 1")
         fmt = args.format or conf.get("format", "human")
         output = args.output or conf.get("output")
         strict = args.strict_conjectures or conf.get("strict_conjectures") in (

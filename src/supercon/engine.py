@@ -3,11 +3,11 @@
 The generic object is sum_k P(k) * binomial(2k,k)^h * w_k / m^k over the
 half range k <= (p-1)/2 or the full range k <= p-1, evaluated modulo a
 power of p.  All per-prime state (inverse tables, binomial powers, weight
-tables, the Apery table, memoized moment sums) lives in a PrimeContext so
-that the many checks sharing a prime pay for each table once.  A sweep
-gives each prime one context, owned by the registry's Workspace and passed
-to every function here; get_context caches contexts for library calls
-that come without one.
+tables, the Apery table, Legendre coefficients, memoized moment sums) lives
+in a PrimeContext so that the many checks sharing a prime pay for each table
+once.  A sweep gives each prime one context, owned by the registry's
+Workspace and passed to every function here; get_context caches contexts
+for library calls that come without one.
 
 Tables grow on demand to the prefix a request needs: a half-range sum
 builds entries k <= n = (p-1)/2 only (inverses to 2n for the harmonic gap),
@@ -17,10 +17,14 @@ binomial(2k,k) once for n < k < p, so the tail has valuation at least
 h + v(w) + (n+1) v(m^{-1}).  Such a result claims only that precision, and
 reducing it further raises PrecisionExhausted.
 
-Every sum is one walk of a single kernel, _horner: descending Horner in
-x = m^{-1} over c_k = binom^h w_k (times P(k) above degree 1).  It never
-divides by x, so m^{-1} may be divisible by p.  Legendre polynomials over
-Z_p are summed by the same kernel.  Degree <= 1 sums are
+Every sum is one walk of a single kernel, _horner, over c_k = binom^h w_k
+(times P(k) above degree 1) in x = m^{-1}.  The walk is blocked (baby steps,
+giant steps): with B about 3 sqrt(len(c)) it builds x^0..x^(B-1) once, takes
+each block's dot products with them in C, and joins the blocks by powers
+of x^B, so the interpreter does O(sqrt(len(c))) steps rather than one per
+term.  It never divides by x, so m^{-1} may be divisible by p.  Legendre
+polynomials over Z_p are summed by the same kernel, from coefficients
+C(n,k) C(n+k,k) that the context builds once per n.  Degree <= 1 sums are
 memoized per (h, m^{-1}, weight) as a half segment k <= n and a full
 value; a full request after a half one walks only the tail n < k < p.
 
@@ -36,7 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from itertools import islice
+from math import comb, isqrt
 from operator import mul
 
 from .arith import (
@@ -144,7 +149,7 @@ class PrimeContext:
     """
 
     __slots__ = ("prime", "p", "digits", "mod", "n", "_inv", "_binom", "_bh", "_weights",
-                 "_apery", "_moments")
+                 "_apery", "_moments", "_legendre")
 
     def __init__(self, prime: OddPrime, digits: int):
         if not 2 <= digits <= MAX_DIGITS:
@@ -161,6 +166,7 @@ class PrimeContext:
         self._weights: dict = {}
         self._apery = None
         self._moments: dict = {}
+        self._legendre: dict = {}
 
     def inverses(self, hi: int) -> list:
         """inv[j] = j^{-1} mod p^digits for 0 < j < hi, j != p (inv[p] = 0); hi <= 2p.
@@ -290,6 +296,23 @@ class PrimeContext:
             self._apery = a
         return self._apery
 
+    def legendre_coeffs(self, n: int) -> list:
+        """C(n,k) C(n+k,k) mod p^digits for k = 0..n, n < p; built once per n.
+
+        Each coefficient is the last times (n-k)(n+k+1)/(k+1)^2.  Only
+        (k+1)^2 needs inverting, so any p-divisibility in C(n+k,k) is
+        carried by the residue itself.
+        """
+        coeff = self._legendre.get(n)
+        if coeff is None:
+            mod, inv = self.mod, self.inverses(n + 1)
+            coeff = [1] * (n + 1)
+            for k in range(n):
+                ik = inv[k + 1]
+                coeff[k + 1] = coeff[k] * ((n - k) * (n + k + 1)) * ik % mod * ik % mod
+            self._legendre[n] = coeff
+        return coeff
+
     def _terms(self, h: int, ws: WeightSpec, lo: int, hi: int) -> list:
         """c_k = binom^h w_k for lo <= k < hi, each below mod^2."""
         B = self.bh(h, hi)[lo:hi]
@@ -331,19 +354,39 @@ class PrimeContext:
 
 
 def _horner(c: list, x: int, mod: int, first_moment: bool) -> tuple:
-    """(sum_j c[j] x^j, sum_j j c[j] x^j) mod mod by descending Horner in x.
+    """(sum_j c[j] x^j, sum_j j c[j] x^j) mod mod, blocked in x.
 
-    The one summation kernel: it only multiplies by x, so x need not be a
-    unit.  The second sum is computed only when first_moment is set (else 0).
+    The one summation kernel.  It builds the baby steps x^i and i x^i for
+    i < B once.  The block c[s:s+B] then costs two dot products with them,
+    d0 and d1, taken in C; it adds x^s d0 and x^s (s d0 + d1) to the sums,
+    and x^s advances by one giant step x^B.  Blocks are read through
+    iterators, so none is copied.  Measured, a block costs about nine baby
+    steps, so B = 3 sqrt(len(c)) minimizes the total.  It only multiplies
+    by x, so x need not be a unit.  The second sum is computed only when
+    first_moment is set (else 0).
     """
+    size = len(c)
+    b = max(min(size, isqrt(9 * size)), 1)
+    pw = [1] * b
+    for i in range(1, b):
+        pw[i] = pw[i - 1] * x % mod
+    xb = pw[-1] * x % mod
     t = u = 0
+    xs = 1
+    it = iter(c)
     if first_moment:
-        for ck in reversed(c):
-            u = (u * x + t) % mod
-            t = (t * x + ck) % mod
-        return t, x * u % mod
-    for ck in reversed(c):
-        t = (t * x + ck) % mod
+        ipw = list(map(mul, range(b), pw))
+        it1 = iter(c)
+        for s in range(0, size, b):
+            d0 = sum(map(mul, islice(it, b), pw))
+            d1 = sum(map(mul, islice(it1, b), ipw))
+            t = (t + xs * d0) % mod
+            u = (u + xs * (s * d0 + d1)) % mod
+            xs = xs * xb % mod
+        return t, u
+    for _ in range(0, size, b):
+        t = (t + xs * sum(map(mul, islice(it, b), pw))) % mod
+        xs = xs * xb % mod
     return t, 0
 
 
@@ -440,13 +483,11 @@ class LegendreEvalSpec:
 
 def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime,
                        ctx: "PrimeContext | None" = None) -> PAdicValue:
-    """P_n(x) = sum_k C(n,k) C(n+k,k) ((x-1)/2)^k via the coefficient ratio.
+    """P_n(x) = sum_k C(n,k) C(n+k,k) ((x-1)/2)^k, summed by the kernel in z = (x-1)/2.
 
-    Each coefficient is the last times (n-k)(n+k+1)/(k+1)^2; only (k+1)^2
-    needs inverting, so any p-divisibility in C(n+k,k) is carried by the
-    residue itself.  The kernel then sums them in z = (x-1)/2.  The inverses
-    come from ctx when given, but the arithmetic stays mod p^digits for the
-    digits x is known to.
+    The coefficients come from the context (ctx when given), but the sum
+    stays mod p^digits for the digits x is known to, which divide the
+    context's.
     """
     n, x = spec.n, spec.x
     if not 0 <= n < p.p:
@@ -456,30 +497,21 @@ def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime,
     if not x.exact_zero and x.v < 0 and x.unit:
         raise NegativeValuation(f"P_n argument has valuation {x.v} < 0")
     digits = max(2, min(x.known_power if not x.exact_zero else MAX_DIGITS, MAX_DIGITS))
-    inv = _context(p, digits, ctx).inverses(max(n + 1, 3))
+    coeff = _context(p, digits, ctx).legendre_coeffs(n)
     mod = p.power(digits)
     xres = 0 if x.exact_zero else x.unit * p.p**x.v % mod
-    z = (xres - 1) * inv[2] % mod
-    return PAdicValue(p, 0, _horner(_legendre_coeffs(n, inv, mod), z, mod, False)[0], digits)
-
-
-def _legendre_coeffs(n: int, inv: list, mod: int) -> list:
-    """C(n,k) C(n+k,k) mod `mod` for k = 0..n; inv must cover 1..n."""
-    coeff = [1] * (n + 1)
-    for k in range(n):
-        ik = inv[k + 1]
-        coeff[k + 1] = coeff[k] * ((n - k) * (n + k + 1)) * ik % mod * ik % mod
-    return coeff
+    z = (xres - 1) * ((mod + 1) // 2) % mod
+    return PAdicValue(p, 0, _horner(coeff, z, mod, False)[0], digits)
 
 
 def legendre_poly_eval_ext(ctx: PrimeContext, n: int, x0: int, x1: int, disc: int):
     """P_n(x0 + x1*w) in Z[w]/(w^2 - disc) mod p^digits, as a pair, by Horner in Z[w]."""
     mod = ctx.mod
-    inv = ctx.inverses(max(n + 1, 3))
-    z0 = (x0 - 1) * inv[2] % mod
-    z1 = x1 * inv[2] % mod
+    inv2 = (mod + 1) // 2
+    z0 = (x0 - 1) * inv2 % mod
+    z1 = x1 * inv2 % mod
     a0 = a1 = 0
-    for c in reversed(_legendre_coeffs(n, inv, mod)):
+    for c in reversed(ctx.legendre_coeffs(n)):
         a0, a1 = (a0 * z0 + disc * a1 * z1 + c) % mod, (a0 * z1 + a1 * z0) % mod
     return a0, a1
 
@@ -566,6 +598,8 @@ def theorem_4_1_transform(h: int, m, poly: tuple, p: OddPrime,
     mod2 = q * q
     mfrac = Fraction(m)
     mbar = Fraction(16**h) / mfrac
+    if mbar.numerator % q == 0:
+        raise DenominatorDivisible(f"mbar = {mbar} vanishes mod {q}")
     sym = legendre_symbol((-1) ** h * mfrac.numerator * mfrac.denominator, q)
     lhs_sum = binomial_sum(SumSpec(h, m, poly, CONST_WEIGHT, HALF, 2), p, ctx)
     lhs = sym * reduce(lhs_sum, 2).value % mod2
@@ -582,8 +616,6 @@ def theorem_4_1_transform(h: int, m, poly: tuple, p: OddPrime,
     gap_sum = binomial_sum(SumSpec(h, mbar, qpoly, WeightSpec(HARMONIC_GAP), HALF, 2), p, ctx)
     # p * gap_sum reduced mod p^2 (gap_sum itself is p-integral on the half range)
     p_gap = q * reduce(gap_sum, 1).value % mod2
-    if mbar.numerator % q == 0:
-        raise DenominatorDivisible(f"mbar = {mbar} vanishes mod {q}")
     mb_res = mbar.numerator * pow(mbar.denominator, -1, mod2)
     fq_factor = (pow(mb_res, q - 1, mod2) + 1) * pow(2, -1, mod2) % mod2
     inv2d = pow(pow(2, d, mod2), -1, mod2) if d else 1

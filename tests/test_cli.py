@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, output formats, config handling."""
 
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from supercon.arith import is_prime
 from supercon.cli import main
 
 
@@ -92,6 +94,28 @@ def test_sum_and_verify_refuse_primes_above_engine_bound(capsys, monkeypatch):
     assert rc == 2 and out == "" and "above the engine bound" in err
 
 
+def test_verify_refuses_range_above_engine_bound_before_scanning(capsys, monkeypatch):
+    from supercon import cli
+
+    calls = []
+
+    def counted_is_prime(n):
+        calls.append(n)
+        if len(calls) > 10**4:
+            raise AssertionError("the range was scanned")
+        return is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counted_is_prime)
+    rc, out, err = run_cli(capsys, "verify", "--checks", "eq1.0", "--primes", "5..1000000000")
+    assert rc == 2 and out == "" and "above the engine bound" in err
+    # the first prime above 10^6 is 1000003, so this range stays within the bound
+    calls.clear()
+    rc, out, _ = run_cli(
+        capsys, "verify", "--checks", "gauss", "--primes", "999980..1000002", "--format", "csv",
+    )
+    assert rc == 0 and out.splitlines()[1:] == ["gauss,999983,SKIP,,,"]
+
+
 def test_represent_examples(capsys):
     rc, out, _ = run_cli(capsys, "represent", "13", "3")
     assert rc == 0 and "(x, y) = (1, 2)" in out
@@ -120,7 +144,7 @@ def test_verify_no_primes_exit_2(capsys):
     assert rc == 2 and "no primes" in err
 
 
-def test_verify_bad_inputs_exit_2(capsys):
+def test_verify_bad_inputs_exit_2(capsys, monkeypatch, tmp_path):
     rc, _, err = run_cli(capsys, "verify", "--checks", "bogus", "--primes", "5..7")
     assert rc == 2
     rc, _, err = run_cli(capsys, "verify", "--primes", "5,6,7")
@@ -140,6 +164,25 @@ def test_verify_bad_inputs_exit_2(capsys):
         "--format", "xml",
     )
     assert rc == 2
+    # fewer than one worker is refused from the flag, the config and the environment
+    for workers in ("-3", "0"):
+        rc, out, err = run_cli(
+            capsys, "verify", "--checks", "eq1.0", "--primes", "5..7", "--workers", workers,
+        )
+        assert rc == 2 and out == "" and "workers" in err
+    conf = tmp_path / "suite.conf"
+    conf.write_text("workers = 0\n")
+    rc, out, err = run_cli(
+        capsys, "verify", "--checks", "eq1.0", "--primes", "5..7", "--config", str(conf),
+    )
+    assert rc == 2 and out == "" and "workers" in err
+    monkeypatch.setenv("SUPERCON_WORKERS", "-1")
+    rc, out, err = run_cli(capsys, "verify", "--checks", "eq1.0", "--primes", "5..7")
+    assert rc == 2 and out == "" and "workers" in err
+    rc, _, _ = run_cli(
+        capsys, "verify", "--checks", "eq1.0", "--primes", "5..7", "--workers", "1",
+    )
+    assert rc == 0
 
 
 def test_verify_json_csv_identical_records(capsys):
@@ -250,3 +293,13 @@ def test_deterministic_output_across_worker_counts(capsys):
     rc1, out1, _ = run_cli(capsys, *argv)
     rc2, out2, _ = run_cli(capsys, *argv, "--workers", "3")
     assert rc1 == rc2 == 0 and out1 == out2
+
+
+def test_verify_report_is_byte_identical_to_golden(capsys):
+    # a speed-up must leave reports byte-identical; the digest is the same on
+    # CPython 3.10 through 3.13
+    rc, out, _ = run_cli(capsys, "verify", "--checks", "all", "--primes", "5..400",
+                         "--format", "json")
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8235976e316b9d1f656478a62f9281ae7e7e58bbc4b955ea5838e55c28656889")

@@ -1,8 +1,9 @@
 """Summation engine, Legendre polynomial evaluation, structural identities."""
 
 import dataclasses
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -418,3 +419,62 @@ def test_shared_context_matches_cold_paths():
             shared = theorem_4_1_transform(h, m, poly, p, ctx)
             cold = theorem_4_1_transform(h, m, poly, p)
             assert [r.value for r in shared] == [r.value for r in cold]
+
+
+def _naive_moments(c, x, mod):
+    s0 = s1 = 0
+    xj = 1
+    for j, cj in enumerate(c):
+        s0 += cj * xj
+        s1 += j * cj * xj
+        xj = xj * x % mod
+    return s0 % mod, s1 % mod
+
+
+def test_horner_matches_naive_sums():
+    rng = random.Random(7)
+    for q, size in ((5, 4), (13, 150), (101, 2500), (25033, 25033)):
+        mod = q**3
+        # the kernel's block length for the whole list, and every short length
+        b = min(size, isqrt(9 * size))
+        lengths = sorted({*range(30), b - 1, b, b + 1, 3 * b + 1, size - 1, size})
+        c = [rng.randrange(mod * mod) for _ in range(lengths[-1])]
+        # x = 0, a multiple of q (as m^{-1} at lemma2.2), a unit, and -1
+        for x in (0, q * rng.randrange(1, q * q), rng.randrange(1, mod), mod - 1):
+            for length in lengths:
+                s0, s1 = _naive_moments(c[:length], x, mod)
+                assert engine._horner(c[:length], x, mod, True) == (s0, s1)
+                assert engine._horner(c[:length], x, mod, False) == (s0, 0)
+
+
+def test_legendre_coeffs_built_once_per_context_and_degree(monkeypatch):
+    builds = []
+    inverses = PrimeContext.inverses
+    # the coefficient recurrence is the only inverse-table reader on this path
+    monkeypatch.setattr(PrimeContext, "inverses",
+                        lambda self, hi: builds.append((id(self), hi)) or inverses(self, hi))
+    for q in (11, 13, 29):
+        p = OddPrime(q)
+        ctx = PrimeContext(p, 6)
+        for n in (0, 1, (q - 1) // 2, q - 1):
+            builds.clear()
+            for _ in range(3):
+                for value, digits in ((2, 2), (-7, 4), (q + 3, 6)):
+                    x = PAdicValue.from_int(value, p, digits)
+                    got = legendre_poly_eval(LegendreEvalSpec(n, x), p, ctx)
+                    fresh = legendre_poly_eval(LegendreEvalSpec(n, x), p, PrimeContext(p, 6))
+                    assert got.known_power == digits
+                    assert reduce(got, digits).value == reduce(fresh, digits).value
+                for x0, x1, disc in ((0, 1, 2), (3, 5, 7)):
+                    got = engine.legendre_poly_eval_ext(ctx, n, x0, x1, disc)
+                    fresh = engine.legendre_poly_eval_ext(PrimeContext(p, 6), n, x0, x1, disc)
+                    assert got == fresh
+            assert [hi for owner, hi in builds if owner == id(ctx)] == [n + 1]
+            assert ctx.legendre_coeffs(n) == [
+                comb(n, k) * comb(n + k, k) % ctx.mod for k in range(n + 1)]
+
+
+def test_theorem_4_1_transform_refuses_vanishing_mbar():
+    # m = 1/11 is fine (m^{-1} = 11 is only divisible by p), mbar = 16^3 * 11 is not
+    with pytest.raises(DenominatorDivisible, match="mbar"):
+        theorem_4_1_transform(3, Fraction(1, 11), (1,), OddPrime(11))
