@@ -19,10 +19,10 @@ from .arith import (
 from .engine import (
     FULL,
     HALF,
+    PrimeContext,
     SumSpec,
     WeightSpec,
     binomial_sum,
-    get_context,
     legendre_poly_eval,
     theorem_4_1_transform,
 )
@@ -48,6 +48,7 @@ __all__ = [
     "HALF",
     "OddPrime",
     "PAdicValue",
+    "PrimeContext",
     "QuadRep",
     "ResidueMod",
     "SuiteResult",
@@ -61,7 +62,6 @@ __all__ = [
     "exact_sum",
     "fermat_quotient",
     "get_check",
-    "get_context",
     "legendre_poly_eval",
     "legendre_symbol",
     "normalize",

@@ -5,9 +5,10 @@ half range k <= (p-1)/2 or the full range k <= p-1, evaluated modulo a
 power of p.  All per-prime state (inverse tables, binomial powers, weight
 tables, the Apery table, Legendre coefficients, memoized moment sums) lives
 in a PrimeContext so that the many checks sharing a prime pay for each table
-once.  A sweep gives each prime one context, owned by the registry's
-Workspace and passed to every function here; get_context caches contexts
-for library calls that come without one.
+once.  Every function here works on the context it is given, at that
+context's digits; a sweep gives each prime one context, owned by the
+registry's Workspace.  binomial_sum alone may be called without one, and
+then builds a fresh context for that call.
 
 Tables grow on demand to the prefix a request needs: a half-range sum
 builds entries k <= n = (p-1)/2 only (inverses to 2n for the harmonic gap),
@@ -390,29 +391,6 @@ def _horner(c: list, x: int, mod: int, first_moment: bool) -> tuple:
     return t, 0
 
 
-_CTX_CACHE: dict = {}
-_CTX_CACHE_MAX = 8
-
-
-def get_context(p: OddPrime, digits: int) -> PrimeContext:
-    """Fetch or build the shared per-prime context."""
-    key = (p.p, digits)
-    ctx = _CTX_CACHE.get(key)
-    if ctx is None:
-        ctx = PrimeContext(p, digits)
-        if len(_CTX_CACHE) >= _CTX_CACHE_MAX:
-            _CTX_CACHE.pop(next(iter(_CTX_CACHE)))
-        _CTX_CACHE[key] = ctx
-    return ctx
-
-
-def _context(p: OddPrime, digits: int, ctx: "PrimeContext | None") -> PrimeContext:
-    """ctx when it is a context for p with at least `digits` digits, else get_context."""
-    if ctx is not None and ctx.p == p.p and ctx.digits >= digits:
-        return ctx
-    return get_context(p, digits)
-
-
 def m_inverse_residue(ctx: PrimeContext, m) -> int:
     """Residue of m^{-1} mod p^digits.
 
@@ -439,15 +417,22 @@ def m_inverse_residue(ctx: PrimeContext, m) -> int:
 def binomial_sum(spec: SumSpec, p: OddPrime, ctx: "PrimeContext | None" = None) -> PAdicValue:
     """Evaluate the sum described by spec as a PAdicValue.
 
-    Works with e + 2 guard digits, or with the digits of ctx when it has
-    more; the result always carries enough precision for reduce(result, spec.e).
+    Works at the digits of ctx, which must be a context for p with at least
+    min(e + GUARD_DIGITS, MAX_DIGITS) digits, else ValueError; without ctx
+    it builds a fresh context at that precision.  The result always carries
+    enough precision for reduce(result, spec.e).
 
     For n < k < p, p divides binomial(2k,k) exactly once, so the tail of a
     FULL sum has valuation at least h + v(w) + (n+1) v(m^{-1}), with v(w)
     from WeightSpec.valuation.  When spec.e is within that bound only the
     half range is walked, and the result is known only to that bound.
     """
-    ctx = _context(p, min(spec.e + GUARD_DIGITS, MAX_DIGITS), ctx)
+    digits = min(spec.e + GUARD_DIGITS, MAX_DIGITS)
+    if ctx is None:
+        ctx = PrimeContext(p, digits)
+    elif ctx.p != p.p or ctx.digits < digits:
+        raise ValueError(f"a context for p = {ctx.p} at {ctx.digits} digits cannot "
+                         f"evaluate mod {p.p}^{spec.e}, which needs {digits} digits")
     minv = m_inverse_residue(ctx, spec.m)
     rng, prec = spec.range, ctx.digits
     if rng == FULL:
@@ -481,27 +466,28 @@ class LegendreEvalSpec:
     x: PAdicValue
 
 
-def legendre_poly_eval(spec: LegendreEvalSpec, p: OddPrime,
-                       ctx: "PrimeContext | None" = None) -> PAdicValue:
+def legendre_poly_eval(spec: LegendreEvalSpec, ctx: PrimeContext) -> PAdicValue:
     """P_n(x) = sum_k C(n,k) C(n+k,k) ((x-1)/2)^k, summed by the kernel in z = (x-1)/2.
 
-    The coefficients come from the context (ctx when given), but the sum
-    stays mod p^digits for the digits x is known to, which divide the
-    context's.
+    The coefficients come from ctx.  The sum runs mod p^digits for the
+    digits x is known to, capped at the context's (an exact zero runs at the
+    context's), and the result claims exactly those digits.
     """
-    n, x = spec.n, spec.x
-    if not 0 <= n < p.p:
-        raise IndexOutOfRange(f"n = {n} outside 0..{p.p - 1}")
+    n, x, q = spec.n, spec.x, ctx.p
+    if not 0 <= n < q:
+        raise IndexOutOfRange(f"n = {n} outside 0..{q - 1}")
     if x.exact_zero:
-        x = PAdicValue.from_int(0, p, 2)
-    if not x.exact_zero and x.v < 0 and x.unit:
-        raise NegativeValuation(f"P_n argument has valuation {x.v} < 0")
-    digits = max(2, min(x.known_power if not x.exact_zero else MAX_DIGITS, MAX_DIGITS))
-    coeff = _context(p, digits, ctx).legendre_coeffs(n)
-    mod = p.power(digits)
-    xres = 0 if x.exact_zero else x.unit * p.p**x.v % mod
+        digits = ctx.digits
+    else:
+        if x.v < 0 and x.unit:
+            raise NegativeValuation(f"P_n argument has valuation {x.v} < 0")
+        digits = min(x.known_power, ctx.digits)
+        if digits < 1:
+            raise PrecisionExhausted(f"P_n argument known mod {q}^{x.known_power}")
+    mod = q**digits
+    xres = 0 if x.exact_zero else x.unit * q**x.v % mod
     z = (xres - 1) * ((mod + 1) // 2) % mod
-    return PAdicValue(p, 0, _horner(coeff, z, mod, False)[0], digits)
+    return PAdicValue(ctx.prime, 0, _horner(ctx.legendre_coeffs(n), z, mod, False)[0], digits)
 
 
 def legendre_poly_eval_ext(ctx: PrimeContext, n: int, x0: int, x1: int, disc: int):
@@ -516,31 +502,14 @@ def legendre_poly_eval_ext(ctx: PrimeContext, n: int, x0: int, x1: int, disc: in
     return a0, a1
 
 
-def _legendre_poly_exact(n: int, x: Fraction) -> Fraction:
-    z = (x - 1) / 2
-    return sum(comb(n, k) * comb(n + k, k) * z**k for k in range(n + 1))
-
-
-def clausen_square_check(n: int, x) -> bool:
-    """Exact rational identity P_n(x)^2 = sum C(n,k)C(n+k,k)C(2k,k)((x^2-1)/4)^k."""
-    if n > 30:
-        raise IndexOutOfRange(f"n = {n} above the exact-check bound 30")
-    x = Fraction(x)
-    lhs = _legendre_poly_exact(n, x) ** 2
-    z = (x * x - 1) / 4
-    rhs = sum(comb(n, k) * comb(n + k, k) * comb(2 * k, k) * z**k for k in range(n + 1))
-    return lhs == rhs
-
-
-def lemma_4_1_check(p: OddPrime, ctx: "PrimeContext | None" = None) -> tuple[bool, int, int]:
+def lemma_4_1_check(ctx: PrimeContext) -> tuple[bool, int, int]:
     """binom(2n-k,k) = (-1)^k binom(2k,k)(1 - p(H_{2k}-H_k)) mod p^2, k <= n.
 
-    n = (p-1)/2; the left side advances by the exact integer ratio
-    (2n-2k)(2n-2k-1)/((2n-k)(k+1)).  Returns (ok, lhs, rhs) where the
-    residue pair witnesses the first mismatch, or the k = n instance
-    when every index agrees.
+    n = (p-1)/2, p the context's prime; the left side advances by the exact
+    integer ratio (2n-2k)(2n-2k-1)/((2n-k)(k+1)).  Returns (ok, lhs, rhs)
+    where the residue pair witnesses the first mismatch, or the k = n
+    instance when every index agrees.
     """
-    ctx = _context(p, 4, ctx)
     q, n, mod = ctx.p, ctx.n, ctx.mod
     mod2 = q * q
     hg = ctx.weight_table(WeightSpec(HARMONIC_GAP), n + 1)
@@ -583,18 +552,18 @@ def _poly_reflect_half(poly: tuple) -> tuple:
     return tuple(reversed(asc))
 
 
-def theorem_4_1_transform(h: int, m, poly: tuple, p: OddPrime,
-                          ctx: "PrimeContext | None" = None) -> tuple[ResidueMod, ResidueMod]:
-    """Both sides of the half-range reflection identity, mod p^2.
+def theorem_4_1_transform(h: int, m, poly: tuple,
+                          ctx: PrimeContext) -> tuple[ResidueMod, ResidueMod]:
+    """Both sides of the half-range reflection identity, mod p^2, p the context's prime.
 
     LHS: ((-1)^h m / p) * sum_{k<=n} P(k) binom^h / m^k.
     RHS: sum_{k<=n} binom^h / mbar^k [ (mbar^{p-1}+1)/2 * P(-k-1/2)
          + (p/2) P'(-k-1/2) ] - p h sum_{k<=n} binom^h P(-k-1/2) (H_2k-H_k)/mbar^k
     with mbar = 16^h / m.  All three right-hand sums run over the half range.
-    The four sums are evaluated on ctx when given.
+    The four sums are evaluated by binomial_sum on ctx, so it needs 4 digits.
     """
     poly = tuple(poly)
-    q = p.p
+    p, q = ctx.prime, ctx.p
     mod2 = q * q
     mfrac = Fraction(m)
     mbar = Fraction(16**h) / mfrac
@@ -623,8 +592,7 @@ def theorem_4_1_transform(h: int, m, poly: tuple, p: OddPrime,
     return ResidueMod(p, 2, lhs), ResidueMod(p, 2, rhs)
 
 
-def lemma_2_1_check(m: int, branch: int, a, b, p: OddPrime,
-                    ctx: "PrimeContext | None" = None) -> bool:
+def lemma_2_1_check(m: int, branch: int, a, b, ctx: PrimeContext) -> bool:
     """Quadratic-resolvent identity tying a cubic sum at m to squares at m*.
 
     m* is the branch root of z^2 - m z + 16 m = 0; requires the resolvent
@@ -632,12 +600,11 @@ def lemma_2_1_check(m: int, branch: int, a, b, p: OddPrime,
     DiscriminantNonResidue (callers skip).  Checks, mod p^2 over the full
     range: sum binom^3/m^k ((a k/16)(m* - m + 32) + b)
            = 2a S1(m*) S0(m*) + b S0(m*)^2
-    with Sj(m*) = sum k^j binom^2 / m*^k.  The square root, m* and the sums
-    are taken mod p^digits of ctx (4 digits without one), and branch picks
+    with Sj(m*) = sum k^j binom^2 / m*^k, p the context's prime.  The square
+    root, m* and the sums are taken mod p^digits of ctx, and branch picks
     the smaller or larger root at that precision.
     """
-    ctx = _context(p, 4, ctx)
-    digits, q, mod = ctx.digits, ctx.p, ctx.mod
+    p, digits, q, mod = ctx.prime, ctx.digits, ctx.p, ctx.mod
     mod2 = q * q
     disc = m * m - 64 * m
     if disc % q == 0:

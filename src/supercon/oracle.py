@@ -77,6 +77,16 @@ def exact_legendre_poly(n: int, x: Fraction) -> Fraction:
     return sum(comb(n, k) * comb(n + k, k) * z**k for k in range(n + 1))
 
 
+def clausen_square_check(n: int, x) -> bool:
+    """Exact rational identity P_n(x)^2 = sum C(n,k)C(n+k,k)C(2k,k)((x^2-1)/4)^k."""
+    if n > 30:
+        raise IndexOutOfRange(f"n = {n} above the exact-check bound 30")
+    x = Fraction(x)
+    z = (x * x - 1) / 4
+    rhs = sum(comb(n, k) * comb(n + k, k) * comb(2 * k, k) * z**k for k in range(n + 1))
+    return exact_legendre_poly(n, x) ** 2 == rhs
+
+
 def exact_weights(kind: str, a: int, b: int, count: int) -> list:
     """First `count` terms of a weight sequence, as ints or Fractions."""
     if kind == CONST1:

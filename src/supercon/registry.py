@@ -197,7 +197,7 @@ class Workspace:
     def legendre_poly(self, value: int, e: int = 2) -> int:
         """P_n(value) mod p^e for n = (p-1)/2."""
         x = PAdicValue.from_int(value % self.mod(e), self.prime, e)
-        out = legendre_poly_eval(LegendreEvalSpec(self.n, x), self.prime, self.ctx)
+        out = legendre_poly_eval(LegendreEvalSpec(self.n, x), self.ctx)
         return reduce(out, e).value
 
 
@@ -256,14 +256,14 @@ class CheckReport:
 def _ev_gauss(ws: Workspace, e: int):
     x = ws.rep(1, D1_ODDX1MOD4).x
     k = (ws.q - 1) // 4
-    return [(ws.ctx.bh(1)[k] % ws.q, 2 * x % ws.q, ws.q)]
+    return [(ws.ctx.bh(1, k + 1)[k] % ws.q, 2 * x % ws.q, ws.q)]
 
 
 def _ev_cde(ws: Workspace, e: int):
     x = ws.rep(1, D1_ODDX1MOD4).x
     mod2 = ws.mod(2)
     k = (ws.q - 1) // 4
-    lhs = ws.ctx.bh(1)[k] % mod2
+    lhs = ws.ctx.bh(1, k + 1)[k] % mod2
     factor = (pow(2, ws.q - 1, mod2) + 1) * _res(Fraction(1, 2), mod2) % mod2
     rhs = factor * ((2 * x - _res(Fraction(ws.q, 2 * x), mod2)) % mod2) % mod2
     return [(lhs, rhs, mod2)]
@@ -624,7 +624,7 @@ def _ev_lemma2_4_d7(ws: Workspace, e: int):
 
 
 def _ev_lemma4_1(ws: Workspace, e: int):
-    _, lhs, rhs = lemma_4_1_check(ws.prime, ws.ctx)
+    _, lhs, rhs = lemma_4_1_check(ws.ctx)
     return [(lhs, rhs, ws.mod(2))]
 
 
@@ -633,7 +633,7 @@ def _ev_thm4_1(ws: Workspace, e: int):
     for h, m, poly in THM41_GRID:
         if m % ws.q == 0:
             continue
-        lhs, rhs = theorem_4_1_transform(h, m, poly, ws.prime, ws.ctx)
+        lhs, rhs = theorem_4_1_transform(h, m, poly, ws.ctx)
         out.append((lhs.value, rhs.value, ws.mod(2)))
     return out
 
@@ -966,8 +966,13 @@ def get_check(check_id: str) -> CongruenceCheck:
 
 def run_check(check_id: str, p, e_override: "int | None" = None,
               workspace: "Workspace | None" = None) -> CheckReport:
+    """One check at one prime, on workspace when given (else a fresh one).
+
+    A workspace for another prime or below e + GUARD_DIGITS digits raises
+    ValueError; a refused override raises OverrideRefused.
+    """
     check = get_check(check_id)
-    if e_override:
+    if e_override is not None:
         check_overrides({check_id: e_override})
     prime = p if isinstance(p, OddPrime) else OddPrime(int(p))
     started = time.perf_counter()
@@ -976,11 +981,10 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
             return CheckReport(check_id, prime.p, SKIP, None, None, None,
                                f"hypothesis: {check.hyp_text}",
                                time.perf_counter() - started)
-        e = e_override if e_override else check.modulus_power(prime)
-        ws = workspace
-        if ws is None or ws.q != prime.p or ws.digits < e + GUARD_DIGITS:
-            ws = Workspace(prime, e + GUARD_DIGITS)
-        outcome = check.evaluate(ws, e)
+        e = e_override if e_override is not None else check.modulus_power(prime)
+        ws = workspace or Workspace(prime, e + GUARD_DIGITS)
+        fits = ws.q == prime.p and ws.digits >= e + GUARD_DIGITS
+        outcome = check.evaluate(ws, e) if fits else None
     except DiscriminantNonResidue as exc:
         return CheckReport(check_id, prime.p, SKIP, None, None, None,
                            str(exc), time.perf_counter() - started)
@@ -994,6 +998,9 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
                            f"{type(exc).__name__} in {check_id} at p={prime.p}: {exc} ({where})",
                            time.perf_counter() - started)
+    if not fits:
+        raise ValueError(f"a workspace for p = {ws.q} at {ws.digits} digits "
+                         f"cannot run {check_id} mod {prime.p}^{e}")
     elapsed = time.perf_counter() - started
     if isinstance(outcome, Equivalence):
         ok = len(set(outcome.truths)) == 1
@@ -1018,10 +1025,12 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
 
 
 def check_overrides(overrides: dict) -> None:
-    """UnknownCheckId or OverrideRefused unless every id's evaluator reads its power."""
-    for cid in overrides:
+    """UnknownCheckId or OverrideRefused unless each evaluator reads its power, in 1..4."""
+    for cid, e in overrides.items():
         if not get_check(cid).reads_power:
             raise OverrideRefused(f"{cid} is evaluated at a fixed power; it takes no override")
+        if e not in (1, 2, 3, 4):
+            raise OverrideRefused(f"override power {e} for {cid} outside 1..4")
 
 
 def _evaluate_prime(args) -> list:

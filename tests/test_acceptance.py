@@ -29,14 +29,14 @@ from supercon.engine import (
     FULL,
     HALF,
     LegendreEvalSpec,
+    PrimeContext,
     SumSpec,
     binomial_sum,
-    clausen_square_check,
     legendre_poly_eval,
     lemma_4_1_check,
 )
 from supercon.errors import DenominatorDivisible, NonResidue, ZeroInput
-from supercon.oracle import brute_sqrt, exact_sum, exhaustive_represent
+from supercon.oracle import brute_sqrt, clausen_square_check, exact_sum, exhaustive_represent
 from supercon.quadform import represent
 from supercon.registry import (
     ABORT,
@@ -225,7 +225,7 @@ def test_criterion_3_structural_identities():
     # square identity in exact rational arithmetic, and the Legendre
     # polynomial congruence at 20 sampled rational arguments per prime.
     for q in _primes(3, 201):
-        ok, lhs, rhs = lemma_4_1_check(OddPrime(q))
+        ok, lhs, rhs = lemma_4_1_check(PrimeContext(OddPrime(q), 2))
         assert ok and lhs == rhs, q
 
     grid = [Fraction(v, 2) for v in range(-4, 5)]
@@ -237,9 +237,10 @@ def test_criterion_3_structural_identities():
     for q in _primes(3, 51):
         p = OddPrime(q)
         n = (q - 1) // 2
+        ctx = PrimeContext(p, 4)
         for x in lemma_2_2_arguments(q, 20):
             xv = PAdicValue.from_rational(x.numerator, x.denominator, p, 4)
-            lhs = reduce(legendre_poly_eval(LegendreEvalSpec(n, xv), p), 2).value
+            lhs = reduce(legendre_poly_eval(LegendreEvalSpec(n, xv), ctx), 2).value
             z = (x - 1) / 2
             if z == 0:
                 assert lhs == 1

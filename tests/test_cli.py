@@ -154,6 +154,12 @@ def test_verify_bad_inputs_exit_2(capsys, monkeypatch, tmp_path):
         "--override", "eq1.0=9",
     )
     assert rc == 2
+    for power in ("0", "5", "x"):
+        rc, out, err = run_cli(
+            capsys, "verify", "--checks", "su2.21k8", "--primes", "11",
+            "--override", f"su2.21k8={power}",
+        )
+        assert rc == 2 and out == "", power
     # eq1.0 is evaluated mod p^2 whatever its override says
     rc, out, err = run_cli(
         capsys, "verify", "--checks", "eq1.0", "--primes", "11", "--override", "eq1.0=3",

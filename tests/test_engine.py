@@ -27,8 +27,6 @@ from supercon.engine import (
     SumSpec,
     WeightSpec,
     binomial_sum,
-    clausen_square_check,
-    get_context,
     lemma_2_1_check,
     lemma_4_1_check,
     legendre_poly_eval,
@@ -41,7 +39,14 @@ from supercon.errors import (
     PrecisionExhausted,
     PrimeTooLarge,
 )
-from supercon.oracle import exact_apery, exact_sum, exact_weights, reduce_fraction
+from supercon.oracle import (
+    clausen_square_check,
+    exact_apery,
+    exact_legendre_poly,
+    exact_sum,
+    exact_weights,
+    reduce_fraction,
+)
 from supercon.quadform import represent
 from supercon.seq import CONST1, HARMONIC, HARMONIC_GAP, LUCAS_U, LUCAS_V, WEIGHT_KINDS
 
@@ -83,10 +88,11 @@ def test_legendre_poly_eval_basics():
     for q in (11, 13, 29):
         p = OddPrime(q)
         n = (q - 1) // 2
+        ctx = PrimeContext(p, 2)
         one = PAdicValue.from_int(1, p, 2)
-        assert reduce(legendre_poly_eval(LegendreEvalSpec(n, one), p), 2).value == 1
+        assert reduce(legendre_poly_eval(LegendreEvalSpec(n, one), ctx), 2).value == 1
         x = PAdicValue.from_int(9, p, 2)
-        assert reduce(legendre_poly_eval(LegendreEvalSpec(1, x), p), 2).value == 9
+        assert reduce(legendre_poly_eval(LegendreEvalSpec(1, x), ctx), 2).value == 9
 
 
 def test_legendre_poly_sign_symmetry():
@@ -94,11 +100,12 @@ def test_legendre_poly_sign_symmetry():
         p = OddPrime(q)
         n = (q - 1) // 2
         mod = q * q
+        ctx = PrimeContext(p, 2)
         for value in (2, 5, 7):
             plus = PAdicValue.from_int(value, p, 2)
             minus = PAdicValue.from_int(-value, p, 2)
-            a = reduce(legendre_poly_eval(LegendreEvalSpec(n, plus), p), 2).value
-            b = reduce(legendre_poly_eval(LegendreEvalSpec(n, minus), p), 2).value
+            a = reduce(legendre_poly_eval(LegendreEvalSpec(n, plus), ctx), 2).value
+            b = reduce(legendre_poly_eval(LegendreEvalSpec(n, minus), ctx), 2).value
             assert b == (a if n % 2 == 0 else -a) % mod
 
 
@@ -119,7 +126,7 @@ def test_legendre_poly_eval_ext_matches_both_square_roots():
                     l0, l1 = engine.legendre_poly_eval_ext(ctx, n, x0, x1, disc)
                     for r in roots:
                         x = PAdicValue.from_int((x0 + x1 * r) % mod, p, 4)
-                        want = reduce(legendre_poly_eval(LegendreEvalSpec(n, x), p, ctx), 4)
+                        want = reduce(legendre_poly_eval(LegendreEvalSpec(n, x), ctx), 4)
                         assert (l0 + l1 * r) % mod == want.value, (q, disc, n, x0, x1, r)
                         cases += 1
     assert cases > 300
@@ -133,14 +140,14 @@ def test_lemma_2_2_congruence_random_args():
     for q in (5, 7, 11, 13, 17, 23, 31, 41, 47):
         p = OddPrime(q)
         n = (q - 1) // 2
-        mod = q * q
+        ctx = PrimeContext(p, 4)
         for _ in range(20):
             num = rng.randint(-40, 40)
             den = rng.choice([d for d in range(1, 25) if d % q])
             x = Fraction(num, den)
             z = (x - 1) / 2
             xv = PAdicValue.from_rational(x.numerator, x.denominator, p, 4)
-            lhs = reduce(legendre_poly_eval(LegendreEvalSpec(n, xv), p), 2).value
+            lhs = reduce(legendre_poly_eval(LegendreEvalSpec(n, xv), ctx), 2).value
             if z == 0:
                 assert lhs == 1
                 continue
@@ -165,23 +172,24 @@ def test_clausen_square_identity():
 
 def test_lemma_4_1_hand_case():
     # p=5, k=1: binom(3,1) = 3 and (-1)*2*(1 - 5/2) = 3 (mod 25)
-    ok, lhs, rhs = lemma_4_1_check(OddPrime(5))
+    ok, lhs, rhs = lemma_4_1_check(PrimeContext(OddPrime(5), 2))
     assert ok and lhs == rhs
     for q in (7, 11, 13, 17, 19, 23):
-        ok, lhs, rhs = lemma_4_1_check(OddPrime(q))
+        ok, lhs, rhs = lemma_4_1_check(PrimeContext(OddPrime(q), 2))
         assert ok and lhs == rhs
 
 
 def test_theorem_4_1_transform_examples():
-    lhs, rhs = theorem_4_1_transform(3, 64, (1,), OddPrime(11))
+    lhs, rhs = theorem_4_1_transform(3, 64, (1,), PrimeContext(OddPrime(11), 4))
     assert lhs.value == rhs.value and lhs.modulus == 121
-    lhs, rhs = theorem_4_1_transform(3, 16, (1, 0), OddPrime(13))
+    lhs, rhs = theorem_4_1_transform(3, 16, (1, 0), PrimeContext(OddPrime(13), 4))
     assert lhs.value == rhs.value
     for q in PRIMES_50:
+        ctx = PrimeContext(OddPrime(q), 4)
         for h, m, poly in ((3, 64, (1,)), (2, 256, (1, 1)), (1, -4, (1, 2))):
             if m % q == 0:
                 continue
-            lhs, rhs = theorem_4_1_transform(h, m, poly, OddPrime(q))
+            lhs, rhs = theorem_4_1_transform(h, m, poly, ctx)
             assert lhs.value == rhs.value, (h, m, poly, q)
 
 
@@ -200,19 +208,18 @@ def test_lemma_2_1_instances():
         root = sqrt_mod(b1sq, p, 4)[0].value
         for branch, sign in ((1, 1), (-1, -1)):
             b = PAdicValue.from_int(b0 + sign * root, p, 4)
-            assert lemma_2_1_check(m, branch, a, b, p)
+            assert lemma_2_1_check(m, branch, a, b, PrimeContext(p, 4))
 
 
 def test_lemma_2_1_square_specialization():
     # a=0, b=1 reduces to: sum binom^3/m^k = (sum binom^2/m*^k)^2
     for q in (7, 11, 13, 17, 19, 23, 29, 37, 41, 43, 47):
-        p = OddPrime(q)
-        shared = PrimeContext(p, 6)
+        contexts = [PrimeContext(OddPrime(q), digits) for digits in (2, 4, 6)]
         for m in (1, 16, 64, -8, 256):
             try:
-                for ctx in (None, shared):
-                    assert lemma_2_1_check(m, 1, 0, 1, p, ctx)
-                    assert lemma_2_1_check(m, -1, 0, 1, p, ctx)
+                for ctx in contexts:
+                    assert lemma_2_1_check(m, 1, 0, 1, ctx)
+                    assert lemma_2_1_check(m, -1, 0, 1, ctx)
             except DiscriminantNonResidue:
                 continue
 
@@ -220,7 +227,7 @@ def test_lemma_2_1_square_specialization():
 def test_lemma_2_1_skips_nonresidue_discriminant():
     # disc = m^2 - 64m = 9*16 - 64*... for m=16: 256 - 1024 = -768
     with pytest.raises(DiscriminantNonResidue):
-        lemma_2_1_check(16, 1, 0, 1, OddPrime(5))
+        lemma_2_1_check(16, 1, 0, 1, PrimeContext(OddPrime(5), 2))
 
 
 def test_full_equals_half_h3_e2():
@@ -301,31 +308,24 @@ def test_tables_grown_in_steps_equal_one_shot_builds():
             assert grown == [reduce_fraction(w * scale, q, 3) for w in exact]
 
 
-def test_cold_half_sum_builds_only_half_tables(monkeypatch):
+def test_cold_half_sum_builds_only_half_tables():
     # HALF sums, and FULL sums whose tail is invisible, stop every table at
     # k = n; only the harmonic gap reads inverses up to 2n
     q = 997
     p, n = OddPrime(q), (q - 1) // 2
     for weights, inv_len in (([ws for ws in _GROWTH_WEIGHTS if ws.kind != HARMONIC_GAP], n + 1),
                              ([WeightSpec(HARMONIC_GAP)], 2 * n + 1)):
-        monkeypatch.setattr(engine, "_CTX_CACHE", {})
+        ctx = PrimeContext(p, 6)
         for ws in weights:
             for h in (1, 2, 3):
                 for poly, rng, e in (((1,), HALF, 3), ((2, 1, 5), HALF, 2),
                                      ((1, 1), FULL, h + ws.valuation)):
                     if e >= 1:
-                        binomial_sum(SumSpec(h, -64, poly, ws, rng, e), p)
-        contexts = engine._CTX_CACHE.values()
-        assert max(len(ctx._inv) for ctx in contexts) == inv_len
-        for ctx in contexts:
-            assert len(ctx._binom) <= n + 1
-            assert all(len(t) <= n + 1 for t in ctx._bh.values())
-            assert all(len(t) <= n + 1 for t in ctx._weights.values())
-
-
-def test_context_cache_reuse():
-    p = OddPrime(13)
-    assert get_context(p, 4) is get_context(p, 4)
+                        binomial_sum(SumSpec(h, -64, poly, ws, rng, e), p, ctx)
+        assert len(ctx._inv) == inv_len
+        assert len(ctx._binom) <= n + 1
+        assert all(len(t) <= n + 1 for t in ctx._bh.values())
+        assert all(len(t) <= n + 1 for t in ctx._weights.values())
 
 
 PRIMES_60 = [3] + PRIMES_50 + [53, 59]
@@ -397,7 +397,6 @@ def test_context_refuses_primes_above_engine_bound(monkeypatch):
     with pytest.raises(PrimeTooLarge, match=str(ENGINE_PRIME_BOUND)):
         PrimeContext(OddPrime(1000000007), 2)
     monkeypatch.setattr(engine, "ENGINE_PRIME_BOUND", 13)
-    monkeypatch.setattr(engine, "_CTX_CACHE", {})
     with pytest.raises(PrimeTooLarge):
         binomial_sum(SumSpec(3, 64), OddPrime(17))
     ctx = PrimeContext(OddPrime(13), 2)
@@ -406,19 +405,66 @@ def test_context_refuses_primes_above_engine_bound(monkeypatch):
 
 
 def test_shared_context_matches_cold_paths():
+    # a shared 6-digit context answers as a fresh one at the fewest digits
+    # theorem_4_1_transform accepts
     for q in (11, 13, 29):
         p = OddPrime(q)
         ctx = PrimeContext(p, 6)
-        for value in (2, 5, -7):
-            x = PAdicValue.from_int(value, p, 2)
-            spec = LegendreEvalSpec((q - 1) // 2, x)
-            assert reduce(legendre_poly_eval(spec, p, ctx), 2).value == reduce(
-                legendre_poly_eval(spec, p), 2).value
-        assert lemma_4_1_check(p, ctx) == lemma_4_1_check(p)
         for h, m, poly in ((3, 64, (1,)), (2, 256, (1, 1)), (1, -4, (1, 2))):
-            shared = theorem_4_1_transform(h, m, poly, p, ctx)
-            cold = theorem_4_1_transform(h, m, poly, p)
+            shared = theorem_4_1_transform(h, m, poly, ctx)
+            cold = theorem_4_1_transform(h, m, poly, PrimeContext(p, 4))
             assert [r.value for r in shared] == [r.value for r in cold]
+    with pytest.raises(ValueError, match="needs 4 digits"):
+        theorem_4_1_transform(3, 64, (1,), PrimeContext(OddPrime(11), 3))
+
+
+def test_identity_checks_agree_across_context_digits():
+    # both need only the context's two digits to decide mod p^2
+    for q in (3, 5, 11, 13, 29, 61, 97):
+        p = OddPrime(q)
+        contexts = [PrimeContext(p, digits) for digits in range(2, 7)]
+        lemma = {lemma_4_1_check(ctx) for ctx in contexts}
+        assert len(lemma) == 1 and lemma.pop()[0]
+        for value in (0, 2, 5, -7, q, q * q + 3):
+            x = PAdicValue.from_int(value, p, 6)
+            n = (q - 1) // 2
+            want = reduce_fraction(exact_legendre_poly(n, value), q, 2)
+            for ctx in contexts:
+                got = legendre_poly_eval(LegendreEvalSpec(n, x), ctx)
+                assert got.known_power == ctx.digits
+                assert reduce(got, 2).value == want, (q, value, ctx.digits)
+
+
+def test_legendre_eval_claims_only_the_digits_x_is_known_to():
+    p = OddPrime(13)
+    ctx = PrimeContext(p, 6)
+    # x = 3 + O(13): P_6(3) and P_6(16) agree mod 13 only
+    x = PAdicValue.from_int(3, p, 1)
+    value = legendre_poly_eval(LegendreEvalSpec(6, x), ctx)
+    assert value.known_power == 1
+    assert reduce(value, 1).value == reduce_fraction(exact_legendre_poly(6, 16), 13, 1)
+    with pytest.raises(PrecisionExhausted):
+        reduce(value, 2)
+    # an exact zero is known to every digit, so it runs at the context's
+    zero = legendre_poly_eval(LegendreEvalSpec(6, PAdicValue.from_int(0, p, 1)), ctx)
+    assert zero.known_power == 6
+    assert reduce(zero, 6).value == reduce_fraction(exact_legendre_poly(6, 0), 13, 6)
+
+
+def test_binomial_sum_refuses_a_mismatched_context():
+    spec = SumSpec(3, 64, e=2)
+    p = OddPrime(13)
+    want = exact_sum(spec, p).value
+    for digits in (4, 5, 6):
+        assert reduce(binomial_sum(spec, p, PrimeContext(p, digits)), 2).value == want
+    with pytest.raises(ValueError, match="p = 11"):
+        binomial_sum(spec, p, PrimeContext(OddPrime(11), 6))
+    for digits in (2, 3):
+        with pytest.raises(ValueError, match="needs 4 digits"):
+            binomial_sum(spec, p, PrimeContext(p, digits))
+    # e = 4 asks for min(4 + 2, 6) digits
+    with pytest.raises(ValueError, match="needs 6 digits"):
+        binomial_sum(dataclasses.replace(spec, e=4), p, PrimeContext(p, 5))
 
 
 def _naive_moments(c, x, mod):
@@ -461,8 +507,8 @@ def test_legendre_coeffs_built_once_per_context_and_degree(monkeypatch):
             for _ in range(3):
                 for value, digits in ((2, 2), (-7, 4), (q + 3, 6)):
                     x = PAdicValue.from_int(value, p, digits)
-                    got = legendre_poly_eval(LegendreEvalSpec(n, x), p, ctx)
-                    fresh = legendre_poly_eval(LegendreEvalSpec(n, x), p, PrimeContext(p, 6))
+                    got = legendre_poly_eval(LegendreEvalSpec(n, x), ctx)
+                    fresh = legendre_poly_eval(LegendreEvalSpec(n, x), PrimeContext(p, 6))
                     assert got.known_power == digits
                     assert reduce(got, digits).value == reduce(fresh, digits).value
                 for x0, x1, disc in ((0, 1, 2), (3, 5, 7)):
@@ -477,4 +523,4 @@ def test_legendre_coeffs_built_once_per_context_and_degree(monkeypatch):
 def test_theorem_4_1_transform_refuses_vanishing_mbar():
     # m = 1/11 is fine (m^{-1} = 11 is only divisible by p), mbar = 16^3 * 11 is not
     with pytest.raises(DenominatorDivisible, match="mbar"):
-        theorem_4_1_transform(3, Fraction(1, 11), (1,), OddPrime(11))
+        theorem_4_1_transform(3, Fraction(1, 11), (1,), PrimeContext(OddPrime(11), 4))

@@ -217,6 +217,32 @@ def test_override_refused_where_the_power_is_fixed():
         run_check("eq1.0", 11, e_override=3)
     res = run_suite(["su2.21k8"], [11], overrides={"su2.21k8": 4})
     assert res.reports[0].verdict == PASS and res.reports[0].modulus == 11**4
+    # a power outside 1..4 is refused, not run at another power or reported
+    for e in (0, -1, 5, 7):
+        with pytest.raises(OverrideRefused, match="outside 1..4"):
+            run_suite(["su2.21k8"], [11, 13], overrides={"su2.21k8": e})
+        with pytest.raises(OverrideRefused, match="outside 1..4"):
+            run_check("su2.21k8", 11, e_override=e)
+
+
+def test_run_check_refuses_a_mismatched_workspace():
+    with pytest.raises(ValueError, match="p = 13"):
+        run_check("eq1.0", 11, workspace=Workspace(OddPrime(13), 4))
+    # su2.21k8 at p^4 needs 6 digits
+    with pytest.raises(ValueError, match="4 digits"):
+        run_check("su2.21k8", 11, e_override=4, workspace=Workspace(OddPrime(11), 4))
+    assert run_check("eq1.0", 11, workspace=Workspace(OddPrime(11), 6)).verdict == PASS
+
+
+def test_gauss_and_cde_build_tables_to_their_one_entry():
+    for q in (13, 29, 1009):
+        k = (q - 1) // 4
+        for cid in ("gauss", "cde"):
+            ws = Workspace(OddPrime(q), 4)
+            assert run_check(cid, q, workspace=ws).verdict == PASS
+            tables = [ws.ctx._inv, ws.ctx._binom, *ws.ctx._bh.values(),
+                      *ws.ctx._weights.values()]
+            assert max(len(t) for t in tables) == k + 1
 
 
 def test_run_suite_builds_one_context_per_prime(monkeypatch):
@@ -228,8 +254,14 @@ def test_run_suite_builds_one_context_per_prime(monkeypatch):
         init(self, prime, digits)
 
     monkeypatch.setattr(engine.PrimeContext, "__init__", counting_init)
-    monkeypatch.setattr(engine, "_CTX_CACHE", {})
-    primes = [5, 7, 13, 29, 73, 97]
+    primes = [5, 7, 13, 29, 61, 73, 97]
     res = run_suite(check_ids(), primes)
     assert not res.aborted
     assert builds == primes
+    # alone, a check builds one context at each prime where it is evaluated;
+    # an exact-zero Legendre argument at lemma2.2 (p = 61, 317, 337) included
+    for check in checks():
+        builds.clear()
+        run_suite([check.id], primes + [317, 337])
+        live = [q for q in primes + [317, 337] if check.hypothesis(OddPrime(q))]
+        assert builds == live, check.id
