@@ -9,15 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DivisionByZero,
-    NegativeValuation,
-    NonResidue,
-    NotCoprime,
-    NotInvertible,
-    PrecisionExhausted,
-    ZeroInput,
-)
+from .errors import NegativeValuation, NonResidue, NotCoprime, PrecisionExhausted, ZeroInput
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -98,42 +90,8 @@ class ResidueMod:
     def modulus(self) -> int:
         return self.p.power(self.e)
 
-    def lift(self, e: int) -> "ResidueMod":
-        """Reinterpret mod p^e for smaller e (information-losing only)."""
-        if e > self.e:
-            raise ValueError(f"cannot lift precision {self.e} to {e}")
-        return ResidueMod(self.p, e, self.value)
-
-    def signed(self) -> int:
-        """Representative in (-p^e/2, p^e/2]."""
-        m = self.modulus
-        return self.value - m if self.value > m // 2 else self.value
-
-    def __add__(self, other: "ResidueMod") -> "ResidueMod":
-        self._check(other)
-        return ResidueMod(self.p, self.e, self.value + other.value)
-
-    def __sub__(self, other: "ResidueMod") -> "ResidueMod":
-        self._check(other)
-        return ResidueMod(self.p, self.e, self.value - other.value)
-
-    def __mul__(self, other: "ResidueMod") -> "ResidueMod":
-        self._check(other)
-        return ResidueMod(self.p, self.e, self.value * other.value)
-
-    def _check(self, other: "ResidueMod") -> None:
-        if self.p != other.p or self.e != other.e:
-            raise ValueError("mixed moduli in ResidueMod arithmetic")
-
     def __repr__(self) -> str:
         return f"{self.value} (mod {self.p.p}^{self.e})"
-
-
-def mod_inv(a: ResidueMod) -> ResidueMod:
-    """Inverse mod p^e; NotInvertible when p | a."""
-    if a.value % a.p.p == 0:
-        raise NotInvertible(f"{a.value} not invertible mod {a.p.p}^{a.e}")
-    return ResidueMod(a.p, a.e, pow(a.value, -1, a.modulus))
 
 
 def legendre_symbol(a: int, p: "OddPrime | int") -> int:
@@ -263,28 +221,10 @@ class PAdicValue:
             return PAdicValue.zero(p, prec)
         return PAdicValue(p, 0, n, prec)
 
-    @staticmethod
-    def from_rational(num: int, den: int, p: OddPrime, prec: int) -> "PAdicValue":
-        """num/den as a p-adic value; den may carry p-power (bounded poles)."""
-        if den == 0:
-            raise DivisionByZero("rational with zero denominator")
-        if num == 0:
-            return PAdicValue.zero(p, prec)
-        q = p.p
-        v = 0
-        while den % q == 0:
-            den //= q
-            v -= 1
-        mod = q**prec
-        return PAdicValue(p, v, num * pow(den, -1, mod), prec)
-
     @property
     def known_power(self) -> int:
         """The value is pinned down modulo p^known_power."""
         return self.v + self.prec
-
-    def is_zero_to_precision(self) -> bool:
-        return self.exact_zero or self.unit == 0
 
     def __repr__(self) -> str:
         if self.exact_zero:
@@ -320,21 +260,6 @@ def padic_mul(x: PAdicValue, y: PAdicValue) -> PAdicValue:
     return PAdicValue(x.p, x.v + y.v, x.unit * y.unit, prec)
 
 
-def padic_div(x: PAdicValue, y: PAdicValue) -> PAdicValue:
-    if x.p != y.p:
-        raise ValueError("mixed primes in p-adic division")
-    if y.exact_zero:
-        raise DivisionByZero("division by exact p-adic zero")
-    if y.unit == 0:
-        raise PrecisionExhausted("divisor is zero to tracked precision")
-    if x.exact_zero:
-        return PAdicValue.zero(x.p, x.prec)
-    prec = min(x.prec, y.prec)
-    q = x.p.p
-    inv = pow(y.unit, -1, q**prec)
-    return PAdicValue(x.p, x.v - y.v, x.unit * inv, prec)
-
-
 def reduce(x: PAdicValue, e: int) -> ResidueMod:
     """Residue of x mod p^e.
 
@@ -350,8 +275,3 @@ def reduce(x: PAdicValue, e: int) -> ResidueMod:
             f"value known mod {x.p.p}^{x.known_power}, requested mod {x.p.p}^{e}"
         )
     return ResidueMod(x.p, e, x.unit * x.p.p**max(x.v, 0))
-
-
-def congruent(x: PAdicValue, y: PAdicValue, e: int) -> bool:
-    """Whether x = y (mod p^e)."""
-    return reduce(x, e).value == reduce(y, e).value

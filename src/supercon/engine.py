@@ -39,7 +39,7 @@ PAdicValue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import comb, isqrt
@@ -51,11 +51,9 @@ from .arith import (
     ResidueMod,
     legendre_symbol,
     reduce,
-    sqrt_mod,
 )
 from .errors import (
     DenominatorDivisible,
-    DiscriminantNonResidue,
     IndexOutOfRange,
     NegativeValuation,
     PrecisionExhausted,
@@ -92,7 +90,11 @@ def check_engine_prime(p: OddPrime) -> None:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Selector for the weight sequence w_k; a, b are Lucas parameters."""
+    """Selector for the weight sequence w_k; a, b are Lucas parameters.
+
+    Only the Lucas kinds read (a, b), and they need a nonzero pair; every
+    other kind refuses a nonzero pair rather than ignore it.
+    """
 
     kind: str = CONST1
     a: int = 0
@@ -101,8 +103,12 @@ class WeightSpec:
     def __post_init__(self) -> None:
         if self.kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        if self.kind in (LUCAS_U, LUCAS_V) and (self.a, self.b) == (0, 0):
+        lucas = self.kind in (LUCAS_U, LUCAS_V)
+        if lucas and (self.a, self.b) == (0, 0):
             raise ValueError(f"{self.kind} weight needs nonzero Lucas parameters")
+        if not lucas and (self.a, self.b) != (0, 0):
+            raise ValueError(f"{self.kind} weight takes no Lucas parameters, "
+                             f"got (a, b) = ({self.a}, {self.b})")
 
     @property
     def valuation(self) -> int:
@@ -117,9 +123,8 @@ CONST_WEIGHT = WeightSpec(CONST1)
 class SumSpec:
     """One binomial sum: h, denominator base m, P(k) coeffs, weight, range, e.
 
-    poly holds integer coefficients, highest degree first; m may be an int,
-    a Fraction, or a PAdicValue unit (algebraic denominators); range is HALF
-    or FULL; the result is wanted mod p^e.
+    poly holds integer coefficients, highest degree first; m is an int or a
+    Fraction; range is HALF or FULL; the result is wanted mod p^e.
     """
 
     h: int
@@ -392,22 +397,13 @@ def _horner(c: list, x: int, mod: int, first_moment: bool) -> tuple:
 
 
 def m_inverse_residue(ctx: PrimeContext, m) -> int:
-    """Residue of m^{-1} mod p^digits.
+    """Residue of m^{-1} mod p^digits, for m an int or a Fraction.
 
     DenominatorDivisible when m has positive valuation (each m^{-k} term
     would have a pole); m with negative valuation is allowed, its inverse
     simply carries the p-power.
     """
     q, mod = ctx.p, ctx.mod
-    if isinstance(m, PAdicValue):
-        if m.exact_zero or m.is_zero_to_precision() or m.v > 0:
-            raise DenominatorDivisible(f"m = {m!r} vanishes mod {q}")
-        if m.known_power < ctx.digits:
-            raise PrecisionExhausted(
-                f"m known mod {q}^{m.known_power}, context needs {ctx.digits} digits"
-            )
-        base = pow(m.unit, -1, mod)
-        return base * q ** (-m.v) % mod if m.v < 0 else base
     frac = Fraction(m)
     if frac.numerator % q == 0:
         raise DenominatorDivisible(f"m = {m} vanishes mod {q}")
@@ -590,41 +586,3 @@ def theorem_4_1_transform(h: int, m, poly: tuple,
     inv2d = pow(pow(2, d, mod2), -1, mod2) if d else 1
     rhs = inv2d * (fq_factor * s_q + q * s_r - h * p_gap) % mod2
     return ResidueMod(p, 2, lhs), ResidueMod(p, 2, rhs)
-
-
-def lemma_2_1_check(m: int, branch: int, a, b, ctx: PrimeContext) -> bool:
-    """Quadratic-resolvent identity tying a cubic sum at m to squares at m*.
-
-    m* is the branch root of z^2 - m z + 16 m = 0; requires the resolvent
-    discriminant m^2 - 64m to be a nonzero square mod p, else
-    DiscriminantNonResidue (callers skip).  Checks, mod p^2 over the full
-    range: sum binom^3/m^k ((a k/16)(m* - m + 32) + b)
-           = 2a S1(m*) S0(m*) + b S0(m*)^2
-    with Sj(m*) = sum k^j binom^2 / m*^k, p the context's prime.  The square
-    root, m* and the sums are taken mod p^digits of ctx, and branch picks
-    the smaller or larger root at that precision.
-    """
-    p, digits, q, mod = ctx.prime, ctx.digits, ctx.p, ctx.mod
-    mod2 = q * q
-    disc = m * m - 64 * m
-    if disc % q == 0:
-        raise DiscriminantNonResidue(f"p = {q} divides m^2 - 64m for m = {m}")
-    if legendre_symbol(disc, q) == -1:
-        raise DiscriminantNonResidue(f"m^2 - 64m = {disc} is not a square mod {q}")
-    root = sqrt_mod(disc, p, digits)[0 if branch >= 0 else 1].value
-    mstar = (m + root) * ctx.inverses(3)[2] % mod
-    if not isinstance(a, PAdicValue):
-        a = PAdicValue.from_int(a, p, digits)
-    if not isinstance(b, PAdicValue):
-        b = PAdicValue.from_int(b, p, digits)
-    a_res = reduce(a, 2).value
-    b_res = reduce(b, 2).value
-
-    s0_3, s1_3 = ctx.moments(3, m_inverse_residue(ctx, m), CONST_WEIGHT, FULL)
-    inv16 = pow(16, -1, mod2)
-    factor = a_res * inv16 % mod2 * ((mstar - m + 32) % mod2) % mod2
-    lhs = (factor * s1_3 + b_res * s0_3) % mod2
-
-    s0_2, s1_2 = ctx.moments(2, pow(mstar, -1, mod), CONST_WEIGHT, FULL)
-    rhs = (2 * a_res * s1_2 % mod2 * s0_2 + b_res * s0_2 * s0_2) % mod2
-    return lhs == rhs

@@ -10,10 +10,6 @@ class SuperconError(Exception):
     """Base class for all toolkit errors."""
 
 
-class NotInvertible(SuperconError):
-    """Element shares a factor with the modulus."""
-
-
 class NotCoprime(SuperconError):
     """Argument must be coprime to p."""
 
@@ -24,10 +20,6 @@ class NonResidue(SuperconError):
 
 class ZeroInput(SuperconError):
     """Zero (mod p) where a unit or nonzero value was required."""
-
-
-class DivisionByZero(SuperconError):
-    """Division by an exact p-adic zero."""
 
 
 class PrecisionExhausted(SuperconError):

@@ -1072,14 +1072,15 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
     """Run the named checks over the given primes.
 
     Results come back sorted by (p, check id) no matter how many workers
-    ran them.  A FAIL or ERROR on an abort-mode check stops the run at the
-    smallest prime P where one occurs: the reports end with P's batch and
-    `aborted` is the first such report at P, whatever the worker count.
-    With workers, an abort at P cancels the jobs above P and lets those
-    below finish, since one of them may abort first.  An override for a
-    check whose evaluator does not read its power raises OverrideRefused.
+    ran them, one report per distinct id and prime.  A FAIL or ERROR on an
+    abort-mode check stops the run at the smallest prime P where one
+    occurs: the reports end with P's batch and `aborted` is the first such
+    report at P, whatever the worker count.  With workers, an abort at P
+    cancels the jobs above P and lets those below finish, since one of them
+    may abort first.  An override for a check that is not in ids, or whose
+    evaluator does not read its power, raises OverrideRefused.
     """
-    ids = sorted(ids)
+    ids = sorted(set(ids))
     for cid in ids:
         get_check(cid)
     # accept any integer iterable (e.g. range(5, 101)) and keep the odd primes
@@ -1087,6 +1088,9 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
                      if int(q) >= 3 and int(q) % 2 and is_prime(int(q))})
     overrides = dict(overrides or {})
     check_overrides(overrides)
+    stray = sorted(set(overrides) - set(ids))
+    if stray:
+        raise OverrideRefused(f"override for {', '.join(stray)}, which this run does not include")
     if not ids or not primes:
         return SuiteResult((), {})
     jobs = [(tuple(ids), q, overrides) for q in primes]

@@ -239,7 +239,7 @@ def test_criterion_3_structural_identities():
         n = (q - 1) // 2
         ctx = PrimeContext(p, 4)
         for x in lemma_2_2_arguments(q, 20):
-            xv = PAdicValue.from_rational(x.numerator, x.denominator, p, 4)
+            xv = PAdicValue.from_int(x.numerator * pow(x.denominator, -1, q**4), p, 4)
             lhs = reduce(legendre_poly_eval(LegendreEvalSpec(n, xv), ctx), 2).value
             z = (x - 1) / 2
             if z == 0:

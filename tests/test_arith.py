@@ -11,26 +11,15 @@ from supercon.arith import (
     OddPrime,
     PAdicValue,
     ResidueMod,
-    congruent,
     fermat_quotient,
     is_prime,
     legendre_symbol,
-    mod_inv,
     padic_add,
-    padic_div,
     padic_mul,
     reduce,
     sqrt_mod,
 )
-from supercon.errors import (
-    DivisionByZero,
-    NegativeValuation,
-    NonResidue,
-    NotCoprime,
-    NotInvertible,
-    PrecisionExhausted,
-    ZeroInput,
-)
+from supercon.errors import NegativeValuation, NonResidue, NotCoprime, ZeroInput
 
 PRIMES_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -55,22 +44,6 @@ def test_residue_auto_reduces_and_signed():
     r = ResidueMod(OddPrime(5), 2, 27)
     assert r.value == 2 and r.modulus == 25
     assert ResidueMod(OddPrime(5), 2, -6).value == 19
-    assert ResidueMod(OddPrime(5), 2, 19).signed() == -6
-    assert r.lift(1).value == 2
-    with pytest.raises(ValueError):
-        r.lift(3)
-
-
-def test_mod_inv_involution():
-    p = OddPrime(13)
-    for e in (1, 2, 3):
-        for a in range(1, 40):
-            if a % 13 == 0:
-                continue
-            r = ResidueMod(p, e, a)
-            assert mod_inv(mod_inv(r)).value == r.value
-    with pytest.raises(NotInvertible):
-        mod_inv(ResidueMod(p, 2, 26))
 
 
 def test_legendre_symbol_examples():
@@ -145,17 +118,12 @@ def test_padic_valuations_combine():
     assert x.v == 3 and x.unit == 6
     y = padic_add(PAdicValue(p, -1, 2, 4), PAdicValue(p, 3, 1, 4))
     assert y.v == -1
-    z = padic_div(PAdicValue(p, 2, 3, 4), PAdicValue(p, 1, 3, 4))
-    assert z.v == 1 and z.unit == 1
-    with pytest.raises(DivisionByZero):
-        padic_div(x, PAdicValue.zero(p, 4))
 
 
 def test_padic_normalization_strips_p():
     p = OddPrime(5)
     x = PAdicValue.from_int(50, p, 3)
     assert x.v == 2 and x.unit == 2
-    assert PAdicValue.from_rational(1, 5, p, 3).v == -1
 
 
 def test_reduce_examples():
@@ -164,14 +132,6 @@ def test_reduce_examples():
     assert reduce(PAdicValue(p, 1, 3, 3), 2).value == 15
     with pytest.raises(NegativeValuation):
         reduce(PAdicValue(p, -1, 2, 4), 2)
-
-
-def test_congruent_tracks_precision():
-    p = OddPrime(7)
-    a = PAdicValue.from_int(3 + 49, p, 2)
-    b = PAdicValue.from_int(3, p, 2)
-    assert congruent(a, b, 2)
-    assert not congruent(PAdicValue.from_int(10, p, 2), b, 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -189,30 +149,12 @@ def test_padic_ops_agree_with_fractions(q, num1, den1, num2, den2, e):
     if den1 % q == 0 or den2 % q == 0:
         return
     p = OddPrime(q)
-    x = PAdicValue.from_rational(num1, den1, p, e + 2)
-    y = PAdicValue.from_rational(num2, den2, p, e + 2)
+    tracked = q ** (e + 2)
+    x = PAdicValue.from_int(num1 * pow(den1, -1, tracked), p, e + 2)
+    y = PAdicValue.from_int(num2 * pow(den2, -1, tracked), p, e + 2)
     fx, fy = Fraction(num1, den1), Fraction(num2, den2)
     mod = q**e
     for op, exact in ((padic_add, fx + fy), (padic_mul, fx * fy)):
         want = exact.numerator * pow(exact.denominator, -1, mod) % mod
         assert reduce(op(x, y), e).value == want
 
-
-@settings(max_examples=150, deadline=None)
-@given(
-    q=st.sampled_from(PRIMES_50),
-    num1=st.integers(-200, 200),
-    num2=st.integers(1, 200),
-    e=st.integers(1, 3),
-)
-def test_padic_div_round_trip(q, num1, num2, e):
-    p = OddPrime(q)
-    x = PAdicValue.from_int(num1, p, e + 2)
-    y = PAdicValue.from_int(num2, p, e + 2)
-    if num2 % q ** (e + 2) == 0:
-        # every tracked digit of the divisor is zero
-        with pytest.raises(PrecisionExhausted):
-            padic_div(x, y)
-        return
-    back = padic_mul(padic_div(x, y), y)
-    assert congruent(back, x, e)

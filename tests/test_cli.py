@@ -79,6 +79,29 @@ def test_sum_fraction_m_and_errors(capsys):
     assert rc == 2
 
 
+def test_sum_refuses_lucas_parameters_for_other_weights(capsys):
+    rc, out, err = run_cli(
+        capsys, "sum", "--h", "2", "--m", "32", "--weight", "pell",
+        "--lucas-a", "5", "--lucas-b", "7", "-p", "1009",
+    )
+    assert rc == 2 and out == "" and err.startswith("error:") and "pell" in err
+    rc, out, _ = run_cli(capsys, "sum", "--h", "2", "--m", "32", "--weight", "pell", "-p", "1009")
+    assert rc == 0 and out.endswith("(mod 1018081)\n")
+    rc, _, _ = run_cli(
+        capsys, "sum", "--h", "2", "--m", "32", "--weight", "lucas_u",
+        "--lucas-a", "5", "--lucas-b", "7", "-p", "1009",
+    )
+    assert rc == 0
+
+
+def test_verify_reports_a_repeated_check_once(capsys):
+    rc, out, _ = run_cli(
+        capsys, "verify", "--checks", "eq1.0,eq1.0", "--primes", "5", "--format", "json",
+    )
+    body = json.loads(out)
+    assert rc == 0 and len(body["records"]) == 1 and body["summary"] == {"eq1.0": {"PASS": 1}}
+
+
 def test_sum_and_verify_refuse_primes_above_engine_bound(capsys, monkeypatch):
     from supercon.engine import PrimeContext
 
@@ -165,6 +188,12 @@ def test_verify_bad_inputs_exit_2(capsys, monkeypatch, tmp_path):
         capsys, "verify", "--checks", "eq1.0", "--primes", "11", "--override", "eq1.0=3",
     )
     assert rc == 2 and out == "" and "takes no override" in err
+    # an override for a check the run does not include would change nothing
+    rc, out, err = run_cli(
+        capsys, "verify", "--checks", "eq1.0", "--primes", "5..7", "--override", "eq1.2=3",
+    )
+    assert rc == 2 and out == "" and err.startswith("error:") and "eq1.2" in err
+    assert "Traceback" not in err
     rc, _, err = run_cli(
         capsys, "verify", "--checks", "eq1.0", "--primes", "5..7",
         "--format", "xml",

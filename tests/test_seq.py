@@ -25,6 +25,7 @@ from supercon.seq import (
     LUCAS_V,
     PELL,
     THREE_INDICATOR,
+    WEIGHT_KINDS,
 )
 
 PRIMES_100 = [q for q in range(3, 100) if all(q % d for d in range(2, q))]
@@ -85,6 +86,17 @@ def test_lucas_pair_matches_int_recurrences():
         assert _table(q, LUCAS_V, a, b)[n] == exact_lucas_v(a, b, n) % q**2
     with pytest.raises(ValueError):
         WeightSpec(LUCAS_U, 0, 0)
+
+
+def test_weight_spec_refuses_lucas_parameters_for_other_kinds():
+    # only the Lucas kinds read (a, b); every other kind would ignore them
+    for kind in WEIGHT_KINDS:
+        if kind in (LUCAS_U, LUCAS_V):
+            continue
+        assert WeightSpec(kind) == WeightSpec(kind, 0, 0)
+        for a, b in ((5, 7), (1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="takes no Lucas parameters"):
+                WeightSpec(kind, a, b)
 
 
 def test_lucas_double_index_identity():
