@@ -2,7 +2,7 @@
 
 The generic object is sum_k P(k) * binomial(2k,k)^h * w_k / m^k over the
 half range k <= (p-1)/2 or the full range k <= p-1, evaluated modulo a
-power of p.  All per-prime state (inverse tables, binomial powers, weight
+power of p.  All per-prime state (inverse tables, binomial powers, harmonic
 tables, the Apery table, Legendre coefficients, memoized moment sums) lives
 in a PrimeContext so that the many checks sharing a prime pay for each table
 once.  Every function here works on the context it is given, at that
@@ -18,16 +18,17 @@ binomial(2k,k) once for n < k < p, so the tail has valuation at least
 h + v(w) + (n+1) v(m^{-1}).  Such a result claims only that precision, and
 reducing it further raises PrecisionExhausted.
 
-Every sum is one walk of a single kernel, _horner, over c_k = binom^h w_k
-(times P(k) above degree 1) in x = m^{-1}.  The walk is blocked (baby steps,
-giant steps): with B about 3 sqrt(len(c)) it builds x^0..x^(B-1) once, takes
-each block's dot products with them in C, and joins the blocks by powers
-of x^B, so the interpreter does O(sqrt(len(c))) steps rather than one per
-term.  It never divides by x, so m^{-1} may be divisible by p.  Legendre
-polynomials over Z_p are summed by the same kernel, from coefficients
-C(n,k) C(n+k,k) that the context builds once per n.  Degree <= 1 sums are
-memoized per (h, m^{-1}, weight) as a half segment k <= n and a full
-value; a full request after a half one walks only the tail n < k < p.
+Every sum is one walk of a single kernel, _walk, over c_k = binom^h w_k
+(times P(k) above degree 1) at a point z of Z[w]/(w^2 - disc): z = m^{-1}
+for a scalar sum.  A Lucas-family weight (seq.LUCAS_FAMILY) has no table:
+with alpha = (a + w)/2 and disc = a^2 - 4b, alpha^k = (v_k + u_k w)/2, so
+one walk of binom^h at z = alpha m^{-1} gives its v and its u sum at once.
+The walk is blocked (baby steps, giant steps) and packs each baby step's
+fields into one int, so a block costs one dot product in C.  Legendre
+polynomials, over Z_p and over Z[w], are walks of coefficients
+C(n,k) C(n+k,k) built once per n.  Degree <= 1 sums are memoized as a half
+segment k <= n and a full value; a full request after a half one walks
+only the tail n < k < p.
 
 Residue bookkeeping: tables store true residues mod p^digits, including
 the p-divisibility of binomial(2k,k) for k > (p-1)/2.  The one negative
@@ -59,18 +60,7 @@ from .errors import (
     PrecisionExhausted,
     PrimeTooLarge,
 )
-from .seq import (
-    COMPANION_PELL,
-    CONST1,
-    CUBIC_CHAR,
-    HARMONIC,
-    HARMONIC_GAP,
-    LUCAS_U,
-    LUCAS_V,
-    PELL,
-    THREE_INDICATOR,
-    WEIGHT_KINDS,
-)
+from .seq import CONST1, HARMONIC, HARMONIC_GAP, LUCAS_FAMILY, LUCAS_U, LUCAS_V, WEIGHT_KINDS
 
 HALF = "half"
 FULL = "full"
@@ -124,7 +114,7 @@ class SumSpec:
     """One binomial sum: h, denominator base m, P(k) coeffs, weight, range, e.
 
     poly holds integer coefficients, highest degree first; m is an int or a
-    Fraction; range is HALF or FULL; the result is wanted mod p^e.
+    Fraction, else TypeError; range is HALF or FULL; the result is wanted mod p^e.
     """
 
     h: int
@@ -135,6 +125,8 @@ class SumSpec:
     e: int = 2
 
     def __post_init__(self) -> None:
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, Fraction)):
+            raise TypeError(f"m must be an int or a Fraction, got {type(self.m).__name__}")
         if self.h not in (1, 2, 3):
             raise ValueError(f"h = {self.h} outside 1..3")
         if self.range not in (HALF, FULL):
@@ -239,11 +231,8 @@ class PrimeContext:
         return table
 
     def weight_table(self, ws: WeightSpec, hi: "int | None" = None):
-        """Residues w_k for k < hi (default p); p*w_k where ws.valuation is -1.
-
-        Const-1 weights return None so the hot loop can skip a multiplication.
-        """
-        if ws.kind == CONST1:
+        """Harmonic residues w_k, k < hi (default p), p*w_k where ws.valuation is -1; else None."""
+        if ws.kind not in (HARMONIC, HARMONIC_GAP):
             return None
         hi = self.p if hi is None else hi
         table = self._weights.setdefault(ws, [])
@@ -251,26 +240,13 @@ class PrimeContext:
         if hi <= lo:
             return table
         q, mod = self.p, self.mod
-        kind = ws.kind
-        if kind in (LUCAS_U, LUCAS_V, PELL, COMPANION_PELL):
-            a, b = (2, -1) if kind in (PELL, COMPANION_PELL) else (ws.a, ws.b)
-            if not table:
-                w0, w1 = (0, 1) if kind in (LUCAS_U, PELL) else (2, a)
-                table += (w0 % mod, w1 % mod)
-            w0, w1 = table[-2:]
-            for _ in range(len(table), hi):
-                w0, w1 = w1, (a * w1 - b * w0) % mod
-                table.append(w1)
-        elif kind in (CUBIC_CHAR, THREE_INDICATOR):
-            pat = (0, 1, mod - 1) if kind == CUBIC_CHAR else (2, mod - 1, mod - 1)
-            table += [pat[k % 3] for k in range(lo, hi)]
-        elif kind == HARMONIC:
+        if ws.kind == HARMONIC:
             inv = self.inverses(hi)
             acc = table[-1] if table else 0
             for k in range(lo, hi):
                 acc = (acc + inv[k]) % mod
                 table.append(acc)
-        elif kind == HARMONIC_GAP:
+        else:
             # p*(H_{2k} - H_k); the j = p term contributes exactly 1
             inv = self.inverses(2 * hi - 1)
             if not table:
@@ -281,8 +257,6 @@ class PrimeContext:
                 acc += 1 if j == q else q * inv[j] % mod
                 acc = (acc + q * inv[2 * k] - q * inv[k]) % mod
                 table.append(acc)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown weight kind {kind!r}")
         return table
 
     def apery(self) -> list:
@@ -303,7 +277,7 @@ class PrimeContext:
         return self._apery
 
     def legendre_coeffs(self, n: int) -> list:
-        """C(n,k) C(n+k,k) mod p^digits for k = 0..n, n < p; built once per n.
+        """C(n,k) C(n+k,k) mod p^digits for k = 0..n, built once per n; 0 <= n < p.
 
         Each coefficient is the last times (n-k)(n+k+1)/(k+1)^2.  Only
         (k+1)^2 needs inverting, so any p-divisibility in C(n+k,k) is
@@ -311,6 +285,8 @@ class PrimeContext:
         """
         coeff = self._legendre.get(n)
         if coeff is None:
+            if not 0 <= n < self.p:
+                raise IndexOutOfRange(f"n = {n} outside 0..{self.p - 1}")
             mod, inv = self.mod, self.inverses(n + 1)
             coeff = [1] * (n + 1)
             for k in range(n):
@@ -320,7 +296,7 @@ class PrimeContext:
         return coeff
 
     def _terms(self, h: int, ws: WeightSpec, lo: int, hi: int) -> list:
-        """c_k = binom^h w_k for lo <= k < hi, each below mod^2."""
+        """c_k = binom^h w_k, lo <= k < hi, each below mod^2; w_k = 1 without a weight table."""
         B = self.bh(h, hi)[lo:hi]
         wt = self.weight_table(ws, hi)
         return B if wt is None else list(map(mul, B, wt[lo:hi]))
@@ -329,71 +305,113 @@ class PrimeContext:
         """(S0, S1) with Sj = sum k^j binom^h w_k m^{-k} mod p^digits.
 
         For the harmonic gap both are p times the true sums (see weight_table).
-
-        Memoized per (h, minv, ws) as [half, full]: each request walks only
-        the segments not yet walked, the half k <= n and the tail n < k < p.
+        Memoized per (h, minv, ws), a Lucas u and v weight at one point sharing
+        an entry, as [half, full]: each request walks only the segments not yet
+        walked, the half k <= n and the tail n < k < p.
         """
-        memo = self._moments.setdefault((h, minv, ws), [None, None])
+        mod = self.mod
+        point, side = _point(ws, minv, mod)
+        memo = self._moments.setdefault((h, point) + ((ws,) if side is None else ()), [None, None])
         slot = 0 if rng == HALF else 1
         if memo[slot] is None:
-            mod, n1 = self.mod, self.n + 1
+            n1 = self.n + 1
             if memo[0] is None:
-                memo[0] = _horner(self._terms(h, ws, 0, n1), minv, mod, True)
+                memo[0] = _walk(self._terms(h, ws, 0, n1), *point, mod, True)
             if slot:
-                # full = half + m^{-(n+1)} * tail, the tail's k counted from n+1
-                t0, t1 = _horner(self._terms(h, ws, n1, self.p), minv, mod, True)
-                shift = pow(minv, n1, mod)
-                h0, h1 = memo[0]
-                memo[1] = ((h0 + shift * t0) % mod, (h1 + shift * (n1 * t0 + t1)) % mod)
-        return memo[slot]
+                tail = _walk(self._terms(h, ws, n1, self.p), *point, mod, True, n1)
+                memo[1] = tuple((x + y) % mod for x, y in zip(memo[0], tail))
+        a0, a1, m0, m1 = memo[slot]
+        return (a0, m0) if side is None else (2 * (a0, a1)[side] % mod, 2 * (m0, m1)[side] % mod)
 
     def poly_weighted_sum(self, h: int, minv: int, ws: WeightSpec, rng: str, poly: tuple):
         """sum P(k) binom^h w_k m^{-k} mod p^digits for any degree, one walk, no memo."""
-        hi = self.p if rng == FULL else self.n + 1
+        hi, mod = self.p if rng == FULL else self.n + 1, self.mod
         terms = self._terms(h, ws, 0, hi)
         for k in range(hi):
             c = 0
             for ci in poly:
                 c = c * k + ci
-            terms[k] *= c
-        return _horner(terms, minv, self.mod, False)[0]
+            terms[k] *= c % mod
+        point, side = _point(ws, minv, mod)
+        a = _walk(terms, *point, mod, False)
+        return a[0] if side is None else 2 * a[side] % mod
 
 
-def _horner(c: list, x: int, mod: int, first_moment: bool) -> tuple:
-    """(sum_j c[j] x^j, sum_j j c[j] x^j) mod mod, blocked in x.
+def ext_pow(x: tuple, k: int, disc: int, mod: int) -> tuple:
+    """x^k in Z[w]/(w^2 - disc) mod mod for k >= 0, by squaring; x = (x0, x1) is x0 + x1 w."""
+    (y0, y1), (x0, x1) = (1, 0), x
+    while k:
+        if k & 1:
+            y0, y1 = (y0 * x0 + disc * y1 * x1) % mod, (y0 * x1 + y1 * x0) % mod
+        x0, x1 = (x0 * x0 + disc * x1 * x1) % mod, 2 * x0 * x1 % mod
+        k >>= 1
+    return y0, y1
 
-    The one summation kernel.  It builds the baby steps x^i and i x^i for
-    i < B once.  The block c[s:s+B] then costs two dot products with them,
-    d0 and d1, taken in C; it adds x^s d0 and x^s (s d0 + d1) to the sums,
-    and x^s advances by one giant step x^B.  Blocks are read through
-    iterators, so none is copied.  Measured, a block costs about nine baby
-    steps, so B = 3 sqrt(len(c)) minimizes the total.  It only multiplies
-    by x, so x need not be a unit.  The second sum is computed only when
-    first_moment is set (else 0).
+
+def _point(ws: WeightSpec, minv: int, mod: int) -> tuple:
+    """((z0, z1, disc), side): ws walks at m^{-1} and its sum is A (side None), or
+    at alpha m^{-1} for the Lucas family, its v sum 2A (side 0) and its u sum 2B (1)."""
+    if ws.kind not in LUCAS_FAMILY:
+        return (minv, 0, 0), None
+    side, ab = LUCAS_FAMILY[ws.kind]
+    a, b = ab or (ws.a, ws.b)
+    half = minv * ((mod + 1) // 2) % mod
+    return (a * half % mod, half, (a * a - 4 * b) % mod), int(side == "u")
+
+
+def _walk(c: list, z0: int, z1: int, disc: int, mod: int, moments: bool, k0: int = 0) -> tuple:
+    """(A, B, A1, B1): sum_k c_k z^k = A + B w, sum_k k c_k z^k = A1 + B1 w (0 without moments).
+
+    The one summation kernel, over c = c_k0 .. c_(k0+len(c)-1) in Z[w]/(w^2 - disc)
+    mod mod at z = z0 + z1 w, 0 <= z0, z1 < mod; z1 = 0 is a scalar sum.  It
+    builds the baby steps z^i = A_i + B_i w, i < b = 2 sqrt(len(c)), once and
+    packs the fields a walk reads (A_i, B_i if z1, then i A_i, i B_i if
+    moments) into one int per i, W = bit_length(b^2 mod^3) + 1 bits each, which
+    holds any 0 <= c_k < mod^2 (a one-field walk takes any ints).  A block is
+    then one dot product in C; its fields are split off by shift and mask and
+    added times z^s, which runs from z^k0 by giant steps z^b.  It never
+    divides by z or w, so neither need be a unit.
     """
     size = len(c)
-    b = max(min(size, isqrt(9 * size)), 1)
-    pw = [1] * b
-    for i in range(1, b):
-        pw[i] = pw[i - 1] * x % mod
-    xb = pw[-1] * x % mod
-    t = u = 0
-    xs = 1
+    b = max(min(size, isqrt(4 * size)), 1)
+    pa, pb = [1] * (b + 1), [0] * (b + 1)
+    if z1:
+        dz1 = disc * z1 % mod
+        for i in range(1, b + 1):
+            x0, x1 = pa[i - 1], pb[i - 1]
+            pa[i], pb[i] = (x0 * z0 + x1 * dz1) % mod, (x0 * z1 + x1 * z0) % mod
+    else:
+        for i in range(1, b + 1):
+            pa[i] = pa[i - 1] * z0 % mod
+    g0, g1 = pa.pop(), pb.pop()
+    width = (b * b * mod**3).bit_length() + 1
+    mask = (1 << width) - 1
+    packed = [x0 | x1 << width for x0, x1 in zip(pa, pb)] if z1 else pa
+    if moments:  # i (A_i | B_i << W) is i A_i | i B_i << W: no field overflows
+        packed = [x | i * x << (2 * width if z1 else width) for i, x in enumerate(packed)]
+    t0 = t1 = u0 = u1 = 0
+    s0, s1 = ext_pow((z0, z1), k0, disc, mod)
     it = iter(c)
-    if first_moment:
-        ipw = list(map(mul, range(b), pw))
-        it1 = iter(c)
-        for s in range(0, size, b):
-            d0 = sum(map(mul, islice(it, b), pw))
-            d1 = sum(map(mul, islice(it1, b), ipw))
-            t = (t + xs * d0) % mod
-            u = (u + xs * (s * d0 + d1)) % mod
-            xs = xs * xb % mod
-        return t, u
-    for _ in range(0, size, b):
-        t = (t + xs * sum(map(mul, islice(it, b), pw))) % mod
-        xs = xs * xb % mod
-    return t, 0
+    if not z1:
+        for s in range(k0, k0 + size, b):
+            d = sum(map(mul, islice(it, b), packed))
+            if moments:
+                d, e = d & mask, d >> width
+                u0 += s0 * (e + s * d)
+            t0 += s0 * d
+            s0 = s0 * g0 % mod
+        return t0 % mod, 0, u0 % mod, 0
+    for s in range(k0, k0 + size, b):
+        d = sum(map(mul, islice(it, b), packed))
+        d0, d1 = d & mask, d >> width & mask
+        t0 += s0 * d0 + disc * s1 * d1
+        t1 += s0 * d1 + s1 * d0
+        if moments:
+            e0, e1 = (d >> 2 * width & mask) + s * d0, (d >> 3 * width) + s * d1
+            u0 += s0 * e0 + disc * s1 * e1
+            u1 += s0 * e1 + s1 * e0
+        s0, s1 = (s0 * g0 + disc * s1 * g1) % mod, (s0 * g1 + s1 * g0) % mod
+    return t0 % mod, t1 % mod, u0 % mod, u1 % mod
 
 
 def m_inverse_residue(ctx: PrimeContext, m) -> int:
@@ -463,15 +481,14 @@ class LegendreEvalSpec:
 
 
 def legendre_poly_eval(spec: LegendreEvalSpec, ctx: PrimeContext) -> PAdicValue:
-    """P_n(x) = sum_k C(n,k) C(n+k,k) ((x-1)/2)^k, summed by the kernel in z = (x-1)/2.
+    """P_n(x) = sum_k C(n,k) C(n+k,k) ((x-1)/2)^k, walked by the kernel at z = (x-1)/2.
 
     The coefficients come from ctx.  The sum runs mod p^digits for the
     digits x is known to, capped at the context's (an exact zero runs at the
     context's), and the result claims exactly those digits.
     """
     n, x, q = spec.n, spec.x, ctx.p
-    if not 0 <= n < q:
-        raise IndexOutOfRange(f"n = {n} outside 0..{q - 1}")
+    coeffs = ctx.legendre_coeffs(n)
     if x.exact_zero:
         digits = ctx.digits
     else:
@@ -483,19 +500,14 @@ def legendre_poly_eval(spec: LegendreEvalSpec, ctx: PrimeContext) -> PAdicValue:
     mod = q**digits
     xres = 0 if x.exact_zero else x.unit * q**x.v % mod
     z = (xres - 1) * ((mod + 1) // 2) % mod
-    return PAdicValue(ctx.prime, 0, _horner(ctx.legendre_coeffs(n), z, mod, False)[0], digits)
+    return PAdicValue(ctx.prime, 0, _walk(coeffs, z, 0, 0, mod, False)[0], digits)
 
 
 def legendre_poly_eval_ext(ctx: PrimeContext, n: int, x0: int, x1: int, disc: int):
-    """P_n(x0 + x1*w) in Z[w]/(w^2 - disc) mod p^digits, as a pair, by Horner in Z[w]."""
-    mod = ctx.mod
-    inv2 = (mod + 1) // 2
-    z0 = (x0 - 1) * inv2 % mod
-    z1 = x1 * inv2 % mod
-    a0 = a1 = 0
-    for c in reversed(ctx.legendre_coeffs(n)):
-        a0, a1 = (a0 * z0 + disc * a1 * z1 + c) % mod, (a0 * z1 + a1 * z0) % mod
-    return a0, a1
+    """P_n(x0 + x1*w) in Z[w]/(w^2 - disc) mod p^digits, as a pair, by one walk at (x-1)/2."""
+    mod, inv2 = ctx.mod, (ctx.mod + 1) // 2
+    z0, z1 = (x0 - 1) * inv2 % mod, x1 * inv2 % mod
+    return _walk(ctx.legendre_coeffs(n), z0, z1, disc, mod, False)[:2]
 
 
 def lemma_4_1_check(ctx: PrimeContext) -> tuple[bool, int, int]:

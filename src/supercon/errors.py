@@ -46,10 +46,6 @@ class DenominatorDivisible(SuperconError):
     """Summation denominator m is divisible by p."""
 
 
-class DiscriminantNonResidue(SuperconError):
-    """Quadratic resolvent has no root mod p; instance must be skipped."""
-
-
 class IndexOutOfRange(SuperconError):
     """Sequence index outside the range where the recurrence is invertible."""
 

@@ -43,12 +43,13 @@ from .engine import (
     SumSpec,
     WeightSpec,
     binomial_sum,
+    ext_pow,
     lemma_4_1_check,
     legendre_poly_eval,
     legendre_poly_eval_ext,
     theorem_4_1_transform,
 )
-from .errors import DiscriminantNonResidue, OverrideRefused, SuperconError, UnknownCheckId
+from .errors import OverrideRefused, SuperconError, UnknownCheckId
 from .quadform import (
     D1_ODDX1MOD4,
     RAW,
@@ -116,20 +117,6 @@ def _pow_frac(base, exp: int, mod: int) -> int:
     num = pow(fr.numerator, exp, mod)
     den = pow(fr.denominator, exp, mod)
     return num * pow(den, -1, mod) % mod
-
-
-def _ext_mul(a, b, disc: int, mod: int):
-    return (
-        (a[0] * b[0] + disc * a[1] * b[1]) % mod,
-        (a[0] * b[1] + a[1] * b[0]) % mod,
-    )
-
-
-def _ext_pow(base, k: int, disc: int, mod: int):
-    out = (1, 0)
-    for _ in range(k % 4):
-        out = _ext_mul(out, base, disc, mod)
-    return out
 
 
 class Workspace:
@@ -571,7 +558,7 @@ def _ev_lemma2_4_d2(ws: Workspace, e: int):
         return [(lhs, rhs, mod)]
     l0, l1 = legendre_poly_eval_ext(ws.ctx, ws.n, 0, 1, 2)
     i_ext = (0, s * _res(Fraction(1, 2), mod) % mod)
-    r = _ext_pow(i_ext, (-y) % 4, 2, mod)
+    r = ext_pow(i_ext, (-y) % 4, 2, mod)
     return [
         (l0 % mod, r[0] * pb % mod, mod),
         (l1 % mod, r[1] * pb % mod, mod),
@@ -594,7 +581,7 @@ def _ev_lemma2_4_d3(ws: Workspace, e: int):
     else:
         l0, l1 = legendre_poly_eval_ext(ws.ctx, ws.n, 0, _res(Fraction(1, 2), ws.ctx.mod), 3)
         minus_i = (0, -s * _res(Fraction(1, 3), mod) % mod)
-        r = _ext_pow(minus_i, ws.n % 4, 3, mod)
+        r = ext_pow(minus_i, ws.n % 4, 3, mod)
         out.append((l0 % mod, r[0] * pb % mod, mod))
         out.append((l1 % mod, r[1] * pb % mod, mod))
     return out
@@ -617,7 +604,7 @@ def _ev_lemma2_4_d7(ws: Workspace, e: int):
         x1 = 3 * _res(Fraction(1, 8), ws.ctx.mod) % ws.ctx.mod
         l0, l1 = legendre_poly_eval_ext(ws.ctx, ws.n, 0, x1, 7)
         i_ext = (0, s * _res(Fraction(1, 7), mod) % mod)
-        r = _ext_pow(i_ext, ws.n % 4, 7, mod)
+        r = ext_pow(i_ext, ws.n % 4, 7, mod)
         out.append((l0 % mod, r[0] * pb % mod, mod))
         out.append((l1 % mod, r[1] * pb % mod, mod))
     return out
@@ -985,9 +972,6 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
         ws = workspace or Workspace(prime, e + GUARD_DIGITS)
         fits = ws.q == prime.p and ws.digits >= e + GUARD_DIGITS
         outcome = check.evaluate(ws, e) if fits else None
-    except DiscriminantNonResidue as exc:
-        return CheckReport(check_id, prime.p, SKIP, None, None, None,
-                           str(exc), time.perf_counter() - started)
     except SuperconError as exc:
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
                            f"{type(exc).__name__}: {exc}",

@@ -1,7 +1,7 @@
 """Names of the weight sequences w_k a binomial sum can carry.
 
-The sequences themselves are tables on engine.PrimeContext (weight_table,
-binom_units, apery), and oracle.py holds their exact definitions.
+Only harmonic numbers and gaps are tables (engine.PrimeContext.weight_table);
+the engine walks Lucas-family sums in Z[w]; oracle.py holds exact definitions.
 """
 
 CONST1 = "const1"
@@ -25,3 +25,8 @@ WEIGHT_KINDS = (
     HARMONIC,
     HARMONIC_GAP,
 )
+
+# kind -> (u or v, (a, b)); None takes (a, b) from the WeightSpec
+LUCAS_FAMILY = {LUCAS_U: ("u", None), LUCAS_V: ("v", None),
+                PELL: ("u", (2, -1)), COMPANION_PELL: ("v", (2, -1)),
+                CUBIC_CHAR: ("u", (-1, 1)), THREE_INDICATOR: ("v", (-1, 1))}

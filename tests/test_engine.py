@@ -34,7 +34,7 @@ from supercon.engine import (
 )
 from supercon.errors import (
     DenominatorDivisible,
-    DiscriminantNonResidue,
+    IndexOutOfRange,
     PrecisionExhausted,
     PrimeTooLarge,
 )
@@ -46,7 +46,15 @@ from supercon.oracle import (
     exact_weights,
     reduce_fraction,
 )
-from supercon.seq import CONST1, HARMONIC, HARMONIC_GAP, LUCAS_U, LUCAS_V, WEIGHT_KINDS
+from supercon.seq import (
+    COMPANION_PELL,
+    HARMONIC,
+    HARMONIC_GAP,
+    LUCAS_U,
+    LUCAS_V,
+    PELL,
+    WEIGHT_KINDS,
+)
 
 PRIMES_50 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -79,6 +87,14 @@ def test_sum_accepts_fraction_and_padic_m():
     assert frac == 10
 
 
+def test_sum_spec_refuses_an_m_of_another_type():
+    # a float is a binary fraction: SumSpec(3, 0.3) used to give 134 mod 13^2, not 127
+    assert _sum_value(3, Fraction(3, 10), (1,), 13, 2) == 127
+    for m in (0.3, 64.0, True, "64", None, PAdicValue.from_int(64, OddPrime(13), 4)):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            SumSpec(3, m)
+
+
 def test_legendre_poly_eval_basics():
     for q in (11, 13, 29):
         p = OddPrime(q)
@@ -88,6 +104,16 @@ def test_legendre_poly_eval_basics():
         assert reduce(legendre_poly_eval(LegendreEvalSpec(n, one), ctx), 2).value == 1
         x = PAdicValue.from_int(9, p, 2)
         assert reduce(legendre_poly_eval(LegendreEvalSpec(1, x), ctx), 2).value == 9
+
+
+def test_legendre_evals_refuse_a_degree_outside_0_to_p_minus_1():
+    # C(n,k) C(n+k,k) needs (k+1)^{-2} for k < n; n >= p would read inv[p] = 0
+    ctx = PrimeContext(OddPrime(5), 2)
+    for n in (-1, 5, 7):
+        with pytest.raises(IndexOutOfRange, match="outside 0..4"):
+            legendre_poly_eval(LegendreEvalSpec(n, PAdicValue.from_int(3, ctx.prime, 2)), ctx)
+        with pytest.raises(IndexOutOfRange, match="outside 0..4"):
+            engine.legendre_poly_eval_ext(ctx, n, 3, 0, 2)
 
 
 def test_legendre_poly_sign_symmetry():
@@ -186,6 +212,10 @@ def test_theorem_4_1_transform_examples():
                 continue
             lhs, rhs = theorem_4_1_transform(h, m, poly, ctx)
             assert lhs.value == rhs.value, (h, m, poly, q)
+
+
+class DiscriminantNonResidue(Exception):
+    """The resolvent of lemma_2_1_check has no root mod p."""
 
 
 def lemma_2_1_check(m: int, branch: int, a: int, b: int, ctx: PrimeContext) -> bool:
@@ -325,7 +355,9 @@ def test_tables_grown_in_steps_equal_one_shot_builds():
             assert stepped.bh(h) == once.bh(h) == [comb(2 * k, k) ** h % mod for k in range(q)]
         assert stepped.binom_units() == once.binom_units()
         for ws in _GROWTH_WEIGHTS:
-            if ws.kind == CONST1:
+            if ws.kind not in (HARMONIC, HARMONIC_GAP):
+                # const 1 and the Lucas family are walked without a table
+                assert stepped.weight_table(ws) is None
                 continue
             stepped.weight_table(ws, n + 1)
             grown = stepped.weight_table(ws)
@@ -387,14 +419,20 @@ def test_binomial_sum_matches_oracle(case):
     assert reduce(value, deeper.e).value == exact_sum(deeper, p).value
 
 
-def test_half_full_order_reuses_segments(monkeypatch):
+def _count_walks(monkeypatch) -> list:
     walks = []
-    kernel = engine._horner
-    monkeypatch.setattr(engine, "_horner", lambda *a: walks.append(1) or kernel(*a))
+    kernel = engine._walk
+    monkeypatch.setattr(engine, "_walk", lambda *a: walks.append(1) or kernel(*a))
+    return walks
+
+
+def test_half_full_order_reuses_segments(monkeypatch):
+    walks = _count_walks(monkeypatch)
     for q in (5, 13, 29):
         p = OddPrime(q)
         for h, m, ws in ((3, 64, CONST_WEIGHT), (2, Fraction(-16, q), WeightSpec(HARMONIC)),
-                         (3, 1, WeightSpec(HARMONIC_GAP))):
+                         (3, 1, WeightSpec(HARMONIC_GAP)), (2, 32, WeightSpec(PELL)),
+                         (1, Fraction(3, q), WeightSpec(LUCAS_V, 5, 7))):
             fresh = {}
             for rng in (HALF, FULL):
                 ctx = PrimeContext(p, 4)
@@ -494,30 +532,69 @@ def test_binomial_sum_refuses_a_mismatched_context():
         binomial_sum(dataclasses.replace(spec, e=4), p, PrimeContext(p, 5))
 
 
-def _naive_moments(c, x, mod):
-    s0 = s1 = 0
-    xj = 1
-    for j, cj in enumerate(c):
-        s0 += cj * xj
-        s1 += j * cj * xj
-        xj = xj * x % mod
-    return s0 % mod, s1 % mod
+def _naive_walks(c, z0, z1, disc, mod, lengths):
+    """{length: (A, B, A1, B1)} of sum_j c[j] z^j and sum_j j c[j] z^j in Z[w], term by term."""
+    out = {}
+    a0 = a1 = m0 = m1 = 0
+    x0, x1 = 1, 0
+    for j in range(max(lengths) + 1):
+        if j in lengths:
+            out[j] = (a0 % mod, a1 % mod, m0 % mod, m1 % mod)
+        if j < len(c):
+            a0, a1 = a0 + c[j] * x0, a1 + c[j] * x1
+            m0, m1 = m0 + j * c[j] * x0, m1 + j * c[j] * x1
+            x0, x1 = (x0 * z0 + disc * x1 * z1) % mod, (x0 * z1 + x1 * z0) % mod
+    return out
 
 
-def test_horner_matches_naive_sums():
+def test_walk_matches_naive_sums():
     rng = random.Random(7)
-    for q, size in ((5, 4), (13, 150), (101, 2500), (25033, 25033)):
+    for q, size in ((5, 5), (13, 150), (101, 101), (25033, 25033)):
         mod = q**3
         # the kernel's block length for the whole list, and every short length
-        b = min(size, isqrt(9 * size))
-        lengths = sorted({*range(30), b - 1, b, b + 1, 3 * b + 1, size - 1, size})
-        c = [rng.randrange(mod * mod) for _ in range(lengths[-1])]
-        # x = 0, a multiple of q (as m^{-1} at lemma2.2), a unit, and -1
-        for x in (0, q * rng.randrange(1, q * q), rng.randrange(1, mod), mod - 1):
-            for length in lengths:
-                s0, s1 = _naive_moments(c[:length], x, mod)
-                assert engine._horner(c[:length], x, mod, True) == (s0, s1)
-                assert engine._horner(c[:length], x, mod, False) == (s0, 0)
+        b = min(size, isqrt(4 * size))
+        lengths = {*range(30), b - 1, b, b + 1, 3 * b + 1, size - 1, size}
+        lengths = {n for n in lengths if 0 <= n <= size}
+        # c_k = mod^2 - 1 fills every packed field to its widest
+        for c in ([mod * mod - 1] * size, [rng.randrange(mod * mod) for _ in range(size)]):
+            unit, mult = rng.randrange(1, mod), q * rng.randrange(1, q * q)
+            # scalar: x = 0, a multiple of q (as m^{-1} at lemma2.2), a unit and -1;
+            # Z[w]: disc = 0, disc a multiple of q, and z with x or w part 0 mod q
+            points = [(x, 0, 0) for x in (0, mult, unit, mod - 1)]
+            points += [(mod - 1, mod - 1, disc) for disc in (0, mult, -3, mod - 1)]
+            points += [(mult, unit, 7), (0, mod - 1, mult), (unit, mult, 0)]
+            for z0, z1, disc in points:
+                want = _naive_walks(c, z0, z1, disc, mod, lengths)
+                for n in lengths:
+                    assert engine._walk(c[:n], z0, z1, disc, mod, True) == want[n], (q, n)
+                    assert engine._walk(c[:n], z0, z1, disc, mod, False) == want[n][:2] + (0, 0)
+                # a segment c[k0:] walked from z^k0 adds up with its prefix
+                for k0 in sorted(lengths)[-3:]:
+                    head = engine._walk(c[:k0], z0, z1, disc, mod, True)
+                    tail = engine._walk(c[k0:], z0, z1, disc, mod, True, k0)
+                    assert tuple((x + y) % mod for x, y in zip(head, tail)) == want[size]
+
+
+def test_lucas_u_and_v_sums_share_one_walk(monkeypatch):
+    # one walk of binom^h at alpha / m answers the u and the v sum of a pair
+    walks = _count_walks(monkeypatch)
+    for q in (13, 101):
+        p = OddPrime(q)
+        # disc = a^2 - 4b is 0 at (2, 1), and 13 at (1, -3)
+        for h, m, pair in ((2, 32, (WeightSpec(PELL), WeightSpec(COMPANION_PELL))),
+                           (2, 16, (WeightSpec(LUCAS_U, 1, 16), WeightSpec(LUCAS_V, 1, 16))),
+                           (3, -8, (WeightSpec(LUCAS_U, 2, 1), WeightSpec(LUCAS_V, 2, 1))),
+                           (1, 5, (WeightSpec(LUCAS_U, 1, -3), WeightSpec(LUCAS_V, 1, -3)))):
+            ctx = PrimeContext(p, 4)
+            minv = m_inverse_residue(ctx, m)
+            for rng in (HALF, FULL):
+                walks.clear()
+                for ws in pair + pair:
+                    s0, s1 = ctx.moments(h, minv, ws, rng)
+                    assert s0 == exact_sum(SumSpec(h, m, (1,), ws, rng, 4), p).value
+                    assert s1 == exact_sum(SumSpec(h, m, (1, 0), ws, rng, 4), p).value
+                # the half segment, then only the tail
+                assert len(walks) == 1, (q, h, m, rng)
 
 
 def test_legendre_coeffs_built_once_per_context_and_degree(monkeypatch):

@@ -1,10 +1,11 @@
-"""Sequence tables on PrimeContext: Lucas pairs, binomials, harmonics, Apery numbers."""
+"""Weight sequences on PrimeContext: Lucas pairs by walks, binomial, harmonic and Apery tables."""
 
 import random
 from math import comb
 
 import pytest
 
+from supercon import engine
 from supercon.arith import OddPrime
 from supercon.engine import PrimeContext, WeightSpec
 from supercon.oracle import (
@@ -21,6 +22,7 @@ from supercon.seq import (
     CUBIC_CHAR,
     HARMONIC,
     HARMONIC_GAP,
+    LUCAS_FAMILY,
     LUCAS_U,
     LUCAS_V,
     PELL,
@@ -31,8 +33,22 @@ from supercon.seq import (
 PRIMES_100 = [q for q in range(3, 100) if all(q % d for d in range(2, q))]
 
 
+def _lucas(q: int, kind: str, a: int, b: int, k: int, digits: int = 2) -> int:
+    """w_k mod q^digits of a Lucas-family kind, read off one walk.
+
+    Walking the unit vector e_k at z = alpha = (a + w)/2 gives alpha^k =
+    (v_k + u_k w)/2, so the walk's A + B w holds v_k = 2A and u_k = 2B.
+    """
+    mod = q**digits
+    point, side = engine._point(WeightSpec(kind, a, b), 1, mod)
+    return 2 * engine._walk([0] * k + [1], *point, mod, False)[side] % mod
+
+
 def _table(q: int, kind: str, a: int = 0, b: int = 0, digits: int = 2) -> list:
-    return PrimeContext(OddPrime(q), digits).weight_table(WeightSpec(kind, a, b))
+    """w_k mod q^digits for k < q: a harmonic table, or Lucas values read off walks."""
+    if kind not in LUCAS_FAMILY:
+        return PrimeContext(OddPrime(q), digits).weight_table(WeightSpec(kind, a, b))
+    return [_lucas(q, kind, a, b, k, digits) for k in range(q)]
 
 
 def _signed(values: list, mod: int) -> list:
@@ -109,8 +125,9 @@ def test_lucas_double_index_identity():
         n = rng.randint(0, 200)
         assert exact_lucas_u(a, b, 2 * n) == exact_lucas_u(a, b, n) * exact_lucas_v(a, b, n)
         if (a, b) != (0, 0):
-            u, v = _table(q, LUCAS_U, a, b), _table(q, LUCAS_V, a, b)
-            assert u[2 * n] == u[n] * v[n] % mod
+            u2n, un, vn = (_lucas(q, kind, a, b, k) for kind, k in
+                           ((LUCAS_U, 2 * n), (LUCAS_U, n), (LUCAS_V, n)))
+            assert u2n == un * vn % mod
 
 
 def test_lucas_pair_versus_roots_mod_p2():
@@ -227,12 +244,14 @@ def test_apery_recurrence_matches_defining_sum():
 
 
 def test_weight_table_kinds():
-    # every table covers k < p; const-1 weights have none
+    # every table covers k < p; const-1 and Lucas-family weights have none
     ctx = PrimeContext(OddPrime(13), 2)
-    assert ctx.weight_table(WeightSpec(CONST1)) is None
+    for kind in (CONST1, PELL, COMPANION_PELL, CUBIC_CHAR, THREE_INDICATOR):
+        assert ctx.weight_table(WeightSpec(kind)) is None
+    assert ctx.weight_table(WeightSpec(LUCAS_U, 1, 16)) is None
     gap = ctx.weight_table(WeightSpec(HARMONIC_GAP))
     assert len(gap) == 13 and gap[0] == 0 and WeightSpec(HARMONIC_GAP).valuation == -1
-    cubic = ctx.weight_table(WeightSpec(CUBIC_CHAR))
+    cubic = _table(13, CUBIC_CHAR)
     assert _signed(cubic[:6], ctx.mod) == [0, 1, -1, 0, 1, -1]
     assert WeightSpec(CUBIC_CHAR).valuation == 0
-    assert ctx.weight_table(WeightSpec(COMPANION_PELL))[4] == 34
+    assert _table(13, COMPANION_PELL)[4] == 34
