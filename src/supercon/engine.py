@@ -35,7 +35,10 @@ the p-divisibility of binomial(2k,k) for k > (p-1)/2.  The one negative
 valuation in the system, H_{2k} - H_k for k in the upper half, is handled
 by storing p*(H_{2k}-H_k), which is p-integral; sums over that table are
 p times the true value and the engine undoes the scaling in the returned
-PAdicValue.
+PAdicValue.  Apart from that scaling no step divides by p, so a sum mod
+p^e needs e - v(w) digits (sum_digits): e + 1 for the harmonic gap, else
+e.  The inverse table, which the others are built from, costs one
+reduction per entry, inv[j] = -(M // j) inv[M mod j] with M = p^digits.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .seq import CONST1, HARMONIC, HARMONIC_GAP, LUCAS_FAMILY, LUCAS_U, LUCAS_V,
 HALF = "half"
 FULL = "full"
 
-GUARD_DIGITS = 2
+MAX_POWER = 4  # every congruence is taken mod p^e, 1 <= e <= MAX_POWER
 MAX_DIGITS = 6
 # A full-range context holds lists of p to 2p residues; at p^6 the inverse
 # table alone is about 0.1 GB at this bound, and each further table about half that.
@@ -131,8 +134,8 @@ class SumSpec:
             raise ValueError(f"h = {self.h} outside 1..3")
         if self.range not in (HALF, FULL):
             raise ValueError(f"range must be {HALF!r} or {FULL!r}")
-        if not 1 <= self.e <= 4:
-            raise ValueError(f"e = {self.e} outside 1..4")
+        if not 1 <= self.e <= MAX_POWER:
+            raise ValueError(f"e = {self.e} outside 1..{MAX_POWER}")
         if not self.poly or not all(isinstance(c, int) for c in self.poly):
             raise ValueError("poly must be a nonempty tuple of ints")
         object.__setattr__(self, "poly", tuple(self.poly))
@@ -158,7 +161,7 @@ class PrimeContext:
         self.digits = digits
         self.mod = prime.power(digits)
         self.n = (self.p - 1) // 2
-        self._inv = [0]
+        self._inv = [0, 1]  # inv[1] seeds the recurrence in inverses (M mod 1 = 0)
         self._binom = [1]
         self._bh: dict = {}
         self._weights: dict = {}
@@ -169,31 +172,17 @@ class PrimeContext:
     def inverses(self, hi: int) -> list:
         """inv[j] = j^{-1} mod p^digits for 0 < j < hi, j != p (inv[p] = 0); hi <= 2p.
 
-        New entries cost one batch inversion: prefix products, one pow and
-        a backward sweep.
+        New entries cost one reduction each: inv[j] = -(M // j) inv[M mod j] mod
+        M = p^digits reads a unit already in the table, and gives inv[p] = 0;
+        only p < j < 2p with M mod j = p falls back to pow(j, -1, M).
         """
         inv = self._inv
-        lo = len(inv)
-        if hi > lo:
+        if hi > len(inv):
             q, mod = self.p, self.mod
-            size = hi - lo
-            pref = [1] * size
-            r = 1
-            for i in range(size):
-                j = lo + i
-                if j != q:
-                    r = r * j % mod
-                pref[i] = r
-            new = [0] * size
-            t = pow(r, -1, mod)
-            for i in range(size - 1, 0, -1):
-                j = lo + i
-                if j != q:
-                    new[i] = t * pref[i - 1] % mod
-                    t = t * j % mod
-            if lo != q:
-                new[0] = t
-            inv += new
+            app = inv.append
+            for j in range(len(inv), hi):
+                r = mod % j
+                app(-(mod // j) * inv[r] % mod if r != q else pow(j, -1, mod))
         return inv
 
     def binom_units(self, hi: "int | None" = None) -> list:
@@ -207,7 +196,7 @@ class PrimeContext:
             cur = u[-1]
             for k in range(lo, hi):
                 num = 2 if 2 * k - 1 == q else 2 * (2 * k - 1)
-                cur = cur * num % mod * inv[k] % mod
+                cur = cur * (num * inv[k]) % mod
                 u.append(cur)
         return u
 
@@ -428,12 +417,17 @@ def m_inverse_residue(ctx: PrimeContext, m) -> int:
     return frac.denominator * pow(frac.numerator, -1, mod) % mod
 
 
+def sum_digits(e: int, weight: WeightSpec) -> int:
+    """The digits a context needs for a sum mod p^e of this weight: e - v(w), at least 2."""
+    return max(2, e - weight.valuation)
+
+
 def binomial_sum(spec: SumSpec, p: OddPrime, ctx: "PrimeContext | None" = None) -> PAdicValue:
     """Evaluate the sum described by spec as a PAdicValue.
 
     Works at the digits of ctx, which must be a context for p with at least
-    min(e + GUARD_DIGITS, MAX_DIGITS) digits, else ValueError; without ctx
-    it builds a fresh context at that precision.  The result always carries
+    sum_digits(spec.e, spec.weight) digits, else ValueError; without ctx it
+    builds a fresh context at exactly that many.  The result always carries
     enough precision for reduce(result, spec.e).
 
     For n < k < p, p divides binomial(2k,k) exactly once, so the tail of a
@@ -441,7 +435,7 @@ def binomial_sum(spec: SumSpec, p: OddPrime, ctx: "PrimeContext | None" = None) 
     from WeightSpec.valuation.  When spec.e is within that bound only the
     half range is walked, and the result is known only to that bound.
     """
-    digits = min(spec.e + GUARD_DIGITS, MAX_DIGITS)
+    digits = sum_digits(spec.e, spec.weight)
     if ctx is None:
         ctx = PrimeContext(p, digits)
     elif ctx.p != p.p or ctx.digits < digits:
@@ -568,7 +562,8 @@ def theorem_4_1_transform(h: int, m, poly: tuple,
     RHS: sum_{k<=n} binom^h / mbar^k [ (mbar^{p-1}+1)/2 * P(-k-1/2)
          + (p/2) P'(-k-1/2) ] - p h sum_{k<=n} binom^h P(-k-1/2) (H_2k-H_k)/mbar^k
     with mbar = 16^h / m.  All three right-hand sums run over the half range.
-    The four sums are evaluated by binomial_sum on ctx, so it needs 4 digits.
+    The sums run by binomial_sum on ctx, the harmonic one mod p (all that p h
+    times it reaches mod p^2), so a context of any digits serves.
     """
     poly = tuple(poly)
     p, q = ctx.prime, ctx.p
@@ -590,8 +585,8 @@ def theorem_4_1_transform(h: int, m, poly: tuple,
         if rpoly
         else 0
     )
-    gap_sum = binomial_sum(SumSpec(h, mbar, qpoly, WeightSpec(HARMONIC_GAP), HALF, 2), p, ctx)
-    # p * gap_sum reduced mod p^2 (gap_sum itself is p-integral on the half range)
+    gap_sum = binomial_sum(SumSpec(h, mbar, qpoly, WeightSpec(HARMONIC_GAP), HALF, 1), p, ctx)
+    # p * gap_sum mod p^2 reads gap_sum mod p only (it is p-integral on the half range)
     p_gap = q * reduce(gap_sum, 1).value % mod2
     mb_res = mbar.numerator * pow(mbar.denominator, -1, mod2)
     fq_factor = (pow(mb_res, q - 1, mod2) + 1) * pow(2, -1, mod2) % mod2

@@ -35,9 +35,8 @@ from .arith import (
 from .engine import (
     CONST_WEIGHT,
     FULL,
-    GUARD_DIGITS,
     HALF,
-    MAX_DIGITS,
+    MAX_POWER,
     LegendreEvalSpec,
     PrimeContext,
     SumSpec,
@@ -47,6 +46,7 @@ from .engine import (
     lemma_4_1_check,
     legendre_poly_eval,
     legendre_poly_eval_ext,
+    sum_digits,
     theorem_4_1_transform,
 )
 from .errors import OverrideRefused, SuperconError, UnknownCheckId
@@ -120,20 +120,23 @@ def _pow_frac(base, exp: int, mod: int) -> int:
 
 
 class Workspace:
-    """Per-prime evaluation bundle shared by every check in a batch.
+    """Per-prime evaluation bundle shared by every check in a batch, up to mod p^power.
 
-    It owns the prime's one PrimeContext, at the workspace digits, and hands
+    It owns the prime's one PrimeContext, deep enough for any weight, and hands
     it to every engine call; the context is dropped with the workspace.
     """
 
-    __slots__ = ("prime", "q", "n", "digits", "ctx", "_cache")
+    __slots__ = ("prime", "q", "n", "power", "ctx", "_cache")
 
-    def __init__(self, p: OddPrime, digits: int):
+    def __init__(self, p: OddPrime, power: int):
+        if not 1 <= power <= MAX_POWER:
+            raise ValueError(f"workspace power {power} outside 1..{MAX_POWER}")
         self.prime = p
         self.q = p.p
         self.n = (p.p - 1) // 2
-        self.digits = max(1 + GUARD_DIGITS, min(digits, MAX_DIGITS))
-        self.ctx = PrimeContext(p, self.digits)
+        self.power = power
+        # the harmonic gap, v(w) = -1, needs the most digits
+        self.ctx = PrimeContext(p, sum_digits(power, GAP_WEIGHT))
         self._cache: dict = {}
 
     def mod(self, e: int) -> int:
@@ -144,8 +147,8 @@ class Workspace:
         return legendre_symbol(fr.numerator * fr.denominator, self.prime)
 
     def sum(self, h, m, poly=(1,), weight=CONST_WEIGHT, rng=FULL, e=2) -> int:
-        # evaluate once at the workspace precision, then cut down to e
-        spec = SumSpec(h, m, tuple(poly), weight, rng, self.digits - GUARD_DIGITS)
+        # evaluate once at the workspace power, then cut down to e
+        spec = SumSpec(h, m, tuple(poly), weight, rng, self.power)
         return reduce(binomial_sum(spec, self.prime, self.ctx), e).value
 
     def gap1(self, m, e: int = 1) -> int:
@@ -955,7 +958,7 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
               workspace: "Workspace | None" = None) -> CheckReport:
     """One check at one prime, on workspace when given (else a fresh one).
 
-    A workspace for another prime or below e + GUARD_DIGITS digits raises
+    A workspace for another prime or for a power below the check's raises
     ValueError; a refused override raises OverrideRefused.
     """
     check = get_check(check_id)
@@ -969,8 +972,8 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
                                f"hypothesis: {check.hyp_text}",
                                time.perf_counter() - started)
         e = e_override if e_override is not None else check.modulus_power(prime)
-        ws = workspace or Workspace(prime, e + GUARD_DIGITS)
-        fits = ws.q == prime.p and ws.digits >= e + GUARD_DIGITS
+        ws = workspace or Workspace(prime, e)
+        fits = ws.q == prime.p and ws.power >= e
         outcome = check.evaluate(ws, e) if fits else None
     except SuperconError as exc:
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
@@ -983,8 +986,8 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
                            f"{type(exc).__name__} in {check_id} at p={prime.p}: {exc} ({where})",
                            time.perf_counter() - started)
     if not fits:
-        raise ValueError(f"a workspace for p = {ws.q} at {ws.digits} digits "
-                         f"cannot run {check_id} mod {prime.p}^{e}")
+        raise ValueError(f"a workspace for p = {ws.q} at power {ws.power} "
+                         f"({ws.ctx.digits} digits) cannot run {check_id} mod {prime.p}^{e}")
     elapsed = time.perf_counter() - started
     if isinstance(outcome, Equivalence):
         ok = len(set(outcome.truths)) == 1
@@ -1009,12 +1012,12 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
 
 
 def check_overrides(overrides: dict) -> None:
-    """UnknownCheckId or OverrideRefused unless each evaluator reads its power, in 1..4."""
+    """UnknownCheckId or OverrideRefused unless each evaluator reads its power, in 1..MAX_POWER."""
     for cid, e in overrides.items():
         if not get_check(cid).reads_power:
             raise OverrideRefused(f"{cid} is evaluated at a fixed power; it takes no override")
-        if e not in (1, 2, 3, 4):
-            raise OverrideRefused(f"override power {e} for {cid} outside 1..4")
+        if e not in range(1, MAX_POWER + 1):
+            raise OverrideRefused(f"override power {e} for {cid} outside 1..{MAX_POWER}")
 
 
 def _evaluate_prime(args) -> list:
@@ -1028,7 +1031,7 @@ def _evaluate_prime(args) -> list:
                 live.append(overrides.get(cid) or check.modulus_power(prime))
         except Exception:  # run_check below reports it as an ERROR
             pass
-    ws = Workspace(prime, GUARD_DIGITS + max(live)) if live else None
+    ws = Workspace(prime, max(live)) if live else None
     return [run_check(cid, prime, overrides.get(cid), ws) for cid in ids]
 
 

@@ -417,6 +417,10 @@ def test_binomial_sum_matches_oracle(case):
     # the digits claimed beyond e are right too, also where the tail was skipped
     deeper = dataclasses.replace(spec, e=min(value.known_power, 4))
     assert reduce(value, deeper.e).value == exact_sum(deeper, p).value
+    # and so are those a 6-digit context claims
+    deep = binomial_sum(spec, p, PrimeContext(p, 6))
+    deeper = dataclasses.replace(spec, e=min(deep.known_power, 4))
+    assert reduce(deep, deeper.e).value == exact_sum(deeper, p).value
 
 
 def _count_walks(monkeypatch) -> list:
@@ -470,17 +474,15 @@ def test_context_refuses_primes_above_engine_bound(monkeypatch):
 
 
 def test_shared_context_matches_cold_paths():
-    # a shared 6-digit context answers as a fresh one at the fewest digits
-    # theorem_4_1_transform accepts
+    # a shared 6-digit context answers as a fresh one at 2 digits, the fewest
+    # a context has: the harmonic sum is read mod p only
     for q in (11, 13, 29):
         p = OddPrime(q)
         ctx = PrimeContext(p, 6)
         for h, m, poly in ((3, 64, (1,)), (2, 256, (1, 1)), (1, -4, (1, 2))):
             shared = theorem_4_1_transform(h, m, poly, ctx)
-            cold = theorem_4_1_transform(h, m, poly, PrimeContext(p, 4))
+            cold = theorem_4_1_transform(h, m, poly, PrimeContext(p, 2))
             assert [r.value for r in shared] == [r.value for r in cold]
-    with pytest.raises(ValueError, match="needs 4 digits"):
-        theorem_4_1_transform(3, 64, (1,), PrimeContext(OddPrime(11), 3))
 
 
 def test_identity_checks_agree_across_context_digits():
@@ -520,16 +522,66 @@ def test_binomial_sum_refuses_a_mismatched_context():
     spec = SumSpec(3, 64, e=2)
     p = OddPrime(13)
     want = exact_sum(spec, p).value
-    for digits in (4, 5, 6):
+    for digits in (2, 3, 6):
         assert reduce(binomial_sum(spec, p, PrimeContext(p, digits)), 2).value == want
     with pytest.raises(ValueError, match="p = 11"):
         binomial_sum(spec, p, PrimeContext(OddPrime(11), 6))
-    for digits in (2, 3):
-        with pytest.raises(ValueError, match="needs 4 digits"):
-            binomial_sum(spec, p, PrimeContext(p, digits))
-    # e = 4 asks for min(4 + 2, 6) digits
-    with pytest.raises(ValueError, match="needs 6 digits"):
-        binomial_sum(dataclasses.replace(spec, e=4), p, PrimeContext(p, 5))
+    # the harmonic gap, v(w) = -1, needs e + 1 digits
+    gap = dataclasses.replace(spec, weight=WeightSpec(HARMONIC_GAP))
+    assert reduce(binomial_sum(gap, p, PrimeContext(p, 3)), 2).value == exact_sum(gap, p).value
+    with pytest.raises(ValueError, match="needs 3 digits"):
+        binomial_sum(gap, p, PrimeContext(p, 2))
+    # e = 4 needs 4 digits, 5 for the gap
+    for case, need in ((spec, 4), (gap, 5)):
+        case = dataclasses.replace(case, e=4)
+        with pytest.raises(ValueError, match=f"needs {need} digits"):
+            binomial_sum(case, p, PrimeContext(p, need - 1))
+        got = binomial_sum(case, p, PrimeContext(p, need))
+        assert reduce(got, 4).value == exact_sum(case, p).value
+
+
+def test_cold_sums_build_contexts_at_e_minus_v_digits(monkeypatch):
+    built = []
+    init = PrimeContext.__init__
+
+    def recording_init(self, prime, digits):
+        built.append(digits)
+        init(self, prime, digits)
+
+    monkeypatch.setattr(PrimeContext, "__init__", recording_init)
+    p = OddPrime(13)
+    deep = PrimeContext(p, 6)
+    kinds = [WeightSpec(kind, *((1, 16) if kind in (LUCAS_U, LUCAS_V) else (0, 0)))
+             for kind in WEIGHT_KINDS]
+    for ws in kinds:
+        for e in (1, 2, 3, 4):
+            # a FULL sum skips its tail where e <= h + v(w): often at h = 3, seldom at 1
+            for h, rng in ((1, HALF), (1, FULL), (3, FULL)):
+                spec = SumSpec(h, Fraction(-3, 8), (2, 1), ws, rng, e)
+                built.clear()
+                cold = binomial_sum(spec, p)
+                assert built == [max(2, e + (ws.kind == HARMONIC_GAP))], (ws, e)
+                want = reduce(binomial_sum(spec, p, deep), e).value
+                assert reduce(cold, e).value == want, (ws, e, h, rng)
+
+
+def test_inverse_table_matches_pow_in_steps_and_at_once(monkeypatch):
+    for q in (3, 5, 7, 101, 997):
+        p = OddPrime(q)
+        for digits in range(2, 7):
+            mod = q**digits
+            want = [pow(j, -1, mod) if j % q else 0 for j in range(2 * q - 1)]
+            once, stepped = PrimeContext(p, digits), PrimeContext(p, digits)
+            assert once.inverses(2 * q - 1) == want
+            for hi in (2, q, q + 1, 2 * q - 1):
+                assert stepped.inverses(hi)[:hi] == want[:hi], (q, digits, hi)
+            assert stepped.inverses(2 * q - 1) == want
+    # 5^3 mod 6 = 5 = p: the recurrence would read inv[5] = 0, so j = 6 is
+    # the one entry below 7 inverted by pow
+    calls = []
+    monkeypatch.setattr(engine, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+    assert PrimeContext(OddPrime(5), 3).inverses(7)[6] == pow(6, -1, 125) == 21
+    assert calls == [(6, -1, 125)]
 
 
 def _naive_walks(c, z0, z1, disc, mod, lengths):

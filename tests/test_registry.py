@@ -75,7 +75,7 @@ def test_hypothesis_violations_never_error():
 
 def test_run_check_accepts_workspace_reuse():
     p = OddPrime(13)
-    ws = Workspace(p, 4)
+    ws = Workspace(p, 2)
     a = run_check("eq1.0", p, workspace=ws)
     b = run_check("eq1.4", p, workspace=ws)
     assert a.verdict == PASS and b.verdict == PASS
@@ -99,7 +99,7 @@ def test_verdict_invariant_under_y_sign_choice():
         baseline = run_check("thm1.1.ii", p)
         if baseline.verdict != PASS:
             continue
-        ws = Workspace(p, 4)
+        ws = Workspace(p, 2)
         rep = ws.rep(2, RAW)
         ws._cache[("rep", 2, RAW)] = QuadRep(p, 2, rep.x, -rep.y, RAW)
         flipped = run_check("thm1.1.ii", p, workspace=ws)
@@ -247,17 +247,24 @@ def test_run_suite_removes_duplicate_ids(workers):
 def test_run_check_refuses_a_mismatched_workspace():
     with pytest.raises(ValueError, match="p = 13"):
         run_check("eq1.0", 11, workspace=Workspace(OddPrime(13), 4))
-    # su2.21k8 at p^4 needs 6 digits
-    with pytest.raises(ValueError, match="4 digits"):
-        run_check("su2.21k8", 11, e_override=4, workspace=Workspace(OddPrime(11), 4))
-    assert run_check("eq1.0", 11, workspace=Workspace(OddPrime(11), 6)).verdict == PASS
+    # su2.21k8 at p^4 needs a power-4 workspace, whose context has 5 digits
+    with pytest.raises(ValueError, match=r"power 3 \(4 digits\)"):
+        run_check("su2.21k8", 11, e_override=4, workspace=Workspace(OddPrime(11), 3))
+    ws = Workspace(OddPrime(11), 4)
+    assert ws.ctx.digits == 5
+    assert run_check("su2.21k8", 11, e_override=4, workspace=ws).verdict == PASS
+    # a deeper workspace serves a check at a lower power
+    assert run_check("eq1.0", 11, workspace=ws).verdict == PASS
+    for power in (0, 5):
+        with pytest.raises(ValueError, match="outside 1..4"):
+            Workspace(OddPrime(11), power)
 
 
 def test_gauss_and_cde_build_tables_to_their_one_entry():
     for q in (13, 29, 1009):
         k = (q - 1) // 4
         for cid in ("gauss", "cde"):
-            ws = Workspace(OddPrime(q), 4)
+            ws = Workspace(OddPrime(q), 2)
             assert run_check(cid, q, workspace=ws).verdict == PASS
             tables = [ws.ctx._inv, ws.ctx._binom, *ws.ctx._bh.values(),
                       *ws.ctx._weights.values()]
