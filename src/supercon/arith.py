@@ -1,8 +1,9 @@
 """Modular and p-adic integer arithmetic.
 
-All congruence checks ultimately compare ResidueMod values; PAdicValue is the
-working carrier that tracks valuation and precision through sums and products
-so that a final reduce() either yields a trustworthy residue or raises.
+All congruence checks ultimately compare ResidueMod values.  PAdicValue is
+only the type binomial_sum returns: it carries a sum's valuation and the
+digits it is known to, so that reduce() either yields a trustworthy residue
+or raises.
 """
 
 from __future__ import annotations
@@ -173,26 +174,19 @@ def sqrt_mod(a: int, p: "OddPrime | int", e: int) -> tuple[ResidueMod, ResidueMo
 class PAdicValue:
     """p-adic number p^v * u with u a unit known modulo p^prec.
 
-    The value is therefore known modulo p^(v+prec).  An exact zero is a
-    distinguished state.  A value whose unit happens to be divisible by p is
-    renormalized on construction; when every tracked digit is zero the value
-    is kept with unit 0, meaning "zero to this precision" without claiming
-    exactness.
+    The value is therefore known modulo p^(v+prec).  A value whose unit
+    happens to be divisible by p is renormalized on construction; when every
+    tracked digit is zero the value is kept with unit 0, meaning "zero to
+    this precision".
     """
 
-    __slots__ = ("p", "v", "unit", "prec", "exact_zero")
+    __slots__ = ("p", "v", "unit", "prec")
 
-    def __init__(self, p: OddPrime, v: int, unit: int, prec: int, *, exact_zero: bool = False):
+    def __init__(self, p: OddPrime, v: int, unit: int, prec: int):
         if prec < 1:
             raise PrecisionExhausted(f"no digits left at p={int(p)} (prec={prec})")
         self.p = p
         self.prec = prec
-        if exact_zero:
-            self.exact_zero = True
-            self.v = 0
-            self.unit = 0
-            return
-        self.exact_zero = False
         q = p.p
         mod = q**prec
         unit %= mod
@@ -211,53 +205,16 @@ class PAdicValue:
         if self.v < MIN_VALUATION:
             raise NegativeValuation(f"valuation {self.v} below {MIN_VALUATION}")
 
-    @staticmethod
-    def zero(p: OddPrime, prec: int) -> "PAdicValue":
-        return PAdicValue(p, 0, 0, prec, exact_zero=True)
-
-    @staticmethod
-    def from_int(n: int, p: OddPrime, prec: int) -> "PAdicValue":
-        if n == 0:
-            return PAdicValue.zero(p, prec)
-        return PAdicValue(p, 0, n, prec)
-
     @property
     def known_power(self) -> int:
         """The value is pinned down modulo p^known_power."""
         return self.v + self.prec
 
     def __repr__(self) -> str:
-        if self.exact_zero:
-            return f"PAdicValue(0 exactly, p={self.p.p})"
         return (
             f"PAdicValue({self.p.p}^{self.v} * {self.unit} "
             f"+ O({self.p.p}^{self.known_power}))"
         )
-
-
-def padic_add(x: PAdicValue, y: PAdicValue) -> PAdicValue:
-    if x.p != y.p:
-        raise ValueError("mixed primes in p-adic addition")
-    if x.exact_zero:
-        return y
-    if y.exact_zero:
-        return x
-    v = min(x.v, y.v)
-    known = min(x.known_power, y.known_power)
-    if known <= v:
-        raise PrecisionExhausted("no overlapping digits in p-adic addition")
-    q = x.p.p
-    total = x.unit * q ** (x.v - v) + y.unit * q ** (y.v - v)
-    return PAdicValue(x.p, v, total, known - v)
-
-
-def padic_mul(x: PAdicValue, y: PAdicValue) -> PAdicValue:
-    if x.p != y.p:
-        raise ValueError("mixed primes in p-adic multiplication")
-    if x.exact_zero or y.exact_zero:
-        return PAdicValue.zero(x.p, max(x.prec, y.prec))
-    prec = min(x.prec, y.prec)
-    return PAdicValue(x.p, x.v + y.v, x.unit * y.unit, prec)
 
 
 def reduce(x: PAdicValue, e: int) -> ResidueMod:
@@ -266,8 +223,6 @@ def reduce(x: PAdicValue, e: int) -> ResidueMod:
     Requires valuation >= 0 (NegativeValuation otherwise) and known_power
     >= e (PrecisionExhausted otherwise).
     """
-    if x.exact_zero:
-        return ResidueMod(x.p, e, 0)
     if x.v < 0 and x.unit != 0:
         raise NegativeValuation(f"valuation {x.v} < 0; not a p-adic integer")
     if x.known_power < e:

@@ -112,7 +112,14 @@ def _parse_overrides(pairs) -> dict:
 
 
 def _load_config(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment, blank lines ignored."""
+    """Flat key=value file; '#' starts a comment, blank lines ignored.
+
+    The keys are the verify flags less --config.  ValueError names the file,
+    the line and the key of an unknown key or of a boolean that is not one of
+    1/true/yes or 0/false/no.
+    """
+    flags = {"checks", "primes", "format", "output", "workers", "override",
+             "strict_conjectures"}
     conf = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -122,7 +129,17 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            conf[key.strip().replace("-", "_")] = value.strip()
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key not in flags:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key == "strict_conjectures":
+                truth = {"1": True, "true": True, "yes": True,
+                         "0": False, "false": False, "no": False}.get(value.lower())
+                if truth is None:
+                    raise ValueError(f"{path}:{lineno}: {key} = {value!r} is not "
+                                     "1/true/yes or 0/false/no")
+                value = truth
+            conf[key] = value
     return conf
 
 
@@ -242,11 +259,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"workers = {workers}, must be at least 1")
         fmt = args.format or conf.get("format", "human")
         output = args.output or conf.get("output")
-        strict = args.strict_conjectures or conf.get("strict_conjectures") in (
-            "1",
-            "true",
-            "yes",
-        )
+        strict = args.strict_conjectures or conf.get("strict_conjectures", False)
         if fmt not in ("human", "json", "csv"):
             raise ValueError(f"unknown format {fmt!r}")
     except (ValueError, UnknownCheckId, PrimeTooLarge) as exc:

@@ -24,8 +24,8 @@ for a scalar sum.  A Lucas-family weight (seq.LUCAS_FAMILY) has no table:
 with alpha = (a + w)/2 and disc = a^2 - 4b, alpha^k = (v_k + u_k w)/2, so
 one walk of binom^h at z = alpha m^{-1} gives its v and its u sum at once.
 The walk is blocked (baby steps, giant steps) and packs each baby step's
-fields into one int, so a block costs one dot product in C.  Legendre
-polynomials, over Z_p and over Z[w], are walks of coefficients
+fields into one int, so a block costs one dot product in C.  A Legendre
+polynomial, over Z_p or over Z[w], is one walk of coefficients
 C(n,k) C(n+k,k) built once per n.  Degree <= 1 sums are memoized as a half
 segment k <= n and a full value; a full request after a half one walks
 only the tail n < k < p.
@@ -59,8 +59,6 @@ from .arith import (
 from .errors import (
     DenominatorDivisible,
     IndexOutOfRange,
-    NegativeValuation,
-    PrecisionExhausted,
     PrimeTooLarge,
 )
 from .seq import CONST1, HARMONIC, HARMONIC_GAP, LUCAS_FAMILY, LUCAS_U, LUCAS_V, WEIGHT_KINDS
@@ -69,9 +67,8 @@ HALF = "half"
 FULL = "full"
 
 MAX_POWER = 4  # every congruence is taken mod p^e, 1 <= e <= MAX_POWER
-MAX_DIGITS = 6
-# A full-range context holds lists of p to 2p residues; at p^6 the inverse
-# table alone is about 0.1 GB at this bound, and each further table about half that.
+# A full-range context holds lists of p to 2p residues; at p^5 (MAX_DIGITS) the
+# inverse table alone is about 0.1 GB at this bound, and each further table about half that.
 ENGINE_PRIME_BOUND = 10**6
 
 
@@ -110,6 +107,15 @@ class WeightSpec:
 
 
 CONST_WEIGHT = WeightSpec(CONST1)
+
+
+def sum_digits(e: int, weight: WeightSpec) -> int:
+    """The digits a context needs for a sum mod p^e of this weight: e - v(w), at least 2."""
+    return max(2, e - weight.valuation)
+
+
+# the deepest context a sum needs: the harmonic gap at MAX_POWER
+MAX_DIGITS = sum_digits(MAX_POWER, WeightSpec(HARMONIC_GAP))
 
 
 @dataclass(frozen=True)
@@ -417,11 +423,6 @@ def m_inverse_residue(ctx: PrimeContext, m) -> int:
     return frac.denominator * pow(frac.numerator, -1, mod) % mod
 
 
-def sum_digits(e: int, weight: WeightSpec) -> int:
-    """The digits a context needs for a sum mod p^e of this weight: e - v(w), at least 2."""
-    return max(2, e - weight.valuation)
-
-
 def binomial_sum(spec: SumSpec, p: OddPrime, ctx: "PrimeContext | None" = None) -> PAdicValue:
     """Evaluate the sum described by spec as a PAdicValue.
 
@@ -466,39 +467,12 @@ def _valuation(x: int, q: int, cap: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class LegendreEvalSpec:
-    """P_n(x) evaluation request; x must be a p-adic integer, n < p."""
+def legendre_poly_eval(ctx: PrimeContext, n: int, x0: int, x1: int = 0, disc: int = 0):
+    """P_n(x0 + x1*w) in Z[w]/(w^2 - disc) mod p^digits, as a pair, by one walk at (x-1)/2.
 
-    n: int
-    x: PAdicValue
-
-
-def legendre_poly_eval(spec: LegendreEvalSpec, ctx: PrimeContext) -> PAdicValue:
-    """P_n(x) = sum_k C(n,k) C(n+k,k) ((x-1)/2)^k, walked by the kernel at z = (x-1)/2.
-
-    The coefficients come from ctx.  The sum runs mod p^digits for the
-    digits x is known to, capped at the context's (an exact zero runs at the
-    context's), and the result claims exactly those digits.
+    P_n(x) = sum_k C(n,k) C(n+k,k) ((x-1)/2)^k with the coefficients from ctx;
+    x1 = 0 is a value in Z_p, the first entry of the pair.
     """
-    n, x, q = spec.n, spec.x, ctx.p
-    coeffs = ctx.legendre_coeffs(n)
-    if x.exact_zero:
-        digits = ctx.digits
-    else:
-        if x.v < 0 and x.unit:
-            raise NegativeValuation(f"P_n argument has valuation {x.v} < 0")
-        digits = min(x.known_power, ctx.digits)
-        if digits < 1:
-            raise PrecisionExhausted(f"P_n argument known mod {q}^{x.known_power}")
-    mod = q**digits
-    xres = 0 if x.exact_zero else x.unit * q**x.v % mod
-    z = (xres - 1) * ((mod + 1) // 2) % mod
-    return PAdicValue(ctx.prime, 0, _walk(coeffs, z, 0, 0, mod, False)[0], digits)
-
-
-def legendre_poly_eval_ext(ctx: PrimeContext, n: int, x0: int, x1: int, disc: int):
-    """P_n(x0 + x1*w) in Z[w]/(w^2 - disc) mod p^digits, as a pair, by one walk at (x-1)/2."""
     mod, inv2 = ctx.mod, (ctx.mod + 1) // 2
     z0, z1 = (x0 - 1) * inv2 % mod, x1 * inv2 % mod
     return _walk(ctx.legendre_coeffs(n), z0, z1, disc, mod, False)[:2]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import OddPrime, PAdicValue, legendre_symbol, padic_add, padic_mul, reduce, sqrt_mod
+from .arith import OddPrime, ResidueMod, legendre_symbol, sqrt_mod
 from .errors import ConventionUnachievable, NotRepresentable, RamifiedPrime
 
 SUPPORTED_D = (1, 2, 3, 7)
@@ -70,11 +70,11 @@ class AlignedRep:
     """
 
     rep: QuadRep
-    sqrt_md: PAdicValue
+    sqrt_md: ResidueMod
 
     def __post_init__(self) -> None:
         p = self.rep.p.p
-        s = reduce(self.sqrt_md, 1).value
+        s = self.sqrt_md.value
         if (s * s + self.rep.d) % p != 0:
             raise ValueError("sqrt_md is not a square root of -d")
         if (self.rep.x + self.rep.y * s) % p != 0:
@@ -155,14 +155,14 @@ def normalize(rep: QuadRep, convention: str):
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def align_pi(rep: QuadRep, sqrt_md: PAdicValue) -> AlignedRep:
+def align_pi(rep: QuadRep, sqrt_md: ResidueMod) -> AlignedRep:
     """Flip the sign of y, if needed, so that x + y*sqrt_md = 0 (mod p).
 
     Only used with conventions that leave the sign of y free; a flip that
     would break the recorded convention degrades the label to raw.
     """
     p = rep.p.p
-    s = reduce(sqrt_md, 1).value
+    s = sqrt_md.value
     if (rep.x + rep.y * s) % p == 0:
         return AlignedRep(rep, sqrt_md)
     label = rep.convention
@@ -172,25 +172,23 @@ def align_pi(rep: QuadRep, sqrt_md: PAdicValue) -> AlignedRep:
     return AlignedRep(flipped, sqrt_md)
 
 
-def select_aligned(pair, sqrt_md: PAdicValue) -> AlignedRep:
+def select_aligned(pair, sqrt_md: ResidueMod) -> AlignedRep:
     """Pick the member of a normalize() pair that is aligned with sqrt_md."""
     p = pair[0].p.p
-    s = reduce(sqrt_md, 1).value
+    s = sqrt_md.value
     for rep in pair:
         if (rep.x + rep.y * s) % p == 0:
             return AlignedRep(rep, sqrt_md)
     raise ConventionUnachievable("no member of the pair aligns; wrong sqrt?")
 
 
-def pi_bar(aligned: AlignedRep) -> PAdicValue:
-    """The conjugate factor x - y*sqrt(-d) as a p-adic unit.
+def pi_bar(aligned: AlignedRep) -> ResidueMod:
+    """The conjugate factor x - y*sqrt(-d), a unit, mod the power sqrt_md is known to.
 
     (x - y s)(x + y s) = p up to the error in s^2 + d, and alignment puts
     all the p-divisibility in the second factor.
     """
-    s = aligned.sqrt_md
-    x = PAdicValue.from_int(aligned.rep.x, aligned.rep.p, s.prec)
-    minus_ys = padic_mul(PAdicValue.from_int(-aligned.rep.y, aligned.rep.p, s.prec), s)
-    out = padic_add(x, minus_ys)
-    assert out.v == 0
+    s, rep = aligned.sqrt_md, aligned.rep
+    out = ResidueMod(rep.p, s.e, rep.x - rep.y * s.value)
+    assert out.value % rep.p.p != 0
     return out

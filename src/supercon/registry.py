@@ -7,8 +7,9 @@ or biconditional statements record counterexamples and continue.
 
 A check does not list the sums it evaluates.  The oracle gates in
 tests/test_acceptance.py cover the sums the catalogue is observed to
-evaluate: they record every SumSpec that reaches binomial_sum while each
-check runs at a few primes.
+evaluate: they record every SumSpec that reaches binomial_sum, and every
+P_n argument that reaches legendre_poly_eval, while each check runs at a
+few primes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable
 
 from .arith import (
     OddPrime,
-    PAdicValue,
+    ResidueMod,
     fermat_quotient,
     is_prime,
     legendre_symbol,
@@ -37,7 +38,6 @@ from .engine import (
     FULL,
     HALF,
     MAX_POWER,
-    LegendreEvalSpec,
     PrimeContext,
     SumSpec,
     WeightSpec,
@@ -45,7 +45,6 @@ from .engine import (
     ext_pow,
     lemma_4_1_check,
     legendre_poly_eval,
-    legendre_poly_eval_ext,
     sum_digits,
     theorem_4_1_transform,
 )
@@ -151,12 +150,12 @@ class Workspace:
         spec = SumSpec(h, m, tuple(poly), weight, rng, self.power)
         return reduce(binomial_sum(spec, self.prime, self.ctx), e).value
 
-    def gap1(self, m, e: int = 1) -> int:
-        """True value of sum_k k binom^3 (H_2k - H_k)/m^k mod p^e."""
-        return self.sum(3, m, (1, 0), GAP_WEIGHT, FULL, e)
+    def gap1(self, m) -> int:
+        """True value of sum_k k binom^3 (H_2k - H_k)/m^k mod p."""
+        return self.sum(3, m, (1, 0), GAP_WEIGHT, FULL, 1)
 
-    def gap0_half(self, m, e: int = 2) -> int:
-        return self.sum(3, m, (1,), GAP_WEIGHT, HALF, e)
+    def gap0_half(self, m) -> int:
+        return self.sum(3, m, (1,), GAP_WEIGHT, HALF, 2)
 
     def rep(self, d: int, convention: str):
         key = ("rep", d, convention)
@@ -165,12 +164,11 @@ class Workspace:
             self._cache[key] = raw if convention == RAW else normalize(raw, convention)
         return self._cache[key]
 
-    def sqrt(self, a: int) -> PAdicValue:
-        """The smaller square root of a mod p^2, as a p-adic value."""
+    def sqrt(self, a: int) -> ResidueMod:
+        """The smaller square root of a mod p^2."""
         key = ("sqrt", a)
         if key not in self._cache:
-            lo, _ = sqrt_mod(a, self.prime, 2)
-            self._cache[key] = PAdicValue.from_int(lo.value, self.prime, 2)
+            self._cache[key] = sqrt_mod(a, self.prime, 2)[0]
         return self._cache[key]
 
     def aligned(self, d: int, convention: str):
@@ -184,11 +182,9 @@ class Workspace:
                 self._cache[key] = align_pi(rep, root)
         return self._cache[key]
 
-    def legendre_poly(self, value: int, e: int = 2) -> int:
-        """P_n(value) mod p^e for n = (p-1)/2."""
-        x = PAdicValue.from_int(value % self.mod(e), self.prime, e)
-        out = legendre_poly_eval(LegendreEvalSpec(self.n, x), self.ctx)
-        return reduce(out, e).value
+    def legendre_poly(self, value: int) -> int:
+        """P_n(value) mod p^2 for n = (p-1)/2."""
+        return legendre_poly_eval(self.ctx, self.n, value)[0] % self.mod(2)
 
 
 @dataclass(frozen=True)
@@ -512,10 +508,10 @@ def lemma_2_2_arguments(q: int, count: int) -> list:
     return args
 
 
-def _ev_lemma2_2(ws: Workspace, e: int, count: int = 4):
+def _ev_lemma2_2(ws: Workspace, e: int):
     mod = ws.mod(2)
     out = []
-    for x in lemma_2_2_arguments(ws.q, count):
+    for x in lemma_2_2_arguments(ws.q, 4):
         z = (x - 1) / 2
         if z == 0:
             rhs = 1
@@ -535,9 +531,9 @@ def _ev_lemma2_3(ws: Workspace, e: int):
         if q == d or legendre_symbol(-d, ws.prime) != 1:
             continue
         ar = ws.aligned(d, RAW)
-        pb = reduce(pi_bar(ar), 2).value
+        pb = pi_bar(ar).value
         x, y = ar.rep.x, ar.rep.y
-        s = reduce(ar.sqrt_md, 2).value
+        s = ar.sqrt_md.value
         f1 = (2 * x - _res(Fraction(q, 2 * x), mod)) % mod
         f2 = -s * _res(Fraction(1, 2), mod) % mod * (
             (4 * y - _res(Fraction(q, d * y), mod)) % mod
@@ -550,16 +546,16 @@ def _ev_lemma2_3(ws: Workspace, e: int):
 def _ev_lemma2_4_d2(ws: Workspace, e: int):
     q, mod = ws.q, ws.mod(2)
     ar = ws.aligned(2, X1MOD4)
-    pb = reduce(pi_bar(ar), 2).value
+    pb = pi_bar(ar).value
     y = ar.rep.y
-    s = reduce(ar.sqrt_md, 2).value
+    s = ar.sqrt_md.value
     if q % 8 == 1:
-        w = sqrt_mod(2, ws.prime, 2)[0].value
+        w = ws.sqrt(2).value
         lhs = ws.legendre_poly(w)
         i_val = s * pow(w, -1, mod) % mod
         rhs = pow(i_val, (-y) % 4, mod) * pb % mod
         return [(lhs, rhs, mod)]
-    l0, l1 = legendre_poly_eval_ext(ws.ctx, ws.n, 0, 1, 2)
+    l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, 1, 2)
     i_ext = (0, s * _res(Fraction(1, 2), mod) % mod)
     r = ext_pow(i_ext, (-y) % 4, 2, mod)
     return [
@@ -571,18 +567,18 @@ def _ev_lemma2_4_d2(ws: Workspace, e: int):
 def _ev_lemma2_4_d3(ws: Workspace, e: int):
     q, mod = ws.q, ws.mod(2)
     ar = ws.aligned(3, XPLUSY1MOD4)
-    pb = reduce(pi_bar(ar), 2).value
+    pb = pi_bar(ar).value
     y = ar.rep.y
-    s = reduce(ar.sqrt_md, 2).value
+    s = ar.sqrt_md.value
     out = [(ws.legendre_poly(s), _sgn(y) * pb % mod, mod)]
     if q % 12 == 1:
-        w = sqrt_mod(3, ws.prime, 2)[0].value
+        w = ws.sqrt(3).value
         arg = w * _res(Fraction(1, 2), mod) % mod
         minus_i = -s * pow(w, -1, mod) % mod
         rhs = pow(minus_i, ws.n % 4, mod) * pb % mod
         out.append((ws.legendre_poly(arg), rhs, mod))
     else:
-        l0, l1 = legendre_poly_eval_ext(ws.ctx, ws.n, 0, _res(Fraction(1, 2), ws.ctx.mod), 3)
+        l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, _res(Fraction(1, 2), ws.ctx.mod), 3)
         minus_i = (0, -s * _res(Fraction(1, 3), mod) % mod)
         r = ext_pow(minus_i, ws.n % 4, 3, mod)
         out.append((l0 % mod, r[0] * pb % mod, mod))
@@ -593,19 +589,19 @@ def _ev_lemma2_4_d3(ws: Workspace, e: int):
 def _ev_lemma2_4_d7(ws: Workspace, e: int):
     q, mod = ws.q, ws.mod(2)
     ar = ws.aligned(7, XPLUSY1MOD4)
-    pb = reduce(pi_bar(ar), 2).value
+    pb = pi_bar(ar).value
     y = ar.rep.y
-    s = reduce(ar.sqrt_md, 2).value
+    s = ar.sqrt_md.value
     out = [(ws.legendre_poly(3 * s % mod), _sgn(ws.n + y) * pb % mod, mod)]
     if q % 4 == 1:
-        w = sqrt_mod(7, ws.prime, 2)[0].value
+        w = ws.sqrt(7).value
         arg = 3 * w * _res(Fraction(1, 8), mod) % mod
         i_val = s * pow(w, -1, mod) % mod
         rhs = pow(i_val, ws.n % 4, mod) * pb % mod
         out.append((ws.legendre_poly(arg), rhs, mod))
     else:
         x1 = 3 * _res(Fraction(1, 8), ws.ctx.mod) % ws.ctx.mod
-        l0, l1 = legendre_poly_eval_ext(ws.ctx, ws.n, 0, x1, 7)
+        l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, x1, 7)
         i_ext = (0, s * _res(Fraction(1, 7), mod) % mod)
         r = ext_pow(i_ext, ws.n % 4, 7, mod)
         out.append((l0 % mod, r[0] * pb % mod, mod))

@@ -18,7 +18,6 @@ import pytest
 from supercon import engine, registry
 from supercon.arith import (
     OddPrime,
-    PAdicValue,
     is_prime,
     legendre_symbol,
     reduce,
@@ -28,7 +27,6 @@ from supercon.engine import (
     CONST_WEIGHT,
     FULL,
     HALF,
-    LegendreEvalSpec,
     PrimeContext,
     SumSpec,
     binomial_sum,
@@ -36,7 +34,14 @@ from supercon.engine import (
     lemma_4_1_check,
 )
 from supercon.errors import DenominatorDivisible, NonResidue, ZeroInput
-from supercon.oracle import brute_sqrt, clausen_square_check, exact_sum, exhaustive_represent
+from supercon.oracle import (
+    brute_sqrt,
+    clausen_square_check,
+    exact_legendre_poly,
+    exact_sum,
+    exhaustive_represent,
+    reduce_fraction,
+)
 from supercon.quadform import represent
 from supercon.registry import (
     ABORT,
@@ -63,32 +68,53 @@ RECORDING_PRIMES = (11, 19, 193)
 
 
 @functools.cache
-def _evaluated_specs() -> dict:
-    """Check id -> the SumSpecs its evaluator hands to binomial_sum at RECORDING_PRIMES.
+def _recorded_calls() -> tuple:
+    """(sums, legendre) at RECORDING_PRIMES, each a dict check id -> set.
 
-    Recorded by wrapping binomial_sum where the registry and the engine look
-    it up, so the oracle gates cover exactly what the catalogue evaluates.
+    sums holds the SumSpecs a check's evaluator hands to binomial_sum, and
+    legendre the (p, n, x0, x1, disc, value) of its legendre_poly_eval calls.
+    Recorded by wrapping both where the registry and the engine look them
+    up, so the oracle gates cover exactly what the catalogue evaluates.
     """
-    real = engine.binomial_sum
-    seen = {cid: set() for cid in check_ids()}
+    real_sum, real_legendre = engine.binomial_sum, engine.legendre_poly_eval
+    sums = {cid: set() for cid in check_ids()}
+    legendre = {cid: set() for cid in check_ids()}
     running = None
 
-    def recording(spec, p, ctx=None):
-        seen[running].add(spec)
-        return real(spec, p, ctx)
+    def recording_sum(spec, p, ctx=None):
+        sums[running].add(spec)
+        return real_sum(spec, p, ctx)
 
-    engine.binomial_sum = registry.binomial_sum = recording
+    def recording_legendre(ctx, n, x0, x1=0, disc=0):
+        value = real_legendre(ctx, n, x0, x1, disc)
+        legendre[running].add((ctx.p, n, x0, x1, disc, value))
+        return value
+
+    engine.binomial_sum = registry.binomial_sum = recording_sum
+    engine.legendre_poly_eval = registry.legendre_poly_eval = recording_legendre
     try:
-        for running in seen:
+        for running in sums:
             for q in RECORDING_PRIMES:
                 run_check(running, q)
     finally:
-        engine.binomial_sum = registry.binomial_sum = real
-    return seen
+        engine.binomial_sum = registry.binomial_sum = real_sum
+        engine.legendre_poly_eval = registry.legendre_poly_eval = real_legendre
+    return sums, legendre
 
 
 def _recorded_specs() -> list:
-    return sorted(set().union(*_evaluated_specs().values()), key=repr)
+    return sorted(set().union(*_recorded_calls()[0].values()), key=repr)
+
+
+def _exact_legendre_pair(n: int, x0: int, x1: int, disc: int) -> tuple:
+    """P_n(x0 + x1 w) over Q(w), w^2 = disc, as a (Fraction, Fraction) pair."""
+    z0, z1 = Fraction(x0 - 1, 2), Fraction(x1, 2)
+    a, b, t0, t1 = Fraction(0), Fraction(0), Fraction(1), Fraction(0)
+    for k in range(n + 1):
+        c = comb(n, k) * comb(n + k, k)
+        a, b = a + c * t0, b + c * t1
+        t0, t1 = t0 * z0 + disc * t1 * z1, t0 * z1 + t1 * z0
+    return a, b
 
 
 def _pole_at(spec, q) -> bool:
@@ -97,11 +123,33 @@ def _pole_at(spec, q) -> bool:
 
 
 def test_recorder_sees_every_summing_check():
-    # The checks that record no sum are the identity and Legendre checks; a
-    # module that reached binomial_sum under another name would show up here.
-    silent = {cid for cid, specs in _evaluated_specs().items() if not specs}
+    # The checks that record no sum are the identity checks, lemma2.3 (pi-bar
+    # alone) and the lemma2.4 family, whose Legendre values the Legendre gate
+    # records; a module that reached binomial_sum under another name would
+    # show up here.
+    silent = {cid for cid, specs in _recorded_calls()[0].items() if not specs}
     assert silent == {"gauss", "cde", "lemma2.3", "lemma2.4.d2", "lemma2.4.d3",
                       "lemma2.4.d7", "lemma4.1"}
+
+
+def test_legendre_evaluations_match_exact_expansion():
+    # Every P_n evaluation the catalogue makes at RECORDING_PRIMES, in Z_p
+    # (x1 = 0) and in Z[w] for each disc, against the exact rational sum mod p^2.
+    recorded = _recorded_calls()[1]
+    assert {cid for cid, calls in recorded.items() if calls} == {
+        "lemma2.2", "lemma2.4.d2", "lemma2.4.d3", "lemma2.4.d7"}
+    calls = set().union(*recorded.values())
+    assert {disc for *_, x1, disc, _ in calls if x1} == {2, 3, 7}
+    assert any(x1 == 0 for *_, x1, _, _ in calls)
+    for q, n, x0, x1, disc, (l0, l1) in sorted(calls):
+        mod = q * q
+        if x1 == 0:
+            assert (l0 % mod, l1) == (reduce_fraction(exact_legendre_poly(n, x0), q, 2), 0)
+            continue
+        a, b = _exact_legendre_pair(n, x0, x1, disc)
+        assert (l0 % mod, l1 % mod) == (reduce_fraction(a, q, 2), reduce_fraction(b, q, 2)), (
+            q, n, x0, x1, disc)
+    print(f"legendre gate: PASS  {len(calls)} P_n evaluations vs exact sums")
 
 
 def test_criterion_1_proved_suite():
@@ -239,8 +287,8 @@ def test_criterion_3_structural_identities():
         n = (q - 1) // 2
         ctx = PrimeContext(p, 4)
         for x in lemma_2_2_arguments(q, 20):
-            xv = PAdicValue.from_int(x.numerator * pow(x.denominator, -1, q**4), p, 4)
-            lhs = reduce(legendre_poly_eval(LegendreEvalSpec(n, xv), ctx), 2).value
+            xv = x.numerator * pow(x.denominator, -1, q**4)
+            lhs = legendre_poly_eval(ctx, n, xv)[0] % (q * q)
             z = (x - 1) / 2
             if z == 0:
                 assert lhs == 1

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from supercon.arith import is_prime
-from supercon.cli import main
+from supercon.cli import _load_config, main
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +293,29 @@ def test_verify_config_file_and_flag_precedence(tmp_path, capsys):
     assert [rec["p"] for rec in doc["records"]] == [13]
     rc, _, err = run_cli(capsys, "verify", "--config", str(tmp_path / "absent.conf"))
     assert rc == 2
+
+
+def test_verify_config_refuses_an_unknown_key(tmp_path, capsys):
+    # misspelt keys used to be dropped: this ran serially, printed human output, exit 0
+    conf = tmp_path / "typo.conf"
+    conf.write_text("checks = eq1.0\nprimes = 5..7\nworker = 2\nformt = json\n")
+    rc, out, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and f"{conf}:3:" in err and "'worker'" in err
+    assert "Traceback" not in err
+
+
+def test_verify_config_refuses_an_unreadable_boolean(tmp_path, capsys):
+    # "maybe" used to be read as false
+    conf = tmp_path / "strict.conf"
+    conf.write_text("checks = eq1.0\nprimes = 5..7\nstrict_conjectures = maybe\n")
+    rc, out, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and f"{conf}:3:" in err and "strict_conjectures" in err
+    for text, want in (("yes", True), ("TRUE", True), ("1", True), ("no", False),
+                       ("false", False), ("0", False)):
+        conf.write_text(f"strict-conjectures = {text}\n")
+        assert _load_config(str(conf)) == {"strict_conjectures": want}, text
 
 
 def test_verify_workers_env(monkeypatch, capsys):

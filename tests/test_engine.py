@@ -22,7 +22,7 @@ from supercon.engine import (
     ENGINE_PRIME_BOUND,
     FULL,
     HALF,
-    LegendreEvalSpec,
+    MAX_DIGITS,
     PrimeContext,
     SumSpec,
     WeightSpec,
@@ -90,7 +90,7 @@ def test_sum_accepts_fraction_and_padic_m():
 def test_sum_spec_refuses_an_m_of_another_type():
     # a float is a binary fraction: SumSpec(3, 0.3) used to give 134 mod 13^2, not 127
     assert _sum_value(3, Fraction(3, 10), (1,), 13, 2) == 127
-    for m in (0.3, 64.0, True, "64", None, PAdicValue.from_int(64, OddPrime(13), 4)):
+    for m in (0.3, 64.0, True, "64", None, PAdicValue(OddPrime(13), 0, 64, 4)):
         with pytest.raises(TypeError, match="int or a Fraction"):
             SumSpec(3, m)
 
@@ -100,10 +100,10 @@ def test_legendre_poly_eval_basics():
         p = OddPrime(q)
         n = (q - 1) // 2
         ctx = PrimeContext(p, 2)
-        one = PAdicValue.from_int(1, p, 2)
-        assert reduce(legendre_poly_eval(LegendreEvalSpec(n, one), ctx), 2).value == 1
-        x = PAdicValue.from_int(9, p, 2)
-        assert reduce(legendre_poly_eval(LegendreEvalSpec(1, x), ctx), 2).value == 9
+        assert legendre_poly_eval(ctx, n, 1) == (1, 0)
+        assert legendre_poly_eval(ctx, 1, 9) == (9, 0)
+        # P_1(x0 + x1 w) = x0 + x1 w
+        assert legendre_poly_eval(ctx, 1, 9, 4, 7) == (9, 4)
 
 
 def test_legendre_evals_refuse_a_degree_outside_0_to_p_minus_1():
@@ -111,9 +111,9 @@ def test_legendre_evals_refuse_a_degree_outside_0_to_p_minus_1():
     ctx = PrimeContext(OddPrime(5), 2)
     for n in (-1, 5, 7):
         with pytest.raises(IndexOutOfRange, match="outside 0..4"):
-            legendre_poly_eval(LegendreEvalSpec(n, PAdicValue.from_int(3, ctx.prime, 2)), ctx)
+            legendre_poly_eval(ctx, n, 3)
         with pytest.raises(IndexOutOfRange, match="outside 0..4"):
-            engine.legendre_poly_eval_ext(ctx, n, 3, 0, 2)
+            legendre_poly_eval(ctx, n, 3, 1, 2)
 
 
 def test_legendre_poly_sign_symmetry():
@@ -123,10 +123,8 @@ def test_legendre_poly_sign_symmetry():
         mod = q * q
         ctx = PrimeContext(p, 2)
         for value in (2, 5, 7):
-            plus = PAdicValue.from_int(value, p, 2)
-            minus = PAdicValue.from_int(-value, p, 2)
-            a = reduce(legendre_poly_eval(LegendreEvalSpec(n, plus), ctx), 2).value
-            b = reduce(legendre_poly_eval(LegendreEvalSpec(n, minus), ctx), 2).value
+            a = legendre_poly_eval(ctx, n, value)[0]
+            b = legendre_poly_eval(ctx, n, -value)[0]
             assert b == (a if n % 2 == 0 else -a) % mod
 
 
@@ -144,11 +142,10 @@ def test_legendre_poly_eval_ext_matches_both_square_roots():
             roots = [r.value for r in sqrt_mod(disc, p, 4)]
             for n in sorted({0, 1, 2, (q - 1) // 2, q - 1}):
                 for x0, x1 in ((0, 1), (3, 5), (1, q), (q * q + 2, mod - 4)):
-                    l0, l1 = engine.legendre_poly_eval_ext(ctx, n, x0, x1, disc)
+                    l0, l1 = legendre_poly_eval(ctx, n, x0, x1, disc)
                     for r in roots:
-                        x = PAdicValue.from_int((x0 + x1 * r) % mod, p, 4)
-                        want = reduce(legendre_poly_eval(LegendreEvalSpec(n, x), ctx), 4)
-                        assert (l0 + l1 * r) % mod == want.value, (q, disc, n, x0, x1, r)
+                        want = legendre_poly_eval(ctx, n, (x0 + x1 * r) % mod)
+                        assert ((l0 + l1 * r) % mod, 0) == want, (q, disc, n, x0, x1, r)
                         cases += 1
     assert cases > 300
 
@@ -167,8 +164,8 @@ def test_lemma_2_2_congruence_random_args():
             den = rng.choice([d for d in range(1, 25) if d % q])
             x = Fraction(num, den)
             z = (x - 1) / 2
-            xv = PAdicValue.from_int(x.numerator * pow(x.denominator, -1, q**4), p, 4)
-            lhs = reduce(legendre_poly_eval(LegendreEvalSpec(n, xv), ctx), 2).value
+            xv = x.numerator * pow(x.denominator, -1, q**4)
+            lhs = legendre_poly_eval(ctx, n, xv)[0] % (q * q)
             if z == 0:
                 assert lhs == 1
                 continue
@@ -271,7 +268,7 @@ def test_lemma_2_1_instances():
 def test_lemma_2_1_square_specialization():
     # a=0, b=1 reduces to: sum binom^3/m^k = (sum binom^2/m*^k)^2
     for q in (7, 11, 13, 17, 19, 23, 29, 37, 41, 43, 47):
-        contexts = [PrimeContext(OddPrime(q), digits) for digits in (2, 4, 6)]
+        contexts = [PrimeContext(OddPrime(q), digits) for digits in (2, 4, MAX_DIGITS)]
         for m in (1, 16, 64, -8, 256):
             try:
                 for ctx in contexts:
@@ -306,7 +303,7 @@ def test_full_sum_walks_a_visible_tail():
         differs = False
         for q in (5, 7, 13, 29):
             p = OddPrime(q)
-            ctx = PrimeContext(p, 6)
+            ctx = PrimeContext(p, MAX_DIGITS)
             full = binomial_sum(SumSpec(h, 3, (1,), ws, FULL, e), p, ctx)
             assert len(ctx._bh[h]) == q
             assert reduce(full, e).value == exact_sum(SumSpec(h, 3, (1,), ws, FULL, e), p).value
@@ -323,14 +320,14 @@ def test_full_sum_answered_from_half_segment():
         n = (q - 1) // 2
         for h, m, ws, e, known in ((2, 3, CONST_WEIGHT, 2, 2),
                                    (3, 3, WeightSpec(HARMONIC_GAP), 2, 2),
-                                   (1, Fraction(1, q), CONST_WEIGHT, 4, min(n + 2, 6))):
-            ctx = PrimeContext(p, 6)
+                                   (1, Fraction(1, q), CONST_WEIGHT, 4, min(n + 2, MAX_DIGITS))):
+            ctx = PrimeContext(p, MAX_DIGITS)
             spec = SumSpec(h, m, (1,), ws, FULL, e)
             value = binomial_sum(spec, p, ctx)
             assert len(ctx._bh[h]) == n + 1
             assert reduce(value, e).value == exact_sum(spec, p).value
             assert value.known_power == known
-            if known < 6:
+            if known < MAX_DIGITS:
                 with pytest.raises(PrecisionExhausted):
                     reduce(value, known + 1)
 
@@ -374,7 +371,7 @@ def test_cold_half_sum_builds_only_half_tables():
     p, n = OddPrime(q), (q - 1) // 2
     for weights, inv_len in (([ws for ws in _GROWTH_WEIGHTS if ws.kind != HARMONIC_GAP], n + 1),
                              ([WeightSpec(HARMONIC_GAP)], 2 * n + 1)):
-        ctx = PrimeContext(p, 6)
+        ctx = PrimeContext(p, MAX_DIGITS)
         for ws in weights:
             for h in (1, 2, 3):
                 for poly, rng, e in (((1,), HALF, 3), ((2, 1, 5), HALF, 2),
@@ -417,8 +414,8 @@ def test_binomial_sum_matches_oracle(case):
     # the digits claimed beyond e are right too, also where the tail was skipped
     deeper = dataclasses.replace(spec, e=min(value.known_power, 4))
     assert reduce(value, deeper.e).value == exact_sum(deeper, p).value
-    # and so are those a 6-digit context claims
-    deep = binomial_sum(spec, p, PrimeContext(p, 6))
+    # and so are those the deepest context claims
+    deep = binomial_sum(spec, p, PrimeContext(p, MAX_DIGITS))
     deeper = dataclasses.replace(spec, e=min(deep.known_power, 4))
     assert reduce(deep, deeper.e).value == exact_sum(deeper, p).value
 
@@ -474,11 +471,11 @@ def test_context_refuses_primes_above_engine_bound(monkeypatch):
 
 
 def test_shared_context_matches_cold_paths():
-    # a shared 6-digit context answers as a fresh one at 2 digits, the fewest
+    # the deepest shared context answers as a fresh one at 2 digits, the fewest
     # a context has: the harmonic sum is read mod p only
     for q in (11, 13, 29):
         p = OddPrime(q)
-        ctx = PrimeContext(p, 6)
+        ctx = PrimeContext(p, MAX_DIGITS)
         for h, m, poly in ((3, 64, (1,)), (2, 256, (1, 1)), (1, -4, (1, 2))):
             shared = theorem_4_1_transform(h, m, poly, ctx)
             cold = theorem_4_1_transform(h, m, poly, PrimeContext(p, 2))
@@ -489,49 +486,34 @@ def test_identity_checks_agree_across_context_digits():
     # both need only the context's two digits to decide mod p^2
     for q in (3, 5, 11, 13, 29, 61, 97):
         p = OddPrime(q)
-        contexts = [PrimeContext(p, digits) for digits in range(2, 7)]
+        contexts = [PrimeContext(p, digits) for digits in range(2, MAX_DIGITS + 1)]
         lemma = {lemma_4_1_check(ctx) for ctx in contexts}
         assert len(lemma) == 1 and lemma.pop()[0]
         for value in (0, 2, 5, -7, q, q * q + 3):
-            x = PAdicValue.from_int(value, p, 6)
             n = (q - 1) // 2
             want = reduce_fraction(exact_legendre_poly(n, value), q, 2)
             for ctx in contexts:
-                got = legendre_poly_eval(LegendreEvalSpec(n, x), ctx)
-                assert got.known_power == ctx.digits
-                assert reduce(got, 2).value == want, (q, value, ctx.digits)
-
-
-def test_legendre_eval_claims_only_the_digits_x_is_known_to():
-    p = OddPrime(13)
-    ctx = PrimeContext(p, 6)
-    # x = 3 + O(13): P_6(3) and P_6(16) agree mod 13 only
-    x = PAdicValue.from_int(3, p, 1)
-    value = legendre_poly_eval(LegendreEvalSpec(6, x), ctx)
-    assert value.known_power == 1
-    assert reduce(value, 1).value == reduce_fraction(exact_legendre_poly(6, 16), 13, 1)
-    with pytest.raises(PrecisionExhausted):
-        reduce(value, 2)
-    # an exact zero is known to every digit, so it runs at the context's
-    zero = legendre_poly_eval(LegendreEvalSpec(6, PAdicValue.from_int(0, p, 1)), ctx)
-    assert zero.known_power == 6
-    assert reduce(zero, 6).value == reduce_fraction(exact_legendre_poly(6, 0), 13, 6)
+                got = legendre_poly_eval(ctx, n, value)
+                assert got[0] % (q * q) == want and got[1] == 0, (q, value, ctx.digits)
 
 
 def test_binomial_sum_refuses_a_mismatched_context():
     spec = SumSpec(3, 64, e=2)
     p = OddPrime(13)
     want = exact_sum(spec, p).value
-    for digits in (2, 3, 6):
+    for digits in (2, 3, MAX_DIGITS):
         assert reduce(binomial_sum(spec, p, PrimeContext(p, digits)), 2).value == want
     with pytest.raises(ValueError, match="p = 11"):
-        binomial_sum(spec, p, PrimeContext(OddPrime(11), 6))
+        binomial_sum(spec, p, PrimeContext(OddPrime(11), MAX_DIGITS))
     # the harmonic gap, v(w) = -1, needs e + 1 digits
     gap = dataclasses.replace(spec, weight=WeightSpec(HARMONIC_GAP))
     assert reduce(binomial_sum(gap, p, PrimeContext(p, 3)), 2).value == exact_sum(gap, p).value
     with pytest.raises(ValueError, match="needs 3 digits"):
         binomial_sum(gap, p, PrimeContext(p, 2))
-    # e = 4 needs 4 digits, 5 for the gap
+    # e = 4 needs 4 digits, 5 for the gap: the deepest context there is
+    assert MAX_DIGITS == 5
+    with pytest.raises(ValueError, match="outside 2..5"):
+        PrimeContext(p, 6)
     for case, need in ((spec, 4), (gap, 5)):
         case = dataclasses.replace(case, e=4)
         with pytest.raises(ValueError, match=f"needs {need} digits"):
@@ -550,7 +532,7 @@ def test_cold_sums_build_contexts_at_e_minus_v_digits(monkeypatch):
 
     monkeypatch.setattr(PrimeContext, "__init__", recording_init)
     p = OddPrime(13)
-    deep = PrimeContext(p, 6)
+    deep = PrimeContext(p, MAX_DIGITS)
     kinds = [WeightSpec(kind, *((1, 16) if kind in (LUCAS_U, LUCAS_V) else (0, 0)))
              for kind in WEIGHT_KINDS]
     for ws in kinds:
@@ -568,7 +550,7 @@ def test_cold_sums_build_contexts_at_e_minus_v_digits(monkeypatch):
 def test_inverse_table_matches_pow_in_steps_and_at_once(monkeypatch):
     for q in (3, 5, 7, 101, 997):
         p = OddPrime(q)
-        for digits in range(2, 7):
+        for digits in range(2, MAX_DIGITS + 1):
             mod = q**digits
             want = [pow(j, -1, mod) if j % q else 0 for j in range(2 * q - 1)]
             once, stepped = PrimeContext(p, digits), PrimeContext(p, digits)
@@ -657,19 +639,13 @@ def test_legendre_coeffs_built_once_per_context_and_degree(monkeypatch):
                         lambda self, hi: builds.append((id(self), hi)) or inverses(self, hi))
     for q in (11, 13, 29):
         p = OddPrime(q)
-        ctx = PrimeContext(p, 6)
+        ctx = PrimeContext(p, MAX_DIGITS)
         for n in (0, 1, (q - 1) // 2, q - 1):
             builds.clear()
             for _ in range(3):
-                for value, digits in ((2, 2), (-7, 4), (q + 3, 6)):
-                    x = PAdicValue.from_int(value, p, digits)
-                    got = legendre_poly_eval(LegendreEvalSpec(n, x), ctx)
-                    fresh = legendre_poly_eval(LegendreEvalSpec(n, x), PrimeContext(p, 6))
-                    assert got.known_power == digits
-                    assert reduce(got, digits).value == reduce(fresh, digits).value
-                for x0, x1, disc in ((0, 1, 2), (3, 5, 7)):
-                    got = engine.legendre_poly_eval_ext(ctx, n, x0, x1, disc)
-                    fresh = engine.legendre_poly_eval_ext(PrimeContext(p, 6), n, x0, x1, disc)
+                for x0, x1, disc in ((2, 0, 0), (-7, 0, 0), (q + 3, 0, 0), (0, 1, 2), (3, 5, 7)):
+                    got = legendre_poly_eval(ctx, n, x0, x1, disc)
+                    fresh = legendre_poly_eval(PrimeContext(p, MAX_DIGITS), n, x0, x1, disc)
                     assert got == fresh
             assert [hi for owner, hi in builds if owner == id(ctx)] == [n + 1]
             assert ctx.legendre_coeffs(n) == [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from supercon.arith import OddPrime, PAdicValue, legendre_symbol, reduce, sqrt_mod
+from supercon.arith import OddPrime, ResidueMod, legendre_symbol, sqrt_mod
 from supercon.errors import ConventionUnachievable, NotRepresentable, RamifiedPrime
 from supercon.oracle import exhaustive_represent
 from supercon.quadform import (
@@ -85,17 +85,17 @@ def test_normalize_is_projection():
 def test_align_pi_example_p23_d7():
     p = OddPrime(23)
     rep = represent(p, 7)
-    root = PAdicValue.from_int(19, p, 2)
+    root = ResidueMod(p, 2, 19)
     assert (19 * 19 + 7) % 23 == 0
     aligned = align_pi(rep, root)
     assert aligned.rep.y == 1
-    other = align_pi(rep, PAdicValue.from_int(23 - 19, p, 2))
+    other = align_pi(rep, ResidueMod(p, 2, 23 - 19))
     assert other.rep.y == -1
 
 
 def test_aligned_rep_validates():
     p = OddPrime(23)
-    root = PAdicValue.from_int(19, p, 2)
+    root = ResidueMod(p, 2, 19)
     with pytest.raises(ValueError):
         AlignedRep(QuadRep(p, 7, 4, -1, RAW), root)
 
@@ -106,10 +106,10 @@ def test_select_aligned_picks_the_aligned_branch():
             if d % q == 0 or legendre_symbol(-d, q) != 1:
                 continue
             p = OddPrime(q)
-            root = PAdicValue.from_int(sqrt_mod(-d, p, 2)[0].value, p, 2)
+            root = sqrt_mod(-d, p, 2)[0]
             pair = normalize(represent(p, d), XPLUSY1MOD4)
             chosen = select_aligned(pair, root)
-            s = reduce(root, 1).value
+            s = root.value
             assert (chosen.rep.x + chosen.rep.y * s) % q == 0
 
 
@@ -123,13 +123,15 @@ def test_pi_bar_congruences():
         for d in (1, 2, 3, 7):
             if d % q == 0 or legendre_symbol(-d, q) != 1:
                 continue
-            root = PAdicValue.from_int(sqrt_mod(-d, p, 2)[0].value, p, 2)
+            root = sqrt_mod(-d, p, 2)[0]
             aligned = align_pi(represent(p, d), root)
-            value = reduce(pi_bar(aligned), 2).value
+            bar = pi_bar(aligned)
+            assert bar.modulus == mod
+            value = bar.value
             x, y = aligned.rep.x, aligned.rep.y
             assert value % q == (2 * x) % q
             form1 = (2 * x - q * pow(2 * x, -1, mod)) % mod
-            s = reduce(root, 2).value
+            s = root.value
             form2 = (-s * pow(2, -1, mod) * (4 * y - q * pow(d * y, -1, mod))) % mod
             assert value == form1 == form2
             # norm identity: pi * pi-bar = p exactly
@@ -139,11 +141,11 @@ def test_pi_bar_congruences():
 def test_pi_bar_hand_value_p23_d7():
     # the lift of 19 (mod 23) to a root of z^2+7 mod 529 is 65: 65^2+7 = 8*529
     p = OddPrime(23)
-    root = PAdicValue.from_int(65, p, 2)
+    root = ResidueMod(p, 2, 65)
     aligned = align_pi(represent(p, 7), root)
     assert aligned.rep.y == 1
     want = (8 - 23 * pow(8, -1, 529)) % 529
-    assert reduce(pi_bar(aligned), 2).value == want
+    assert pi_bar(aligned).value == want
 
 
 def test_align_pi_root_sign_flips_y():
@@ -153,8 +155,8 @@ def test_align_pi_root_sign_flips_y():
                 continue
             p = OddPrime(q)
             lo, hi = sqrt_mod(-d, p, 2)
-            a = align_pi(represent(p, d), PAdicValue.from_int(lo.value, p, 2))
-            b = align_pi(represent(p, d), PAdicValue.from_int(hi.value, p, 2))
+            a = align_pi(represent(p, d), lo)
+            b = align_pi(represent(p, d), hi)
             assert a.rep.y == -b.rep.y
 
 

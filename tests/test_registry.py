@@ -285,7 +285,7 @@ def test_run_suite_builds_one_context_per_prime(monkeypatch):
     assert not res.aborted
     assert builds == primes
     # alone, a check builds one context at each prime where it is evaluated;
-    # an exact-zero Legendre argument at lemma2.2 (p = 61, 317, 337) included
+    # a zero Legendre argument at lemma2.2 (p = 61, 317, 337) included
     for check in checks():
         builds.clear()
         run_suite([check.id], primes + [317, 337])
