@@ -1,6 +1,6 @@
 """Verification toolkit for central-binomial congruences over prime moduli.
 
-The package has three layers: exact p-adic and residue arithmetic
+The package has three layers: residue arithmetic mod prime powers
 (``arith``, ``quadform``), a truncated summation engine with an exact
 rational oracle (``engine``, ``oracle``, and the weight names in ``seq``),
 and a catalogue of named congruence checks with a parallel suite runner
@@ -9,7 +9,6 @@ and a catalogue of named congruence checks with a parallel suite runner
 
 from .arith import (
     OddPrime,
-    PAdicValue,
     ResidueMod,
     fermat_quotient,
     legendre_symbol,
@@ -47,7 +46,6 @@ __all__ = [
     "FULL",
     "HALF",
     "OddPrime",
-    "PAdicValue",
     "PrimeContext",
     "QuadRep",
     "ResidueMod",

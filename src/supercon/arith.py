@@ -1,21 +1,19 @@
-"""Modular and p-adic integer arithmetic.
+"""Modular arithmetic over odd primes.
 
-All congruence checks ultimately compare ResidueMod values.  PAdicValue is
-only the type binomial_sum returns: it carries a sum's valuation and the
-digits it is known to, so that reduce() either yields a trustworthy residue
-or raises.
+All congruence checks ultimately compare ResidueMod values, residues mod p^e;
+binomial_sum returns one, and reduce() cuts a residue down to fewer digits,
+never more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NegativeValuation, NonResidue, NotCoprime, PrecisionExhausted, ZeroInput
+from .errors import NonResidue, NotCoprime, PrecisionExhausted, ZeroInput
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_EXPONENT = 12
-MIN_VALUATION = -2
 
 
 def is_prime(n: int) -> bool:
@@ -171,62 +169,8 @@ def sqrt_mod(a: int, p: "OddPrime | int", e: int) -> tuple[ResidueMod, ResidueMo
     return ResidueMod(prime, e, lo), ResidueMod(prime, e, hi)
 
 
-class PAdicValue:
-    """p-adic number p^v * u with u a unit known modulo p^prec.
-
-    The value is therefore known modulo p^(v+prec).  A value whose unit
-    happens to be divisible by p is renormalized on construction; when every
-    tracked digit is zero the value is kept with unit 0, meaning "zero to
-    this precision".
-    """
-
-    __slots__ = ("p", "v", "unit", "prec")
-
-    def __init__(self, p: OddPrime, v: int, unit: int, prec: int):
-        if prec < 1:
-            raise PrecisionExhausted(f"no digits left at p={int(p)} (prec={prec})")
-        self.p = p
-        self.prec = prec
-        q = p.p
-        mod = q**prec
-        unit %= mod
-        if unit == 0:
-            self.v, self.unit = v, 0
-            return
-        while unit % q == 0:
-            unit //= q
-            v += 1
-            prec -= 1
-            if prec == 0:
-                # all tracked digits were zero after the shift
-                self.v, self.unit, self.prec = v, 0, 1
-                return
-        self.v, self.unit, self.prec = v, unit, prec
-        if self.v < MIN_VALUATION:
-            raise NegativeValuation(f"valuation {self.v} below {MIN_VALUATION}")
-
-    @property
-    def known_power(self) -> int:
-        """The value is pinned down modulo p^known_power."""
-        return self.v + self.prec
-
-    def __repr__(self) -> str:
-        return (
-            f"PAdicValue({self.p.p}^{self.v} * {self.unit} "
-            f"+ O({self.p.p}^{self.known_power}))"
-        )
-
-
-def reduce(x: PAdicValue, e: int) -> ResidueMod:
-    """Residue of x mod p^e.
-
-    Requires valuation >= 0 (NegativeValuation otherwise) and known_power
-    >= e (PrecisionExhausted otherwise).
-    """
-    if x.v < 0 and x.unit != 0:
-        raise NegativeValuation(f"valuation {x.v} < 0; not a p-adic integer")
-    if x.known_power < e:
-        raise PrecisionExhausted(
-            f"value known mod {x.p.p}^{x.known_power}, requested mod {x.p.p}^{e}"
-        )
-    return ResidueMod(x.p, e, x.unit * x.p.p**max(x.v, 0))
+def reduce(x: ResidueMod, e: int) -> ResidueMod:
+    """x mod p^e for e <= x.e; PrecisionExhausted for digits x does not carry."""
+    if e > x.e:
+        raise PrecisionExhausted(f"value known mod {x.p.p}^{x.e}, requested mod {x.p.p}^{e}")
+    return ResidueMod(x.p, e, x.value)

@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import OddPrime, is_prime, reduce
+from .arith import OddPrime, is_prime
 from .engine import (
     ENGINE_PRIME_BOUND,
     FULL,
@@ -107,7 +107,10 @@ def _parse_overrides(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"override {pair!r} is not id=e")
         cid, _, e_s = pair.partition("=")
-        out[cid.strip()] = int(e_s)
+        cid = cid.strip()
+        if cid in out:
+            raise ValueError(f"override for {cid!r} given more than once")
+        out[cid] = int(e_s)
     return out
 
 
@@ -323,7 +326,7 @@ def cmd_sum(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        value = reduce(binomial_sum(spec, p), args.e)
+        value = binomial_sum(spec, p)
     except SuperconError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,8 @@ builds entries k <= n = (p-1)/2 only (inverses to 2n for the harmonic gap),
 and a later full-range sum appends the tail.  binomial_sum skips the tail
 of a FULL sum when it vanishes at the requested precision: p divides
 binomial(2k,k) once for n < k < p, so the tail has valuation at least
-h + v(w) + (n+1) v(m^{-1}).  Such a result claims only that precision, and
-reducing it further raises PrecisionExhausted.
+h + v(w) + (n+1) v(m^{-1}), and when that is at least e the half sum is
+already the answer mod p^e.
 
 Every sum is one walk of a single kernel, _walk, over c_k = binom^h w_k
 (times P(k) above degree 1) at a point z of Z[w]/(w^2 - disc): z = m^{-1}
@@ -34,10 +34,10 @@ Residue bookkeeping: tables store true residues mod p^digits, including
 the p-divisibility of binomial(2k,k) for k > (p-1)/2.  The one negative
 valuation in the system, H_{2k} - H_k for k in the upper half, is handled
 by storing p*(H_{2k}-H_k), which is p-integral; sums over that table are
-p times the true value and the engine undoes the scaling in the returned
-PAdicValue.  Apart from that scaling no step divides by p, so a sum mod
-p^e needs e - v(w) digits (sum_digits): e + 1 for the harmonic gap, else
-e.  The inverse table, which the others are built from, costs one
+p times the true value and binomial_sum divides the scaling out of the
+residue it returns.  Apart from that scaling no step divides by p, so a
+sum mod p^e needs e - v(w) digits (sum_digits): e + 1 for the harmonic
+gap, else e.  The inverse table, which the others are built from, costs one
 reduction per entry, inv[j] = -(M // j) inv[M mod j] with M = p^digits.
 """
 
@@ -49,13 +49,7 @@ from itertools import islice
 from math import comb, isqrt
 from operator import mul
 
-from .arith import (
-    OddPrime,
-    PAdicValue,
-    ResidueMod,
-    legendre_symbol,
-    reduce,
-)
+from .arith import OddPrime, ResidueMod, legendre_symbol
 from .errors import (
     DenominatorDivisible,
     IndexOutOfRange,
@@ -159,6 +153,8 @@ class PrimeContext:
                  "_apery", "_moments", "_legendre")
 
     def __init__(self, prime: OddPrime, digits: int):
+        if not isinstance(prime, OddPrime):
+            raise TypeError(f"prime must be an OddPrime, got {type(prime).__name__}")
         if not 2 <= digits <= MAX_DIGITS:
             raise ValueError(f"digits {digits} outside 2..{MAX_DIGITS}")
         check_engine_prime(prime)
@@ -423,19 +419,20 @@ def m_inverse_residue(ctx: PrimeContext, m) -> int:
     return frac.denominator * pow(frac.numerator, -1, mod) % mod
 
 
-def binomial_sum(spec: SumSpec, p: OddPrime, ctx: "PrimeContext | None" = None) -> PAdicValue:
-    """Evaluate the sum described by spec as a PAdicValue.
+def binomial_sum(spec: SumSpec, p: "OddPrime | int",
+                 ctx: "PrimeContext | None" = None) -> ResidueMod:
+    """The sum described by spec, mod p^spec.e; an int p is validated as an OddPrime.
 
     Works at the digits of ctx, which must be a context for p with at least
     sum_digits(spec.e, spec.weight) digits, else ValueError; without ctx it
-    builds a fresh context at exactly that many.  The result always carries
-    enough precision for reduce(result, spec.e).
+    builds a fresh context at exactly that many.
 
     For n < k < p, p divides binomial(2k,k) exactly once, so the tail of a
     FULL sum has valuation at least h + v(w) + (n+1) v(m^{-1}), with v(w)
     from WeightSpec.valuation.  When spec.e is within that bound only the
-    half range is walked, and the result is known only to that bound.
+    half range is walked.
     """
+    p = p if isinstance(p, OddPrime) else OddPrime(p)
     digits = sum_digits(spec.e, spec.weight)
     if ctx is None:
         ctx = PrimeContext(p, digits)
@@ -443,19 +440,21 @@ def binomial_sum(spec: SumSpec, p: OddPrime, ctx: "PrimeContext | None" = None) 
         raise ValueError(f"a context for p = {ctx.p} at {ctx.digits} digits cannot "
                          f"evaluate mod {p.p}^{spec.e}, which needs {digits} digits")
     minv = m_inverse_residue(ctx, spec.m)
-    rng, prec = spec.range, ctx.digits
-    if rng == FULL:
-        # the tail's valuation less v(w): what the half sum's raw residue can claim
-        bound = spec.h + (ctx.n + 1) * _valuation(minv, ctx.p, ctx.digits)
-        if spec.e <= bound + spec.weight.valuation:
-            rng, prec = HALF, min(prec, bound)
+    # a lower bound on the valuation of the tail n < k < p
+    bound = spec.h + spec.weight.valuation + (ctx.n + 1) * _valuation(minv, ctx.p, ctx.digits)
+    rng = HALF if spec.e <= bound else spec.range
     if len(spec.poly) <= 2:
         s0, s1 = ctx.moments(spec.h, minv, spec.weight, rng)
         c1, c0 = (0,) * (2 - len(spec.poly)) + spec.poly
         raw = (c0 * s0 + c1 * s1) % ctx.mod
     else:
         raw = ctx.poly_weighted_sum(spec.h, minv, spec.weight, rng, spec.poly)
-    return PAdicValue(p, spec.weight.valuation, raw, prec)
+    if spec.weight.valuation:
+        # The harmonic gap's raw residue is p times a p-integral sum, and p divides
+        # it: for k <= n, p (H_2k - H_k) is a multiple of p, and for k > n
+        # binom(2k,k)^h carries p^h.  The quotient is known to digits - 1 >= e.
+        raw //= ctx.p
+    return ResidueMod(p, spec.e, raw)
 
 
 def _valuation(x: int, q: int, cap: int) -> int:
@@ -547,21 +546,16 @@ def theorem_4_1_transform(h: int, m, poly: tuple,
     if mbar.numerator % q == 0:
         raise DenominatorDivisible(f"mbar = {mbar} vanishes mod {q}")
     sym = legendre_symbol((-1) ** h * mfrac.numerator * mfrac.denominator, q)
-    lhs_sum = binomial_sum(SumSpec(h, m, poly, CONST_WEIGHT, HALF, 2), p, ctx)
-    lhs = sym * reduce(lhs_sum, 2).value % mod2
+    lhs = sym * binomial_sum(SumSpec(h, m, poly, CONST_WEIGHT, HALF, 2), p, ctx).value % mod2
 
     d = len(poly) - 1
     qpoly = _poly_reflect_half(poly)
     rpoly = _poly_reflect_half(_poly_derivative(poly)) if d >= 1 else None
-    s_q = reduce(binomial_sum(SumSpec(h, mbar, qpoly, CONST_WEIGHT, HALF, 2), p, ctx), 2).value
-    s_r = (
-        reduce(binomial_sum(SumSpec(h, mbar, rpoly, CONST_WEIGHT, HALF, 2), p, ctx), 2).value
-        if rpoly
-        else 0
-    )
-    gap_sum = binomial_sum(SumSpec(h, mbar, qpoly, WeightSpec(HARMONIC_GAP), HALF, 1), p, ctx)
+    s_q = binomial_sum(SumSpec(h, mbar, qpoly, CONST_WEIGHT, HALF, 2), p, ctx).value
+    s_r = binomial_sum(SumSpec(h, mbar, rpoly, CONST_WEIGHT, HALF, 2), p, ctx).value if rpoly else 0
     # p * gap_sum mod p^2 reads gap_sum mod p only (it is p-integral on the half range)
-    p_gap = q * reduce(gap_sum, 1).value % mod2
+    gap = binomial_sum(SumSpec(h, mbar, qpoly, WeightSpec(HARMONIC_GAP), HALF, 1), p, ctx).value
+    p_gap = q * gap % mod2
     mb_res = mbar.numerator * pow(mbar.denominator, -1, mod2)
     fq_factor = (pow(mb_res, q - 1, mod2) + 1) * pow(2, -1, mod2) % mod2
     inv2d = pow(pow(2, d, mod2), -1, mod2) if d else 1

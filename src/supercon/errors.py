@@ -23,7 +23,7 @@ class ZeroInput(SuperconError):
 
 
 class PrecisionExhausted(SuperconError):
-    """Tracked p-adic precision fell below what the caller needs."""
+    """A residue mod p^e was asked for digits beyond e."""
 
 
 class NegativeValuation(SuperconError):

@@ -111,8 +111,8 @@ def exact_weights(kind: str, a: int, b: int, count: int) -> list:
 def exact_sum(spec, p) -> ResidueMod:
     """Evaluate a SumSpec exactly over Q, then reduce mod p^spec.e.
 
-    spec.m must be an int or Fraction (no p-adic denominators here); the
-    quadratic-time weight evaluation bounds practical use to p <= 1000.
+    spec.m must be an int or Fraction; the quadratic-time weight
+    evaluation bounds practical use to p <= 1000.
     """
     prime = p if isinstance(p, OddPrime) else OddPrime(int(p))
     q = prime.p

@@ -18,6 +18,7 @@ import pytest
 from supercon import engine, registry
 from supercon.arith import (
     OddPrime,
+    ResidueMod,
     is_prime,
     legendre_symbol,
     reduce,
@@ -150,6 +151,60 @@ def test_legendre_evaluations_match_exact_expansion():
         assert (l0 % mod, l1 % mod) == (reduce_fraction(a, q, 2), reduce_fraction(b, q, 2)), (
             q, n, x0, x1, disc)
     print(f"legendre gate: PASS  {len(calls)} P_n evaluations vs exact sums")
+
+
+def test_a_pass_can_fail_when_its_sums_are_wrong(monkeypatch):
+    # Fault injection: every binomial_sum and legendre_poly_eval answer is off
+    # by a unit that differs per call, so both sides of a congruence cannot
+    # shift alike and no reduction mod p^e removes it.  Every check that reads
+    # one and PASSes somewhere must then leave PASS at some prime; for the
+    # biconditionals cor4.3 and cor4.4, whose truths can all flip together, a
+    # changed truth vector is enough.  Each prime runs through _evaluate_prime,
+    # as run_suite would run it, but without its stop at the first FAIL.
+    ids, primes = tuple(check_ids()), _primes(5, 200)
+    clean = {q: registry._evaluate_prime((ids, q, {})) for q in primes}
+    real_sum, real_legendre = engine.binomial_sum, engine.legendre_poly_eval
+    real_run = registry.run_check
+    calls, running, reached = 0, None, set()
+
+    def offset(q):
+        nonlocal calls
+        calls += 1
+        reached.add(running)
+        return 1 + calls % (q - 1)
+
+    def faulty_sum(spec, p, ctx=None):
+        value = real_sum(spec, p, ctx)
+        return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
+
+    def faulty_legendre(ctx, n, x0, x1=0, disc=0):
+        l0, l1 = real_legendre(ctx, n, x0, x1, disc)
+        return (l0 + offset(ctx.p)) % ctx.mod, l1
+
+    def tracking_run(cid, *args):
+        nonlocal running
+        running = cid
+        return real_run(cid, *args)
+
+    monkeypatch.setattr(engine, "binomial_sum", faulty_sum)
+    monkeypatch.setattr(registry, "binomial_sum", faulty_sum)
+    monkeypatch.setattr(registry, "legendre_poly_eval", faulty_legendre)
+    monkeypatch.setattr(registry, "run_check", tracking_run)
+    faulty = {q: registry._evaluate_prime((ids, q, {})) for q in primes}
+    assert reached and None not in reached
+
+    passing, moved = set(), set()
+    for q in primes:
+        for before, after in zip(clean[q], faulty[q]):
+            if before.verdict != PASS:
+                continue
+            passing.add(before.check)
+            equivalence = before.check in ("cor4.3", "cor4.4")
+            if after.verdict != PASS or (equivalence and after.detail != before.detail):
+                moved.add(before.check)
+    assert reached & passing <= moved, sorted(reached & passing - moved)
+    print(f"fault gate: PASS  {len(reached & passing)} checks read a faulted value "
+          f"and each left PASS at one of {len(primes)} primes")
 
 
 def test_criterion_1_proved_suite():

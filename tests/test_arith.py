@@ -1,4 +1,4 @@
-"""Residue and p-adic arithmetic primitives."""
+"""Residue arithmetic primitives."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from supercon.arith import (
     OddPrime,
-    PAdicValue,
     ResidueMod,
     fermat_quotient,
     is_prime,
@@ -15,7 +14,6 @@ from supercon.arith import (
     sqrt_mod,
 )
 from supercon.errors import (
-    NegativeValuation,
     NonResidue,
     NotCoprime,
     PrecisionExhausted,
@@ -113,19 +111,12 @@ def test_sqrt_mod_random_instances():
         done += 1
 
 
-def test_padic_normalization_strips_p():
-    p = OddPrime(5)
-    x = PAdicValue(p, 0, 50, 3)
-    assert x.v == 2 and x.unit == 2 and x.known_power == 3
-
-
 def test_reduce_examples():
     p = OddPrime(5)
-    # every tracked digit zero: zero to that precision, and no further
-    zero = PAdicValue(p, -1, 0, 4)
-    assert reduce(zero, 2).value == 0
-    with pytest.raises(PrecisionExhausted):
-        reduce(zero, 4)
-    assert reduce(PAdicValue(p, 1, 3, 3), 2).value == 15
-    with pytest.raises(NegativeValuation):
-        reduce(PAdicValue(p, -1, 2, 4), 2)
+    x = ResidueMod(p, 3, 117)
+    assert reduce(x, 3) == x
+    assert reduce(x, 2) == ResidueMod(p, 2, 17)
+    assert reduce(x, 1).value == 2
+    # digits x does not carry are refused, not made up
+    with pytest.raises(PrecisionExhausted, match="known mod 5\\^3"):
+        reduce(x, 4)

@@ -318,6 +318,27 @@ def test_verify_config_refuses_an_unreadable_boolean(tmp_path, capsys):
         assert _load_config(str(conf)) == {"strict_conjectures": want}, text
 
 
+def test_verify_refuses_a_repeated_override_flag(capsys):
+    # the last one used to win: this ran eq1.2 mod 5^4, reported FAIL and exited 1
+    rc, out, err = run_cli(
+        capsys, "verify", "--checks", "eq1.2", "--primes", "5..7",
+        "--override", "eq1.2=3", "--override", "eq1.2=4",
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "'eq1.2'" in err and "Traceback" not in err
+
+
+def test_verify_refuses_a_repeated_override_in_config(tmp_path, capsys):
+    conf = tmp_path / "twice.conf"
+    conf.write_text("checks = eq1.2\nprimes = 5..7\noverride = eq1.2=3,eq1.2=4\n")
+    rc, out, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "'eq1.2'" in err and "Traceback" not in err
+    conf.write_text("checks = eq1.2\nprimes = 5..7\noverride = eq1.2=2\n")
+    rc, out, _ = run_cli(capsys, "verify", "--config", str(conf))
+    assert rc == 0 and "PASS" in out
+
+
 def test_verify_workers_env(monkeypatch, capsys):
     monkeypatch.setenv("SUPERCON_WORKERS", "2")
     rc, out, _ = run_cli(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from supercon import engine
 from supercon.arith import (
     OddPrime,
-    PAdicValue,
+    ResidueMod,
     legendre_symbol,
     reduce,
     sqrt_mod,
@@ -23,6 +23,7 @@ from supercon.engine import (
     FULL,
     HALF,
     MAX_DIGITS,
+    MAX_POWER,
     PrimeContext,
     SumSpec,
     WeightSpec,
@@ -35,7 +36,6 @@ from supercon.engine import (
 from supercon.errors import (
     DenominatorDivisible,
     IndexOutOfRange,
-    PrecisionExhausted,
     PrimeTooLarge,
 )
 from supercon.oracle import (
@@ -82,7 +82,7 @@ def test_denominator_divisible():
         _sum_value(3, 26, (1,), 13, 2)
 
 
-def test_sum_accepts_fraction_and_padic_m():
+def test_sum_accepts_a_fraction_m():
     frac = _sum_value(3, Fraction(64, 1), (1,), 13, 2)
     assert frac == 10
 
@@ -90,7 +90,7 @@ def test_sum_accepts_fraction_and_padic_m():
 def test_sum_spec_refuses_an_m_of_another_type():
     # a float is a binary fraction: SumSpec(3, 0.3) used to give 134 mod 13^2, not 127
     assert _sum_value(3, Fraction(3, 10), (1,), 13, 2) == 127
-    for m in (0.3, 64.0, True, "64", None, PAdicValue(OddPrime(13), 0, 64, 4)):
+    for m in (0.3, 64.0, True, "64", None, ResidueMod(OddPrime(13), 4, 64)):
         with pytest.raises(TypeError, match="int or a Fraction"):
             SumSpec(3, m)
 
@@ -313,23 +313,21 @@ def test_full_sum_walks_a_visible_tail():
 
 
 def test_full_sum_answered_from_half_segment():
-    # e <= h + v(w) + (n+1) v(1/m): the tail vanishes mod p^e and is skipped,
-    # and the value claims only that precision
+    # e <= bound = h + v(w) + (n+1) v(1/m): the tail vanishes mod p^e and is
+    # skipped; one digit more and it is walked
     for q in (5, 7, 13, 29):
         p = OddPrime(q)
         n = (q - 1) // 2
-        for h, m, ws, e, known in ((2, 3, CONST_WEIGHT, 2, 2),
-                                   (3, 3, WeightSpec(HARMONIC_GAP), 2, 2),
-                                   (1, Fraction(1, q), CONST_WEIGHT, 4, min(n + 2, MAX_DIGITS))):
-            ctx = PrimeContext(p, MAX_DIGITS)
-            spec = SumSpec(h, m, (1,), ws, FULL, e)
-            value = binomial_sum(spec, p, ctx)
-            assert len(ctx._bh[h]) == n + 1
-            assert reduce(value, e).value == exact_sum(spec, p).value
-            assert value.known_power == known
-            if known < MAX_DIGITS:
-                with pytest.raises(PrecisionExhausted):
-                    reduce(value, known + 1)
+        for h, m, ws, bound in ((2, 3, CONST_WEIGHT, 2),
+                                (3, 3, WeightSpec(HARMONIC_GAP), 2),
+                                (1, Fraction(1, q), CONST_WEIGHT, n + 2)):
+            for e in range(1, min(bound + 1, MAX_POWER) + 1):
+                ctx = PrimeContext(p, MAX_DIGITS)
+                spec = SumSpec(h, m, (1,), ws, FULL, e)
+                value = binomial_sum(spec, p, ctx)
+                assert value.e == e
+                assert value.value == exact_sum(spec, p).value, (q, h, e)
+                assert len(ctx._bh[h]) == (n + 1 if e <= bound else q), (q, h, e)
 
 
 _GROWTH_WEIGHTS = [WeightSpec(kind) for kind in WEIGHT_KINDS if kind not in (LUCAS_U, LUCAS_V)]
@@ -410,14 +408,9 @@ def sum_cases(draw):
 def test_binomial_sum_matches_oracle(case):
     spec, p = case
     value = binomial_sum(spec, p)
-    assert reduce(value, spec.e).value == exact_sum(spec, p).value
-    # the digits claimed beyond e are right too, also where the tail was skipped
-    deeper = dataclasses.replace(spec, e=min(value.known_power, 4))
-    assert reduce(value, deeper.e).value == exact_sum(deeper, p).value
-    # and so are those the deepest context claims
-    deep = binomial_sum(spec, p, PrimeContext(p, MAX_DIGITS))
-    deeper = dataclasses.replace(spec, e=min(deep.known_power, 4))
-    assert reduce(deep, deeper.e).value == exact_sum(deeper, p).value
+    assert value == exact_sum(spec, p)
+    # a context deeper than the sum needs, as a sweep shares, gives the same answer
+    assert binomial_sum(spec, p, PrimeContext(p, MAX_DIGITS)) == value
 
 
 def _count_walks(monkeypatch) -> list:
@@ -520,6 +513,21 @@ def test_binomial_sum_refuses_a_mismatched_context():
             binomial_sum(case, p, PrimeContext(p, need - 1))
         got = binomial_sum(case, p, PrimeContext(p, need))
         assert reduce(got, 4).value == exact_sum(case, p).value
+
+
+def test_binomial_sum_takes_an_int_prime_as_exact_sum_does():
+    # an int p used to raise AttributeError: 'int' object has no attribute 'p'
+    spec = SumSpec(3, 64)
+    assert binomial_sum(spec, 13) == exact_sum(spec, 13) == ResidueMod(OddPrime(13), 2, 10)
+    for bad in (15, 2, -13):
+        with pytest.raises(ValueError):
+            binomial_sum(spec, bad)
+    for bad in (13.0, None):
+        with pytest.raises(TypeError):
+            binomial_sum(spec, bad)
+    for bad in (13, 13.0, None):
+        with pytest.raises(TypeError, match="OddPrime"):
+            PrimeContext(bad, 3)
 
 
 def test_cold_sums_build_contexts_at_e_minus_v_digits(monkeypatch):
