@@ -2,19 +2,22 @@
 
 The generic object is sum_k P(k) * binomial(2k,k)^h * w_k / m^k over the
 half range k <= (p-1)/2 or the full range k <= p-1, evaluated modulo a
-power of p.  All per-prime state (inverse tables, binomial powers, harmonic
-tables, the Apery table, Legendre coefficients, memoized moment sums) lives
+power of p.  All per-prime state (the inverse table below p, binomial
+powers, harmonic tables, Legendre coefficients, memoized moment sums) lives
 in a PrimeContext so that the many checks sharing a prime pay for each table
-once.  Every function here works on the context it is given, at that
-context's digits; a sweep gives each prime one context, owned by the
-registry's Workspace.  binomial_sum alone may be called without one, and
-then builds a fresh context for that call.
+once.  It keeps only tables a later request reads, about 5.5 p entries after
+every check at one prime; the Apery numbers, read once, and the kernel's
+terms binom^h w_k are streams.  Every function here works on the context it
+is given, at that context's digits; a sweep gives each prime one context,
+owned by the registry's Workspace.  binomial_sum alone may be called without
+one, and then builds a fresh context for that call.
 
 Tables grow on demand to the prefix a request needs: a half-range sum
 builds entries k <= n = (p-1)/2 only (inverses to 2n for the harmonic gap),
-and a later full-range sum appends the tail.  binomial_sum skips the tail
-of a FULL sum when it vanishes at the requested precision: p divides
-binomial(2k,k) once for n < k < p, so the tail has valuation at least
+and a later full-range sum appends the tail (the harmonic gap's tail reads
+inverses up to 2p - 2 and drops those above p once built).  binomial_sum
+skips the tail of a FULL sum when it vanishes at the requested precision: p
+divides binomial(2k,k) once for n < k < p, so the tail has valuation at least
 h + v(w) + (n+1) v(m^{-1}), and when that is at least e the half sum is
 already the answer mod p^e.
 
@@ -61,8 +64,8 @@ HALF = "half"
 FULL = "full"
 
 MAX_POWER = 4  # every congruence is taken mod p^e, 1 <= e <= MAX_POWER
-# A full-range context holds lists of p to 2p residues; at p^5 (MAX_DIGITS) the
-# inverse table alone is about 0.1 GB at this bound, and each further table about half that.
+# After every check at one prime a context holds about 5.5 p residues mod p^5
+# (MAX_DIGITS): `verify --checks all` at p = 999983 peaks at about 343 MB.
 ENGINE_PRIME_BOUND = 10**6
 
 
@@ -146,11 +149,13 @@ class PrimeContext:
 
     Construction allocates nothing.  Every table is a prefix k < hi that a
     request grows on demand: a half-range walk builds k <= n, and a later
-    full walk appends only the tail.
+    full walk appends only the tail.  Only tables a later request reads
+    again are kept: the Apery numbers and the kernel's terms are streams, and
+    no inverse above p stays once the harmonic gap's tail is built.
     """
 
-    __slots__ = ("prime", "p", "digits", "mod", "n", "_inv", "_binom", "_bh", "_weights",
-                 "_apery", "_moments", "_legendre")
+    __slots__ = ("prime", "p", "digits", "mod", "n", "_inv", "_bh", "_weights",
+                 "_moments", "_legendre")
 
     def __init__(self, prime: OddPrime, digits: int):
         if not isinstance(prime, OddPrime):
@@ -164,10 +169,8 @@ class PrimeContext:
         self.mod = prime.power(digits)
         self.n = (self.p - 1) // 2
         self._inv = [0, 1]  # inv[1] seeds the recurrence in inverses (M mod 1 = 0)
-        self._binom = [1]
         self._bh: dict = {}
         self._weights: dict = {}
-        self._apery = None
         self._moments: dict = {}
         self._legendre: dict = {}
 
@@ -176,7 +179,8 @@ class PrimeContext:
 
         New entries cost one reduction each: inv[j] = -(M // j) inv[M mod j] mod
         M = p^digits reads a unit already in the table, and gives inv[p] = 0;
-        only p < j < 2p with M mod j = p falls back to pow(j, -1, M).
+        only p < j < 2p with M mod j = p falls back to pow(j, -1, M).  Entries
+        above p serve only the harmonic gap's tail, which drops them once built.
         """
         inv = self._inv
         if hi > len(inv):
@@ -187,38 +191,29 @@ class PrimeContext:
                 app(-(mod // j) * inv[r] % mod if r != q else pow(j, -1, mod))
         return inv
 
-    def binom_units(self, hi: "int | None" = None) -> list:
-        """Unit parts u_k of binomial(2k,k) = p^{[k>n]} u_k for k < hi (default p)."""
-        hi = self.p if hi is None else hi
-        u = self._binom
-        lo = len(u)
-        if hi > lo:
-            q, mod = self.p, self.mod
-            inv = self.inverses(hi)
-            cur = u[-1]
-            for k in range(lo, hi):
-                num = 2 if 2 * k - 1 == q else 2 * (2 * k - 1)
-                cur = cur * (num * inv[k]) % mod
-                u.append(cur)
-        return u
-
     def bh(self, h: int, hi: "int | None" = None) -> list:
-        """True residues of binomial(2k,k)^h mod p^digits for k < hi (default p)."""
+        """True residues of binomial(2k,k)^h mod p^digits for k < hi (default p).
+
+        h = 1 steps binomial(2k,k) = binomial(2k-2,k-1) (4k-2) / k, so the one p
+        of binomial(2k,k), k > n, enters as the factor 4k - 2 = 2p at k = n + 1
+        and is carried by the residue; h = 2 and h = 3 are powers of that table.
+        """
         hi = self.p if hi is None else hi
         table = self._bh.setdefault(h, [])
         lo = len(table)
         if hi > lo:
-            seg = self.binom_units(hi)[lo:hi]
             mod = self.mod
-            if h == 2:
-                seg = [x * x % mod for x in seg]
-            elif h == 3:
-                seg = [x * x % mod * x % mod for x in seg]
-            # k > n carries the single p of binomial(2k,k)
-            ph = self.p**h % mod
-            for i in range(max(self.n + 1 - lo, 0), hi - lo):
-                seg[i] = seg[i] * ph % mod
-            table += seg
+            if h == 1:
+                if not table:
+                    table.append(1)  # binomial(0, 0)
+                inv, cur = self.inverses(hi), table[-1]
+                for k in range(len(table), hi):
+                    cur = cur * ((4 * k - 2) * inv[k]) % mod
+                    table.append(cur)
+            else:
+                seg = islice(self.bh(1, hi), lo, hi)
+                table += ([x * x % mod for x in seg] if h == 2
+                          else [x * x % mod * x % mod for x in seg])
         return table
 
     def weight_table(self, ws: WeightSpec, hi: "int | None" = None):
@@ -248,24 +243,24 @@ class PrimeContext:
                 acc += 1 if j == q else q * inv[j] % mod
                 acc = (acc + q * inv[2 * k] - q * inv[k]) % mod
                 table.append(acc)
+            del inv[q + 1:]  # no other table reads an inverse above p
         return table
 
-    def apery(self) -> list:
-        """Apery numbers A_k mod p^digits, k = 0..p-1, by their recurrence.
+    def apery(self):
+        """Yield the Apery numbers A_k mod p^digits, k = 0..p-1, by their recurrence.
 
         (m+1)^3 A_{m+1} = (2m+1)(17m^2+17m+5) A_m - m^3 A_{m-1}; m+1 < p keeps
-        the cube invertible.
+        the cube invertible.  Nothing is stored: the one reader takes one pass.
         """
-        if self._apery is None:
-            mod, inv = self.mod, self.inverses(self.p)
-            a = [1] * self.p
-            a[1] = 5
-            for m in range(1, self.p - 1):
-                i = inv[m + 1]
-                step = (2 * m + 1) * (17 * m * m + 17 * m + 5) * a[m] - m * m * m * a[m - 1]
-                a[m + 1] = step * (i * i * i % mod) % mod
-            self._apery = a
-        return self._apery
+        mod, inv = self.mod, self.inverses(self.p)
+        prev, cur = 1, 5
+        yield prev
+        yield cur
+        for m in range(1, self.p - 1):
+            i = inv[m + 1]
+            step = (2 * m + 1) * (17 * m * m + 17 * m + 5) * cur - m * m * m * prev
+            prev, cur = cur, step * (i * i * i % mod) % mod
+            yield cur
 
     def legendre_coeffs(self, n: int) -> list:
         """C(n,k) C(n+k,k) mod p^digits for k = 0..n, built once per n; 0 <= n < p.
@@ -286,11 +281,12 @@ class PrimeContext:
             self._legendre[n] = coeff
         return coeff
 
-    def _terms(self, h: int, ws: WeightSpec, lo: int, hi: int) -> list:
-        """c_k = binom^h w_k, lo <= k < hi, each below mod^2; w_k = 1 without a weight table."""
-        B = self.bh(h, hi)[lo:hi]
+    def _terms(self, h: int, ws: WeightSpec, lo: int, hi: int):
+        """c_k = binom^h w_k, lo <= k < hi, each below mod^2, streamed from the tables
+        (grown to hi first) without a term list; w_k = 1 without a weight table."""
+        B = islice(self.bh(h, hi), lo, hi)
         wt = self.weight_table(ws, hi)
-        return B if wt is None else list(map(mul, B, wt[lo:hi]))
+        return B if wt is None else map(mul, B, islice(wt, lo, hi))
 
     def moments(self, h: int, minv: int, ws: WeightSpec, rng: str):
         """(S0, S1) with Sj = sum k^j binom^h w_k m^{-k} mod p^digits.
@@ -307,9 +303,9 @@ class PrimeContext:
         if memo[slot] is None:
             n1 = self.n + 1
             if memo[0] is None:
-                memo[0] = _walk(self._terms(h, ws, 0, n1), *point, mod, True)
+                memo[0] = _walk(self._terms(h, ws, 0, n1), n1, *point, mod, True)
             if slot:
-                tail = _walk(self._terms(h, ws, n1, self.p), *point, mod, True, n1)
+                tail = _walk(self._terms(h, ws, n1, self.p), self.p - n1, *point, mod, True, n1)
                 memo[1] = tuple((x + y) % mod for x, y in zip(memo[0], tail))
         a0, a1, m0, m1 = memo[slot]
         return (a0, m0) if side is None else (2 * (a0, a1)[side] % mod, 2 * (m0, m1)[side] % mod)
@@ -317,14 +313,14 @@ class PrimeContext:
     def poly_weighted_sum(self, h: int, minv: int, ws: WeightSpec, rng: str, poly: tuple):
         """sum P(k) binom^h w_k m^{-k} mod p^digits for any degree, one walk, no memo."""
         hi, mod = self.p if rng == FULL else self.n + 1, self.mod
-        terms = self._terms(h, ws, 0, hi)
+        terms = list(self._terms(h, ws, 0, hi))  # scaled in place by P(k)
         for k in range(hi):
             c = 0
             for ci in poly:
                 c = c * k + ci
             terms[k] *= c % mod
         point, side = _point(ws, minv, mod)
-        a = _walk(terms, *point, mod, False)
+        a = _walk(terms, hi, *point, mod, False)
         return a[0] if side is None else 2 * a[side] % mod
 
 
@@ -350,20 +346,21 @@ def _point(ws: WeightSpec, minv: int, mod: int) -> tuple:
     return (a * half % mod, half, (a * a - 4 * b) % mod), int(side == "u")
 
 
-def _walk(c: list, z0: int, z1: int, disc: int, mod: int, moments: bool, k0: int = 0) -> tuple:
+def _walk(c, size: int, z0: int, z1: int, disc: int, mod: int, moments: bool,
+          k0: int = 0) -> tuple:
     """(A, B, A1, B1): sum_k c_k z^k = A + B w, sum_k k c_k z^k = A1 + B1 w (0 without moments).
 
-    The one summation kernel, over c = c_k0 .. c_(k0+len(c)-1) in Z[w]/(w^2 - disc)
-    mod mod at z = z0 + z1 w, 0 <= z0, z1 < mod; z1 = 0 is a scalar sum.  It
-    builds the baby steps z^i = A_i + B_i w, i < b = 2 sqrt(len(c)), once and
-    packs the fields a walk reads (A_i, B_i if z1, then i A_i, i B_i if
+    The one summation kernel, over the size terms c_k0 .. c_(k0+size-1) of the
+    iterable c, each read once, so c may be a stream.  It sums in
+    Z[w]/(w^2 - disc) mod mod at z = z0 + z1 w, 0 <= z0, z1 < mod; z1 = 0 is a
+    scalar sum.  It builds the baby steps z^i = A_i + B_i w, i < b = 2 sqrt(size),
+    once and packs the fields a walk reads (A_i, B_i if z1, then i A_i, i B_i if
     moments) into one int per i, W = bit_length(b^2 mod^3) + 1 bits each, which
     holds any 0 <= c_k < mod^2 (a one-field walk takes any ints).  A block is
     then one dot product in C; its fields are split off by shift and mask and
     added times z^s, which runs from z^k0 by giant steps z^b.  It never
     divides by z or w, so neither need be a unit.
     """
-    size = len(c)
     b = max(min(size, isqrt(4 * size)), 1)
     pa, pb = [1] * (b + 1), [0] * (b + 1)
     if z1:
@@ -474,7 +471,7 @@ def legendre_poly_eval(ctx: PrimeContext, n: int, x0: int, x1: int = 0, disc: in
     """
     mod, inv2 = ctx.mod, (ctx.mod + 1) // 2
     z0, z1 = (x0 - 1) * inv2 % mod, x1 * inv2 % mod
-    return _walk(ctx.legendre_coeffs(n), z0, z1, disc, mod, False)[:2]
+    return _walk(ctx.legendre_coeffs(n), n + 1, z0, z1, disc, mod, False)[:2]
 
 
 def lemma_4_1_check(ctx: PrimeContext) -> tuple[bool, int, int]:

@@ -114,7 +114,7 @@ def exact_sum(spec, p) -> ResidueMod:
     spec.m must be an int or Fraction; the quadratic-time weight
     evaluation bounds practical use to p <= 1000.
     """
-    prime = p if isinstance(p, OddPrime) else OddPrime(int(p))
+    prime = p if isinstance(p, OddPrime) else OddPrime(p)
     q = prime.p
     if q > EXACT_SUM_PRIME_BOUND:
         raise IndexOutOfRange(f"exact_sum bound is p <= {EXACT_SUM_PRIME_BOUND}")

@@ -22,6 +22,8 @@ import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
+from operator import mul
 from typing import Callable
 
 from .arith import (
@@ -306,8 +308,8 @@ def _ev_eq1_6(ws: Workspace, e: int):
 
 def _ev_eq1_8(ws: Workspace, e: int):
     mod = ws.mod(2)
-    apery = ws.ctx.apery()
-    return [((sum(apery[0::2]) - sum(apery[1::2])) % mod, ws.sum(3, 16, e=2), mod)]
+    lhs = sum(map(mul, ws.ctx.apery(), cycle((1, -1)))) % mod
+    return [(lhs, ws.sum(3, 16, e=2), mod)]
 
 
 def _ev_eq1_9(ws: Workspace, e: int):

@@ -154,16 +154,20 @@ def test_legendre_evaluations_match_exact_expansion():
 
 
 def test_a_pass_can_fail_when_its_sums_are_wrong(monkeypatch):
-    # Fault injection: every binomial_sum and legendre_poly_eval answer is off
-    # by a unit that differs per call, so both sides of a congruence cannot
-    # shift alike and no reduction mod p^e removes it.  Every check that reads
-    # one and PASSes somewhere must then leave PASS at some prime; for the
-    # biconditionals cor4.3 and cor4.4, whose truths can all flip together, a
-    # changed truth vector is enough.  Each prime runs through _evaluate_prime,
-    # as run_suite would run it, but without its stop at the first FAIL.
+    # Fault injection: every binomial_sum, legendre_poly_eval, binomial table
+    # (PrimeContext.bh), lemma_4_1_check and pi_bar answer is off by a unit that
+    # differs per call, so both sides of a congruence cannot shift alike and no
+    # reduction mod p^e removes it.  Every check that reads one and PASSes
+    # somewhere must then leave PASS at some prime; for the biconditionals
+    # cor4.3 and cor4.4, whose truths can all flip together, a changed truth
+    # vector is enough.  The checks that read a table, lemma_4_1_check or pi_bar
+    # and no sum are named, so one that stops reading its value fails the gate.
+    # Each prime runs through _evaluate_prime, as run_suite would run it, but
+    # without its stop at the first FAIL.
     ids, primes = tuple(check_ids()), _primes(5, 200)
     clean = {q: registry._evaluate_prime((ids, q, {})) for q in primes}
     real_sum, real_legendre = engine.binomial_sum, engine.legendre_poly_eval
+    real_bh, real_lemma, real_pi_bar = PrimeContext.bh, registry.lemma_4_1_check, registry.pi_bar
     real_run = registry.run_check
     calls, running, reached = 0, None, set()
 
@@ -181,6 +185,18 @@ def test_a_pass_can_fail_when_its_sums_are_wrong(monkeypatch):
         l0, l1 = real_legendre(ctx, n, x0, x1, disc)
         return (l0 + offset(ctx.p)) % ctx.mod, l1
 
+    def faulty_bh(ctx, h, hi=None):
+        shift = offset(ctx.p)
+        return [(x + shift) % ctx.mod for x in real_bh(ctx, h, hi)]
+
+    def faulty_lemma(ctx):
+        ok, lhs, rhs = real_lemma(ctx)
+        return ok, (lhs + offset(ctx.p)) % ctx.p**2, rhs
+
+    def faulty_pi_bar(aligned):
+        value = real_pi_bar(aligned)
+        return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
+
     def tracking_run(cid, *args):
         nonlocal running
         running = cid
@@ -189,6 +205,9 @@ def test_a_pass_can_fail_when_its_sums_are_wrong(monkeypatch):
     monkeypatch.setattr(engine, "binomial_sum", faulty_sum)
     monkeypatch.setattr(registry, "binomial_sum", faulty_sum)
     monkeypatch.setattr(registry, "legendre_poly_eval", faulty_legendre)
+    monkeypatch.setattr(PrimeContext, "bh", faulty_bh)
+    monkeypatch.setattr(registry, "lemma_4_1_check", faulty_lemma)
+    monkeypatch.setattr(registry, "pi_bar", faulty_pi_bar)
     monkeypatch.setattr(registry, "run_check", tracking_run)
     faulty = {q: registry._evaluate_prime((ids, q, {})) for q in primes}
     assert reached and None not in reached
@@ -203,6 +222,9 @@ def test_a_pass_can_fail_when_its_sums_are_wrong(monkeypatch):
             if after.verdict != PASS or (equivalence and after.detail != before.detail):
                 moved.add(before.check)
     assert reached & passing <= moved, sorted(reached & passing - moved)
+    direct = {"gauss", "cde", "lemma4.1", "lemma2.3", "lemma2.4.d2", "lemma2.4.d3",
+              "lemma2.4.d7"}
+    assert direct <= moved, sorted(direct - moved)
     print(f"fault gate: PASS  {len(reached & passing)} checks read a faulted value "
           f"and each left PASS at one of {len(primes)} primes")
 

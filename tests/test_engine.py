@@ -3,6 +3,7 @@
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb, isqrt
 
 import pytest
@@ -348,7 +349,6 @@ def test_tables_grown_in_steps_equal_one_shot_builds():
         for h in (1, 2, 3):
             stepped.bh(h, n + 1)
             assert stepped.bh(h) == once.bh(h) == [comb(2 * k, k) ** h % mod for k in range(q)]
-        assert stepped.binom_units() == once.binom_units()
         for ws in _GROWTH_WEIGHTS:
             if ws.kind not in (HARMONIC, HARMONIC_GAP):
                 # const 1 and the Lucas family are walked without a table
@@ -377,7 +377,6 @@ def test_cold_half_sum_builds_only_half_tables():
                     if e >= 1:
                         binomial_sum(SumSpec(h, -64, poly, ws, rng, e), p, ctx)
         assert len(ctx._inv) == inv_len
-        assert len(ctx._binom) <= n + 1
         assert all(len(t) <= n + 1 for t in ctx._bh.values())
         assert all(len(t) <= n + 1 for t in ctx._weights.values())
 
@@ -441,10 +440,13 @@ def test_half_full_order_reuses_segments(monkeypatch):
                 assert len(walks) == 2
 
 
-def test_apery_table_matches_oracle():
+def test_apery_stream_matches_oracle():
     for q in (3, 5, 7, 13, 31):
         ctx = PrimeContext(OddPrime(q), 3)
-        assert ctx.apery() == [exact_apery(k) % ctx.mod for k in range(q)]
+        assert list(ctx.apery()) == [exact_apery(k) % ctx.mod for k in range(q)]
+        # a stream: each pass recomputes, and the context keeps no Apery table
+        assert list(ctx.apery()) == list(ctx.apery())
+        assert len(ctx._inv) <= q + 1 and not ctx._bh and not ctx._weights
 
 
 def test_context_refuses_primes_above_engine_bound(monkeypatch):
@@ -460,7 +462,7 @@ def test_context_refuses_primes_above_engine_bound(monkeypatch):
         binomial_sum(SumSpec(3, 64), OddPrime(17))
     ctx = PrimeContext(OddPrime(13), 2)
     with pytest.raises(AssertionError, match="tables allocated"):
-        ctx.binom_units()
+        ctx.bh(1)
 
 
 def test_shared_context_matches_cold_paths():
@@ -608,12 +610,15 @@ def test_walk_matches_naive_sums():
             for z0, z1, disc in points:
                 want = _naive_walks(c, z0, z1, disc, mod, lengths)
                 for n in lengths:
-                    assert engine._walk(c[:n], z0, z1, disc, mod, True) == want[n], (q, n)
-                    assert engine._walk(c[:n], z0, z1, disc, mod, False) == want[n][:2] + (0, 0)
+                    assert engine._walk(c[:n], n, z0, z1, disc, mod, True) == want[n], (q, n)
+                    # the kernel reads its terms once, so an iterator serves as a list
+                    assert (engine._walk(iter(c[:n]), n, z0, z1, disc, mod, False)
+                            == want[n][:2] + (0, 0))
                 # a segment c[k0:] walked from z^k0 adds up with its prefix
                 for k0 in sorted(lengths)[-3:]:
-                    head = engine._walk(c[:k0], z0, z1, disc, mod, True)
-                    tail = engine._walk(c[k0:], z0, z1, disc, mod, True, k0)
+                    head = engine._walk(c[:k0], k0, z0, z1, disc, mod, True)
+                    tail = engine._walk(islice(c, k0, None), size - k0, z0, z1, disc, mod,
+                                        True, k0)
                     assert tuple((x + y) % mod for x, y in zip(head, tail)) == want[size]
 
 

@@ -93,3 +93,14 @@ def test_engine_matches_exact_sum_on_sample_specs():
             fast = reduce(binomial_sum(spec, p), spec.e)
             slow = exact_sum(spec, p)
             assert fast.value == slow.value and fast.modulus == slow.modulus
+
+
+def test_exact_sum_refuses_a_prime_it_was_not_given():
+    # int(p) used to turn 13.5 and "13" into 13 and answer 10 mod 13^2
+    spec = SumSpec(3, 64)
+    assert exact_sum(spec, 13) == exact_sum(spec, OddPrime(13)) == binomial_sum(spec, 13)
+    for bad in (13.5, 13.0, "13", None):
+        with pytest.raises(TypeError):
+            exact_sum(spec, bad)
+        with pytest.raises(TypeError):
+            binomial_sum(spec, bad)

@@ -266,9 +266,32 @@ def test_gauss_and_cde_build_tables_to_their_one_entry():
         for cid in ("gauss", "cde"):
             ws = Workspace(OddPrime(q), 2)
             assert run_check(cid, q, workspace=ws).verdict == PASS
-            tables = [ws.ctx._inv, ws.ctx._binom, *ws.ctx._bh.values(),
-                      *ws.ctx._weights.values()]
+            tables = [ws.ctx._inv, *ws.ctx._bh.values(), *ws.ctx._weights.values()]
             assert max(len(t) for t in tables) == k + 1
+
+
+def test_a_full_sweep_keeps_each_table_once(monkeypatch):
+    # every check at one prime, through the sweep's own path: the context keeps
+    # no inverse above p, no table past k < p, and no Apery or unit-part table
+    q = 1009
+    workspaces = []
+    init = Workspace.__init__
+
+    def recording_init(self, p, power):
+        init(self, p, power)
+        workspaces.append(self)
+
+    monkeypatch.setattr(Workspace, "__init__", recording_init)
+    reports = registry._evaluate_prime((tuple(check_ids()), q, {}))
+    assert {r.verdict for r in reports} <= {PASS, SKIP}
+    (ctx,) = [ws.ctx for ws in workspaces]
+    assert len(ctx._inv) <= q + 1
+    tables = [ctx._inv, *ctx._bh.values(), *ctx._weights.values(), *ctx._legendre.values()]
+    assert max(len(t) for t in tables[1:]) <= q
+    assert set(ctx.__slots__) == {"prime", "p", "digits", "mod", "n", "_inv", "_bh",
+                                  "_weights", "_moments", "_legendre"}
+    # inverses, binom^1..3, the harmonic gap and P_n coefficients: 5.5 p entries
+    assert sum(map(len, tables)) <= 5.5 * q + 2
 
 
 def test_run_suite_builds_one_context_per_prime(monkeypatch):

@@ -1,4 +1,4 @@
-"""Weight sequences on PrimeContext: Lucas pairs by walks, binomial, harmonic and Apery tables."""
+"""Sequences on PrimeContext: Lucas pairs by walks, binomial and harmonic tables, Apery stream."""
 
 import random
 from math import comb
@@ -41,7 +41,7 @@ def _lucas(q: int, kind: str, a: int, b: int, k: int, digits: int = 2) -> int:
     """
     mod = q**digits
     point, side = engine._point(WeightSpec(kind, a, b), 1, mod)
-    return 2 * engine._walk([0] * k + [1], *point, mod, False)[side] % mod
+    return 2 * engine._walk([0] * k + [1], k + 1, *point, mod, False)[side] % mod
 
 
 def _table(q: int, kind: str, a: int = 0, b: int = 0, digits: int = 2) -> list:
@@ -172,25 +172,28 @@ def test_lucas_quadratic_relation():
         assert (v * v - (a * a - 4 * b) * u * u - 4 * b**n) % mod == 0
 
 
-def test_binom_units_values_and_valuation():
+def test_central_binomial_residues_and_valuation():
     ctx = PrimeContext(OddPrime(7), 2)
     binoms = ctx.bh(1)
     assert len(binoms) == 7
     assert binoms[3] == 20 % 49
-    assert binoms[4] == 70 % 49 == 7 * ctx.binom_units()[4] % 49
+    assert binoms[4] == 70 % 49 == 7 * 10 % 49
     for q in PRIMES_100:
-        ctx = PrimeContext(OddPrime(q), 2)
-        units, binoms = ctx.binom_units(), ctx.bh(1)
-        for k in range(q):
-            want = 0 if k <= (q - 1) // 2 else 1
-            assert units[k] % q and (binoms[k] % q == 0) == (want == 1)
-            exact = comb(2 * k, k)
-            count = 0
-            while exact % q == 0:
-                exact //= q
-                count += 1
-            assert count == want
-            assert units[k] == exact % ctx.mod and binoms[k] == comb(2 * k, k) % ctx.mod
+        for digits in (2, 5):
+            ctx = PrimeContext(OddPrime(q), digits)
+            binoms = ctx.bh(1)
+            for k in range(q):
+                # p divides binomial(2k,k) exactly once for n < k < p, and the
+                # residue carries that p: its quotient by p is still a unit
+                want = 0 if k <= (q - 1) // 2 else 1
+                exact = comb(2 * k, k)
+                count = 0
+                while exact % q == 0:
+                    exact //= q
+                    count += 1
+                assert count == want
+                assert binoms[k] == comb(2 * k, k) % ctx.mod
+                assert (binoms[k] // q**want) % q
 
 
 def test_harmonic_examples():
@@ -229,7 +232,7 @@ def test_apery_values():
     assert exact_apery(0) == 1
     assert exact_apery(1) == 5
     assert exact_apery(2) == 73
-    table = PrimeContext(OddPrime(13), 2).apery()
+    table = list(PrimeContext(OddPrime(13), 2).apery())
     assert table[2] == 73
     assert len(table) == 13
     for n, term in enumerate(table):
@@ -238,9 +241,12 @@ def test_apery_values():
 
 def test_apery_recurrence_matches_defining_sum():
     for q in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        count = 0
         for n, term in enumerate(PrimeContext(OddPrime(q), 2).apery()):
             want = sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
             assert term == want % q**2
+            count += 1
+        assert count == q
 
 
 def test_weight_table_kinds():
