@@ -35,7 +35,6 @@ from .errors import (
 )
 from .quadform import CONVENTIONS, RAW, normalize, represent
 from .registry import (
-    ABORT,
     CONJECTURAL,
     PROVED,
     check_ids,
@@ -282,12 +281,8 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    proved_fail = any(
-        r.verdict in ("FAIL", "ERROR") and get_check(r.check).failure_mode == ABORT
-        for r in result.reports
-    )
     counterexample = any(r.verdict == "COUNTEREXAMPLE" for r in result.reports)
-    if proved_fail or (strict and counterexample):
+    if result.aborted is not None or (strict and counterexample):
         return 1
     return 0
 

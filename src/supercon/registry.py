@@ -19,11 +19,11 @@ import os
 import random
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
-from operator import mul
+from operator import index, mul
 from typing import Callable
 
 from .arith import (
@@ -44,6 +44,7 @@ from .engine import (
     SumSpec,
     WeightSpec,
     binomial_sum,
+    check_engine_prime,
     ext_pow,
     lemma_4_1_check,
     legendre_poly_eval,
@@ -962,7 +963,7 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
     check = get_check(check_id)
     if e_override is not None:
         check_overrides({check_id: e_override})
-    prime = p if isinstance(p, OddPrime) else OddPrime(int(p))
+    prime = p if isinstance(p, OddPrime) else OddPrime(index(p))
     started = time.perf_counter()
     try:
         if not check.hypothesis(prime):
@@ -1056,21 +1057,23 @@ def _first_abort(batch) -> "CheckReport | None":
 def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) -> SuiteResult:
     """Run the named checks over the given primes.
 
-    Results come back sorted by (p, check id) no matter how many workers
-    ran them, one report per distinct id and prime.  A FAIL or ERROR on an
-    abort-mode check stops the run at the smallest prime P where one
-    occurs: the reports end with P's batch and `aborted` is the first such
-    report at P, whatever the worker count.  With workers, an abort at P
-    cancels the jobs above P and lets those below finish, since one of them
-    may abort first.  An override for a check that is not in ids, or whose
-    evaluator does not read its power, raises OverrideRefused.
+    Each prime's batch of reports is read in prime order, serially or from
+    a pool of at most min(workers, len(primes)) processes, so the reports
+    come sorted by (p, check id), one per distinct id and prime, whatever
+    the worker count.  A FAIL or ERROR on an abort-mode check stops the run
+    at the first prime P where one occurs: the reports end with P's batch,
+    `aborted` is the first such report at P, and the jobs not yet read are
+    cancelled.  A prime that is not an integer (a float or a str) raises
+    TypeError, and one above ENGINE_PRIME_BOUND raises PrimeTooLarge before
+    any prime runs; other ints that are not odd primes are dropped.  An
+    override for a check that is not in ids, or whose evaluator does not
+    read its power, raises OverrideRefused.
     """
     ids = sorted(set(ids))
     for cid in ids:
         get_check(cid)
     # accept any integer iterable (e.g. range(5, 101)) and keep the odd primes
-    primes = sorted({int(q) for q in primes
-                     if int(q) >= 3 and int(q) % 2 and is_prime(int(q))})
+    primes = sorted({q for q in map(index, primes) if q >= 3 and q % 2 and is_prime(q)})
     overrides = dict(overrides or {})
     check_overrides(overrides)
     stray = sorted(set(overrides) - set(ids))
@@ -1078,33 +1081,20 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
         raise OverrideRefused(f"override for {', '.join(stray)}, which this run does not include")
     if not ids or not primes:
         return SuiteResult((), {})
+    check_engine_prime(OddPrime(primes[-1]))
     jobs = [(tuple(ids), q, overrides) for q in primes]
-    batches: dict = {}
-    if workers <= 1:
-        for job in jobs:
-            batches[job[1]] = _evaluate_prime(job)
-            if _first_abort(batches[job[1]]):
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(_evaluate_prime, job): job[1] for job in jobs}
-            cut = None
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    q = pending.pop(fut)
-                    batches[q] = fut.result()
-                    if _first_abort(batches[q]) and (cut is None or q < cut):
-                        cut = q
-                if cut is not None:
-                    for fut in [f for f, q in pending.items() if q > cut]:
-                        fut.cancel()
-                        del pending[fut]
+    # a forked pool starts all its workers at once, so it gets no more than the jobs
+    workers = min(workers, len(jobs))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     reports: list = []
     aborted = None
-    for q in sorted(batches):
-        reports.extend(batches[q])
-        aborted = _first_abort(batches[q])
-        if aborted:
-            break
+    try:
+        for batch in (pool.map if pool else map)(_evaluate_prime, jobs):
+            reports.extend(batch)
+            aborted = _first_abort(batch)
+            if aborted:
+                break
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
     return SuiteResult(tuple(reports), _summarize(reports), aborted)

@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -51,6 +52,7 @@ from supercon.registry import (
     FAIL,
     PASS,
     PROVED,
+    Workspace,
     check_ids,
     checks,
     lemma_2_2_arguments,
@@ -153,21 +155,29 @@ def test_legendre_evaluations_match_exact_expansion():
     print(f"legendre gate: PASS  {len(calls)} P_n evaluations vs exact sums")
 
 
-def test_a_pass_can_fail_when_its_sums_are_wrong(monkeypatch):
-    # Fault injection: every binomial_sum, legendre_poly_eval, binomial table
-    # (PrimeContext.bh), lemma_4_1_check and pi_bar answer is off by a unit that
-    # differs per call, so both sides of a congruence cannot shift alike and no
-    # reduction mod p^e removes it.  Every check that reads one and PASSes
-    # somewhere must then leave PASS at some prime; for the biconditionals
-    # cor4.3 and cor4.4, whose truths can all flip together, a changed truth
-    # vector is enough.  The checks that read a table, lemma_4_1_check or pi_bar
-    # and no sum are named, so one that stops reading its value fails the gate.
-    # Each prime runs through _evaluate_prime, as run_suite would run it, but
-    # without its stop at the first FAIL.
-    ids, primes = tuple(check_ids()), _primes(5, 200)
-    clean = {q: registry._evaluate_prime((ids, q, {})) for q in primes}
-    real_sum, real_legendre = engine.binomial_sum, engine.legendre_poly_eval
-    real_bh, real_lemma, real_pi_bar = PrimeContext.bh, registry.lemma_4_1_check, registry.pi_bar
+FAULT_PRIMES = tuple(_primes(5, 200))
+
+
+@functools.cache
+def _clean_sweep() -> dict:
+    ids = tuple(check_ids())
+    return {q: registry._evaluate_prime((ids, q, {})) for q in FAULT_PRIMES}
+
+
+def _faulted_sweep(install) -> tuple:
+    """(reached, passing, moved) over FAULT_PRIMES with install's faults in place.
+
+    install(mp, offset) patches through the MonkeyPatch mp; offset(q) is a unit
+    1 + (call count mod (q - 1)) that differs per call, so both sides of a
+    congruence cannot shift alike and no reduction mod p^e removes it.
+    reached holds the checks that drew an offset, passing those that PASS
+    somewhere without faults, and moved those of them that leave PASS at some
+    prime with them; for the biconditionals cor4.3 and cor4.4, whose truths can
+    all flip together, a changed truth vector is enough.  Each prime runs
+    through _evaluate_prime, as run_suite would run it, but without its stop
+    at the first FAIL.
+    """
+    ids, clean = tuple(check_ids()), _clean_sweep()
     real_run = registry.run_check
     calls, running, reached = 0, None, set()
 
@@ -177,43 +187,19 @@ def test_a_pass_can_fail_when_its_sums_are_wrong(monkeypatch):
         reached.add(running)
         return 1 + calls % (q - 1)
 
-    def faulty_sum(spec, p, ctx=None):
-        value = real_sum(spec, p, ctx)
-        return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
-
-    def faulty_legendre(ctx, n, x0, x1=0, disc=0):
-        l0, l1 = real_legendre(ctx, n, x0, x1, disc)
-        return (l0 + offset(ctx.p)) % ctx.mod, l1
-
-    def faulty_bh(ctx, h, hi=None):
-        shift = offset(ctx.p)
-        return [(x + shift) % ctx.mod for x in real_bh(ctx, h, hi)]
-
-    def faulty_lemma(ctx):
-        ok, lhs, rhs = real_lemma(ctx)
-        return ok, (lhs + offset(ctx.p)) % ctx.p**2, rhs
-
-    def faulty_pi_bar(aligned):
-        value = real_pi_bar(aligned)
-        return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
-
     def tracking_run(cid, *args):
         nonlocal running
         running = cid
         return real_run(cid, *args)
 
-    monkeypatch.setattr(engine, "binomial_sum", faulty_sum)
-    monkeypatch.setattr(registry, "binomial_sum", faulty_sum)
-    monkeypatch.setattr(registry, "legendre_poly_eval", faulty_legendre)
-    monkeypatch.setattr(PrimeContext, "bh", faulty_bh)
-    monkeypatch.setattr(registry, "lemma_4_1_check", faulty_lemma)
-    monkeypatch.setattr(registry, "pi_bar", faulty_pi_bar)
-    monkeypatch.setattr(registry, "run_check", tracking_run)
-    faulty = {q: registry._evaluate_prime((ids, q, {})) for q in primes}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(registry, "run_check", tracking_run)
+        install(mp, offset)
+        faulty = {q: registry._evaluate_prime((ids, q, {})) for q in FAULT_PRIMES}
     assert reached and None not in reached
 
     passing, moved = set(), set()
-    for q in primes:
+    for q in FAULT_PRIMES:
         for before, after in zip(clean[q], faulty[q]):
             if before.verdict != PASS:
                 continue
@@ -221,12 +207,103 @@ def test_a_pass_can_fail_when_its_sums_are_wrong(monkeypatch):
             equivalence = before.check in ("cor4.3", "cor4.4")
             if after.verdict != PASS or (equivalence and after.detail != before.detail):
                 moved.add(before.check)
+    return reached, passing, moved
+
+
+def test_a_pass_can_fail_when_its_sums_are_wrong():
+    # Faults in the left sides: every binomial_sum, legendre_poly_eval, binomial
+    # table (PrimeContext.bh), lemma_4_1_check and pi_bar answer is offset.
+    # Every check that reads one and PASSes somewhere must leave PASS.  The
+    # checks that read a table, lemma_4_1_check or pi_bar and no sum are named,
+    # so one that stops reading its value fails the gate.
+    real_sum, real_legendre = engine.binomial_sum, engine.legendre_poly_eval
+    real_bh, real_lemma, real_pi_bar = PrimeContext.bh, registry.lemma_4_1_check, registry.pi_bar
+
+    def install(mp, offset):
+        def faulty_sum(spec, p, ctx=None):
+            value = real_sum(spec, p, ctx)
+            return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
+
+        def faulty_legendre(ctx, n, x0, x1=0, disc=0):
+            l0, l1 = real_legendre(ctx, n, x0, x1, disc)
+            return (l0 + offset(ctx.p)) % ctx.mod, l1
+
+        def faulty_bh(ctx, h, hi=None):
+            shift = offset(ctx.p)
+            return [(x + shift) % ctx.mod for x in real_bh(ctx, h, hi)]
+
+        def faulty_lemma(ctx):
+            ok, lhs, rhs = real_lemma(ctx)
+            return ok, (lhs + offset(ctx.p)) % ctx.p**2, rhs
+
+        def faulty_pi_bar(aligned):
+            value = real_pi_bar(aligned)
+            return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
+
+        mp.setattr(engine, "binomial_sum", faulty_sum)
+        mp.setattr(registry, "binomial_sum", faulty_sum)
+        mp.setattr(registry, "legendre_poly_eval", faulty_legendre)
+        mp.setattr(PrimeContext, "bh", faulty_bh)
+        mp.setattr(registry, "lemma_4_1_check", faulty_lemma)
+        mp.setattr(registry, "pi_bar", faulty_pi_bar)
+
+    reached, passing, moved = _faulted_sweep(install)
     assert reached & passing <= moved, sorted(reached & passing - moved)
     direct = {"gauss", "cde", "lemma4.1", "lemma2.3", "lemma2.4.d2", "lemma2.4.d3",
               "lemma2.4.d7"}
     assert direct <= moved, sorted(direct - moved)
     print(f"fault gate: PASS  {len(reached & passing)} checks read a faulted value "
-          f"and each left PASS at one of {len(primes)} primes")
+          f"and each left PASS at one of {len(FAULT_PRIMES)} primes")
+
+
+def test_a_pass_can_fail_when_its_right_side_is_wrong():
+    # Faults in the right sides' inputs, one kind per sweep: the Fermat
+    # quotient, then the x and y of p = x^2 + d y^2 as the evaluators read
+    # them.  Workspace.aligned keeps the true representation: the pi_bar
+    # fault above already covers what it feeds.  Both sets are named, so a
+    # check that stops reading its input fails the gate.
+    real_quotient, real_rep, real_aligned = (
+        registry.fermat_quotient, Workspace.rep, Workspace.aligned)
+
+    def fault_quotient(mp, offset):
+        def faulty_quotient(m, p):
+            value = real_quotient(m, p)
+            return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
+
+        mp.setattr(registry, "fermat_quotient", faulty_quotient)
+
+    def fault_rep(mp, offset):
+        aligning = False
+
+        def faulty_rep(ws, d, convention):
+            rep = real_rep(ws, d, convention)
+            if aligning:
+                return rep
+            shift = offset(ws.q)
+            return SimpleNamespace(x=rep.x + shift, y=rep.y + shift)
+
+        def true_aligned(ws, d, convention):
+            nonlocal aligning
+            aligning = True
+            try:
+                return real_aligned(ws, d, convention)
+            finally:
+                aligning = False
+
+        mp.setattr(Workspace, "rep", faulty_rep)
+        mp.setattr(Workspace, "aligned", true_aligned)
+
+    quotient_readers = {"eq1.9", "cor4.1", "cor4.1.b", "cor4.2", "cor4.3", "cor4.4"}
+    rep_readers = {"gauss", "cde", "eq1.0", "eq1.1", "eq1.3", "eq1.4", "su5.intro",
+                   "thm1.1.i", "thm1.1.ii", "thm1.2.i", "thm1.2.ii.a", "thm1.2.ii.b2",
+                   "thm1.3.i", "thm1.3.ii", "thm1.4.i", "thm1.4.ii", "cor4.1", "cor4.1.b",
+                   "cor4.2", "cor4.3", "cor4.4"}
+    for install, readers in ((fault_quotient, quotient_readers), (fault_rep, rep_readers)):
+        reached, passing, moved = _faulted_sweep(install)
+        assert reached & passing == readers, sorted((reached & passing) ^ readers)
+        assert readers <= moved, (install.__name__, sorted(readers - moved))
+        print(f"{install.__name__}: PASS  {len(readers)} checks left PASS "
+              f"at one of {len(FAULT_PRIMES)} primes")
 
 
 def test_criterion_1_proved_suite():

@@ -1,12 +1,13 @@
 """Check catalogue semantics and the suite runner."""
 
 import dataclasses
+import time
 
 import pytest
 
 from supercon import engine, registry
 from supercon.arith import OddPrime, is_prime
-from supercon.errors import OverrideRefused, UnknownCheckId
+from supercon.errors import OverrideRefused, PrimeTooLarge, UnknownCheckId
 from supercon.quadform import RAW, QuadRep
 from supercon.registry import (
     ABORT,
@@ -177,6 +178,34 @@ def test_abort_cuts_serial_and_parallel_runs_alike(monkeypatch, bad_p):
     assert {r.p for r in serial.reports} == {q for q in range(1009, bad_p + 1) if is_prime(q)}
 
 
+def test_a_job_above_the_abort_cannot_break_the_run(monkeypatch):
+    # eq1.0 fails at 1009 only after the job at 1013 has raised; a run that
+    # reads the batches in prime order stops at 1009 and never sees the raise
+    check = get_check("eq1.0")
+
+    def evaluate(ws, e):
+        if ws.q == 1009:
+            time.sleep(0.2)
+            return [(0, 1, ws.mod(2))]
+        return check.evaluate(ws, e)
+
+    init = Workspace.__init__
+
+    def raising_init(self, p, power):
+        if p.p == 1013:
+            raise RuntimeError("the job above the abort")
+        init(self, p, power)
+
+    monkeypatch.setitem(registry._CHECKS, "eq1.0", dataclasses.replace(check, evaluate=evaluate))
+    monkeypatch.setattr(Workspace, "__init__", raising_init)
+    serial = run_suite(["eq1.0", "eq1.1"], range(1000, 1101))
+    assert serial.aborted.p == 1009 and serial.aborted.verdict == FAIL
+    assert [r.p for r in serial.reports] == [1009, 1009]
+    for _ in range(3):
+        parallel = run_suite(["eq1.0", "eq1.1"], range(1000, 1101), workers=2)
+        assert _fields(parallel) == _fields(serial)
+
+
 def test_evaluator_exception_is_an_error_report(monkeypatch):
     check = get_check("eq1.0")
 
@@ -242,6 +271,63 @@ def test_run_suite_removes_duplicate_ids(workers):
         (5, "eq1.0"), (5, "gauss"), (13, "eq1.0"), (13, "gauss"),
     ]
     assert res.summary["eq1.0"] == {PASS: 2}
+
+
+class _Thirteen:
+    def __index__(self):
+        return 13
+
+
+def test_a_prime_must_be_an_int():
+    # a float or a str is refused, not truncated or parsed into a prime
+    for p in (13.5, 13.0, "13"):
+        with pytest.raises(TypeError):
+            run_check("eq1.0", p)
+    with pytest.raises(TypeError):
+        run_suite(["eq1.0"], [13.5, "17", 19.9])
+    assert run_check("eq1.0", _Thirteen()).p == 13
+    res = run_suite(["eq1.0"], [True, 2, 9, _Thirteen(), 15, 17])
+    assert [r.p for r in res.reports] == [13, 17]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the process pool by a serial one and record each pool's size."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(registry, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_the_pool_is_no_larger_than_the_prime_count(recording_pool):
+    def swept(primes):
+        return [(r.p, r.verdict) for r in run_suite(["eq1.0"], primes, workers=3).reports]
+
+    assert swept([5]) == [(5, PASS)]
+    assert recording_pool == []
+    assert swept([5, 7]) == [(5, PASS), (7, PASS)]
+    assert swept(range(5, 30)) == [(q, PASS) for q in SMALL_PRIMES]
+    assert recording_pool == [2, 3]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_suite_refuses_a_prime_above_the_bound_before_running(monkeypatch, recording_pool,
+                                                                workers):
+    ran = []
+    monkeypatch.setattr(registry, "_evaluate_prime", lambda job: ran.append(job[1]) or [])
+    with pytest.raises(PrimeTooLarge, match="1000003"):
+        run_suite(["eq1.0"], [5, 7, 1000003], workers=workers)
+    assert ran == [] and recording_pool == []
 
 
 def test_run_check_refuses_a_mismatched_workspace():
