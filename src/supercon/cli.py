@@ -72,7 +72,7 @@ def _parse_primes(text: str) -> list:
         above = (q for q in range(max(lo, ENGINE_PRIME_BOUND + 1), hi + 1) if is_prime(q))
         first = next(above, None)
         if first is not None:
-            check_engine_prime(OddPrime(first))
+            check_engine_prime(first)
         out = [q for q in range(max(lo, 3), hi + 1) if q % 2 and is_prime(q)]
     else:
         out = []
@@ -82,7 +82,7 @@ def _parse_primes(text: str) -> list:
                 raise ValueError(f"{q} is not an odd prime")
             out.append(q)
     if out:
-        check_engine_prime(OddPrime(max(out)))
+        check_engine_prime(max(out))
     return out
 
 
@@ -310,8 +310,8 @@ def cmd_represent(args) -> int:
 
 def cmd_sum(args) -> int:
     try:
+        check_engine_prime(args.p)
         p = OddPrime(args.p)
-        check_engine_prime(p)
         m = Fraction(args.m)
         m = int(m) if m.denominator == 1 else m
         poly = tuple(int(c) for c in args.poly.split(","))

@@ -69,10 +69,14 @@ MAX_POWER = 4  # every congruence is taken mod p^e, 1 <= e <= MAX_POWER
 ENGINE_PRIME_BOUND = 10**6
 
 
-def check_engine_prime(p: OddPrime) -> None:
-    """PrimeTooLarge when p is above ENGINE_PRIME_BOUND."""
-    if p.p > ENGINE_PRIME_BOUND:
-        raise PrimeTooLarge(f"p = {p.p} is above the engine bound {ENGINE_PRIME_BOUND}")
+def check_engine_prime(q: int) -> None:
+    """PrimeTooLarge when the int q is above ENGINE_PRIME_BOUND.
+
+    It takes an int so that a caller can refuse q before building an
+    OddPrime, which refuses q >= 2^63 with a ValueError.
+    """
+    if q > ENGINE_PRIME_BOUND:
+        raise PrimeTooLarge(f"p = {q} is above the engine bound {ENGINE_PRIME_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ class PrimeContext:
             raise TypeError(f"prime must be an OddPrime, got {type(prime).__name__}")
         if not 2 <= digits <= MAX_DIGITS:
             raise ValueError(f"digits {digits} outside 2..{MAX_DIGITS}")
-        check_engine_prime(prime)
+        check_engine_prime(prime.p)
         self.prime = prime
         self.p = prime.p
         self.digits = digits

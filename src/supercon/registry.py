@@ -1,9 +1,17 @@
 """Named congruence checks over prime moduli, plus the suite runner.
 
-Each check bundles its hypotheses on p, the evaluators for both sides,
+Each check bundles its hypotheses on p, the evaluator for both sides,
 the modulus power, and pass/fail semantics.  Proved results abort the
 suite when they fail (that signals an implementation bug); conjectural
 or biconditional statements record counterexamples and continue.
+
+An evaluator returns its congruences as (lhs, rhs) pairs of p-integral
+ints or Fractions, written as the paper writes them, or an Equivalence.
+It names no modulus: run_check runs the check at a power e (its
+override, else modulus_power), reduces both sides of each pair mod p^e,
+and reports the first pair that differs.  Modular arithmetic stays only
+where a value must be a residue: an exponentiation mod p^2, a point in
+Z[w], an argument to legendre_poly_eval, a biconditional's truths.
 
 A check does not list the sums it evaluates.  The oracle gates in
 tests/test_acceptance.py cover the sums the catalogue is observed to
@@ -106,19 +114,12 @@ THM41_GRID = (
 
 
 def _res(value, mod: int) -> int:
-    fr = Fraction(value)
-    return fr.numerator * pow(fr.denominator, -1, mod) % mod
+    """A p-integral int or Fraction as a residue mod a power of p."""
+    return value.numerator * pow(value.denominator, -1, mod) % mod
 
 
 def _sgn(c: int) -> int:
     return -1 if c % 2 else 1
-
-
-def _pow_frac(base, exp: int, mod: int) -> int:
-    fr = Fraction(base)
-    num = pow(fr.numerator, exp, mod)
-    den = pow(fr.denominator, exp, mod)
-    return num * pow(den, -1, mod) % mod
 
 
 class Workspace:
@@ -186,13 +187,18 @@ class Workspace:
         return self._cache[key]
 
     def legendre_poly(self, value: int) -> int:
-        """P_n(value) mod p^2 for n = (p-1)/2."""
-        return legendre_poly_eval(self.ctx, self.n, value)[0] % self.mod(2)
+        """P_n(value) for n = (p-1)/2, to the context's digits."""
+        return legendre_poly_eval(self.ctx, self.n, value)[0]
 
 
 @dataclass(frozen=True)
 class Equivalence:
-    """Truth values whose mutual agreement is the claim under test."""
+    """Truth values whose mutual agreement is the claim under test.
+
+    The evaluator decides each truth at the modulus its statement names;
+    witness is an (lhs, rhs) pair of p-integral values, which run_check
+    reduces mod p^e for the report like any other pair.
+    """
 
     truths: tuple
     witness: tuple
@@ -245,149 +251,122 @@ class CheckReport:
 def _ev_gauss(ws: Workspace, e: int):
     x = ws.rep(1, D1_ODDX1MOD4).x
     k = (ws.q - 1) // 4
-    return [(ws.ctx.bh(1, k + 1)[k] % ws.q, 2 * x % ws.q, ws.q)]
+    return [(ws.ctx.bh(1, k + 1)[k], 2 * x)]
 
 
 def _ev_cde(ws: Workspace, e: int):
     x = ws.rep(1, D1_ODDX1MOD4).x
-    mod2 = ws.mod(2)
     k = (ws.q - 1) // 4
-    lhs = ws.ctx.bh(1, k + 1)[k] % mod2
-    factor = (pow(2, ws.q - 1, mod2) + 1) * _res(Fraction(1, 2), mod2) % mod2
-    rhs = factor * ((2 * x - _res(Fraction(ws.q, 2 * x), mod2)) % mod2) % mod2
-    return [(lhs, rhs, mod2)]
+    factor = Fraction(pow(2, ws.q - 1, ws.mod(2)) + 1, 2)
+    return [(ws.ctx.bh(1, k + 1)[k], factor * (2 * x - Fraction(ws.q, 2 * x)))]
 
 
-def _four_x_sq(ws: Workspace, d: int, mod: int) -> int:
+def _four_x_sq(ws: Workspace, d: int) -> int:
     x = ws.rep(d, RAW).x
-    return (4 * x * x - 2 * ws.q) % mod
+    return 4 * x * x - 2 * ws.q
 
 
 def _ev_eq1_0(ws: Workspace, e: int):
-    mod = ws.mod(2)
-    rhs = _four_x_sq(ws, 1, mod) if ws.q % 4 == 1 else 0
-    return [(ws.sum(3, 64, e=2), rhs, mod)]
+    rhs = _four_x_sq(ws, 1) if ws.q % 4 == 1 else 0
+    return [(ws.sum(3, 64, e=2), rhs)]
 
 
 def _ev_eq1_1(ws: Workspace, e: int):
-    mod = ws.mod(2)
-    rhs = _four_x_sq(ws, 7, mod) if legendre_symbol(ws.q, 7) == 1 else 0
-    return [(ws.sum(3, 1, e=2), rhs, mod)]
+    rhs = _four_x_sq(ws, 7) if legendre_symbol(ws.q, 7) == 1 else 0
+    return [(ws.sum(3, 1, e=2), rhs)]
 
 
 def _ev_eq1_2(ws: Workspace, e: int):
-    mod = ws.mod(e)
     a = ws.sum(3, -8, e=e)
-    b = ws.legendre(2) * ws.sum(3, -512, e=e) % mod
+    b = ws.legendre(2) * ws.sum(3, -512, e=e)
     c = ws.sum(3, 64, e=e)
-    return [(a, b, mod), (b, c, mod)]
+    return [(a, b), (b, c)]
 
 
 def _ev_eq1_3(ws: Workspace, e: int):
-    mod = ws.mod(2)
-    rhs = ws.legendre(2) * _four_x_sq(ws, 2, mod) % mod if ws.q % 8 in (1, 3) else 0
-    return [(ws.sum(3, -64, e=2), rhs, mod)]
+    rhs = ws.legendre(2) * _four_x_sq(ws, 2) if ws.q % 8 in (1, 3) else 0
+    return [(ws.sum(3, -64, e=2), rhs)]
 
 
 def _ev_eq1_4(ws: Workspace, e: int):
-    mod = ws.mod(2)
-    rhs = _four_x_sq(ws, 3, mod) if ws.q % 3 == 1 else 0
-    return [(ws.sum(3, 16, e=2), rhs, mod)]
+    rhs = _four_x_sq(ws, 3) if ws.q % 3 == 1 else 0
+    return [(ws.sum(3, 16, e=2), rhs)]
 
 
 def _ev_eq1_5(ws: Workspace, e: int):
-    mod = ws.mod(e)
-    rhs = ws.legendre(-1) * ws.sum(3, 16, e=e) % mod
-    return [(ws.sum(3, 256, e=e), rhs, mod)]
+    return [(ws.sum(3, 256, e=e), ws.legendre(-1) * ws.sum(3, 16, e=e))]
 
 
 def _ev_eq1_6(ws: Workspace, e: int):
-    mod = ws.mod(e)
-    rhs = ws.legendre(-1) * ws.sum(3, 1, e=e) % mod
-    return [(ws.sum(3, 4096, e=e), rhs, mod)]
+    return [(ws.sum(3, 4096, e=e), ws.legendre(-1) * ws.sum(3, 1, e=e))]
 
 
 def _ev_eq1_8(ws: Workspace, e: int):
-    mod = ws.mod(2)
-    lhs = sum(map(mul, ws.ctx.apery(), cycle((1, -1)))) % mod
-    return [(lhs, ws.sum(3, 16, e=2), mod)]
+    lhs = sum(map(mul, ws.ctx.apery(), cycle((1, -1))))
+    return [(lhs, ws.sum(3, 16, e=2))]
 
 
 def _ev_eq1_9(ws: Workspace, e: int):
-    q = ws.q
-    out = []
-    for m in M_GRID:
-        lhs = ws.sum(3, m, (1,), GAP_WEIGHT, FULL, 1)
-        rhs = fermat_quotient(m, ws.prime).value * _res(Fraction(1, 6), q) % q
-        rhs = rhs * ws.sum(3, m, e=1) % q
-        out.append((lhs, rhs, q))
-    return out
+    return [
+        (ws.sum(3, m, (1,), GAP_WEIGHT, FULL, 1),
+         Fraction(fermat_quotient(m, ws.prime).value * ws.sum(3, m, e=1), 6))
+        for m in M_GRID
+    ]
 
 
 def _ev_su5_intro(ws: Workspace, e: int):
-    mod = ws.mod(2)
     x = ws.rep(1, D1_ODDX1MOD4).x
-    target = ws.legendre(2) * x % mod
+    target = ws.legendre(2) * x
     s1 = ws.sum(2, 8, (1, 1), CONST_WEIGHT, HALF, 2)
     s2 = ws.sum(2, -16, (2, 1), CONST_WEIGHT, HALF, 2)
-    return [(s1, target, mod), (s2, target, mod)]
+    return [(s1, target), (s2, target)]
 
 
 def _ev_jameson_ono(ws: Workspace, e: int):
-    return [(ws.sum(3, 1, (1,), GAP_WEIGHT, HALF, 1), 0, ws.q)]
+    return [(ws.sum(3, 1, (1,), GAP_WEIGHT, HALF, 1), 0)]
 
 
 def _ev_su1_1_11(ws: Workspace, e: int):
-    return [(ws.sum(3, 64, (1,), HARMONIC_WEIGHT, HALF, 1), 0, ws.q)]
+    return [(ws.sum(3, 64, (1,), HARMONIC_WEIGHT, HALF, 1), 0)]
 
 
 def _ev_thm1_1_i(ws: Workspace, e: int):
-    mod = ws.mod(2)
     x = ws.rep(2, X1MOD4).x
-    a = 4 * ws.sum(2, 32, (1, 0), WeightSpec(PELL)) % mod
+    a = 4 * ws.sum(2, 32, (1, 0), WeightSpec(PELL))
     b = ws.sum(2, 32, (1, 0), WeightSpec(COMPANION_PELL))
-    c = _sgn((ws.q - 1) // 8 + (x - 1) // 4) * (
-        (_res(Fraction(ws.q, x), mod) - 2 * x) % mod
-    ) % mod
-    d = _sgn((x - 1) // 4) * x % mod
+    c = _sgn((ws.q - 1) // 8 + (x - 1) // 4) * (Fraction(ws.q, x) - 2 * x)
+    d = _sgn((x - 1) // 4) * x
     t = ws.sum(2, 32, (1, 1), WeightSpec(COMPANION_PELL))
-    ee = _sgn((ws.q - 1) // 8) * _res(Fraction(1, 2), mod) * t % mod
-    return [(a, c, mod), (b, c, mod), (d, ee, mod)]
+    return [(a, c), (b, c), (d, _sgn((ws.q - 1) // 8) * Fraction(t, 2))]
 
 
 def _ev_thm1_1_ii(ws: Workspace, e: int):
-    mod = ws.mod(2)
     y = ws.rep(2, RAW).y
     a = ws.sum(2, 32, (1, 0), WeightSpec(PELL))
-    b = _res(Fraction(1, 2), mod) * ws.sum(2, 32, (1, 0), WeightSpec(COMPANION_PELL)) % mod
-    c = _sgn((y + 1) // 2) * y % mod
+    b = Fraction(ws.sum(2, 32, (1, 0), WeightSpec(COMPANION_PELL)), 2)
+    c = _sgn((y + 1) // 2) * y
     d = ws.sum(2, 32, (1,), WeightSpec(PELL))
-    ee = _sgn((y - 1) // 2) * ((2 * y - _res(Fraction(ws.q, 4 * y), mod)) % mod) % mod
-    return [(a, c, mod), (b, c, mod), (d, ee, mod)]
+    return [(a, c), (b, c), (d, _sgn((y - 1) // 2) * (2 * y - Fraction(ws.q, 4 * y)))]
 
 
 def _ev_thm1_2_i(ws: Workspace, e: int):
-    mod = ws.mod(2)
     x = ws.rep(3, X1MOD4).x
     lhs = ws.sum(2, -16, (2, 1), WeightSpec(THREE_INDICATOR))
-    return [(lhs, ws.legendre(2) * 2 * x % mod, mod)]
+    return [(lhs, ws.legendre(2) * 2 * x)]
 
 
 def _ev_thm1_2_ii_a(ws: Workspace, e: int):
-    mod = ws.mod(2)
     y = ws.rep(3, Y1MOD4).y
     lhs = ws.sum(2, -16, (1,), WeightSpec(CUBIC_CHAR))
-    rhs = _sgn((ws.q - 3) // 4) * ((4 * y - _res(Fraction(ws.q, 3 * y), mod)) % mod) % mod
-    return [(lhs, rhs, mod)]
+    return [(lhs, _sgn((ws.q - 3) // 4) * (4 * y - Fraction(ws.q, 3 * y)))]
 
 
 def _thm1_2_ii_b(ws: Workspace, first_h: int):
-    mod = ws.mod(2)
     y = ws.rep(3, Y1MOD4).y
-    yform = _sgn((ws.q + 1) // 4) * y % mod
+    yform = _sgn((ws.q + 1) // 4) * y
     s1 = ws.sum(first_h, -16, (1, 0), WeightSpec(CUBIC_CHAR))
     s3 = ws.sum(2, -16, (1, 0), WeightSpec(THREE_INDICATOR))
-    return [(s1, yform, mod), ((-s3) % mod, yform, mod)]
+    return [(s1, yform), (-s3, yform)]
 
 
 def _ev_thm1_2_ii_b2(ws: Workspace, e: int):
@@ -399,60 +378,51 @@ def _ev_thm1_2_ii_b3(ws: Workspace, e: int):
 
 
 def _ev_thm1_3_i(ws: Workspace, e: int):
-    mod = ws.mod(2)
     x = ws.rep(7, X1MOD4).x
     lhs = ws.sum(2, 16, (4, 3), WeightSpec(LUCAS_V, 1, 16))
-    return [(lhs, 6 * ws.legendre(2) * x % mod, mod)]
+    return [(lhs, 6 * ws.legendre(2) * x)]
 
 
 def _ev_thm1_3_ii(ws: Workspace, e: int):
-    mod = ws.mod(2)
     y = ws.rep(7, Y1MOD4).y
     su = ws.sum(2, 16, (1, 0), WeightSpec(LUCAS_U, 1, 16))
     sv = ws.sum(2, 16, (1, 0), WeightSpec(LUCAS_V, 1, 16))
-    rhs = -ws.legendre(2) * y * _res(Fraction(1, 2), mod) % mod
-    return [(su, rhs, mod), (sv, rhs, mod)]
+    rhs = Fraction(-ws.legendre(2) * y, 2)
+    return [(su, rhs), (sv, rhs)]
 
 
 def _ev_thm1_4_i(ws: Workspace, e: int):
-    mod = ws.mod(2)
     x = ws.rep(3, X1MOD4).x
     a = ws.sum(2, 64, (1,), WeightSpec(LUCAS_V, 4, 1))
     b = ws.sum(2, 64, (1, -1), WeightSpec(LUCAS_V, 4, 1))
-    rhs_a = (4 * x - _res(Fraction(ws.q, x), mod)) % mod
-    return [(a, rhs_a, mod), (b, -2 * x % mod, mod)]
+    return [(a, 4 * x - Fraction(ws.q, x)), (b, -2 * x)]
 
 
 def _ev_thm1_4_ii(ws: Workspace, e: int):
-    mod = ws.mod(2)
     y = ws.rep(3, Y1MOD4).y
     a = ws.sum(2, 64, (1,), WeightSpec(LUCAS_U, 4, 1))
-    rhs_a = (2 * y - _res(Fraction(ws.q, 6 * y), mod)) % mod
     b1 = ws.sum(2, 64, (1, 0), WeightSpec(LUCAS_U, 4, 1))
-    b2 = _res(Fraction(1, 4), mod) * ws.sum(2, 64, (1, 0), WeightSpec(LUCAS_V, 4, 1)) % mod
-    return [(a, rhs_a, mod), (b1, y % mod, mod), (b2, y % mod, mod)]
+    b2 = Fraction(ws.sum(2, 64, (1, 0), WeightSpec(LUCAS_V, 4, 1)), 4)
+    return [(a, 2 * y - Fraction(ws.q, 6 * y)), (b1, y), (b2, y)]
 
 
 def _ev_thm1_5(ws: Workspace, e: int):
     q, mod = ws.q, ws.mod(2)
-    inv4 = _res(Fraction(1, 4), mod)
+    inv2, inv4 = pow(2, -1, mod), pow(4, -1, mod)
     out = []
     for m in THM15_M:
         if Fraction(m).numerator % q == 0:
             continue
         mb = Fraction(4096, m)
-        fq = (_pow_frac(mb, q - 1, mod) + 1) * inv4 % mod
+        fq = (pow(_res(mb, mod), q - 1, mod) + 1) * inv4
         s1m, s0m = ws.sum(3, m, (1, 0)), ws.sum(3, m)
         s1b, s0b = ws.sum(3, mb, (1, 0)), ws.sum(3, mb)
         g1b, g0b = ws.gap1(mb), ws.sum(3, mb, (1,), GAP_WEIGHT, FULL, 1)
         sym = ws.legendre(-m)
         for a, b in AB_GRID:
-            lhs = (sym * (a * s1m + b * s0m) + fq * (2 * a * s1b + (a - 2 * b) * s0b)) % mod
-            rhs = (
-                a * q * _res(Fraction(s0b, 2), mod)
-                + 3 * q * _res(Fraction(2 * a * g1b + (a - 2 * b) * g0b, 2), mod)
-            ) % mod
-            out.append((lhs, rhs, mod))
+            lhs = sym * (a * s1m + b * s0m) + fq * (2 * a * s1b + (a - 2 * b) * s0b)
+            rhs = q * inv2 * (a * s0b + 3 * (2 * a * g1b + (a - 2 * b) * g0b))
+            out.append((lhs, rhs))
     return out
 
 
@@ -465,37 +435,30 @@ def _ev_cor1_1(ws: Workspace, e: int):
         mb = Fraction(4096, m)
         s0m, s0b = ws.sum(3, m), ws.sum(3, mb)
         g0b = ws.sum(3, mb, (1,), GAP_WEIGHT, FULL, 1)
-        lhs = (ws.legendre(-m) * s0m - s0b) % mod
-        qp_scaled = (_pow_frac(mb, q - 1, mod) - 1) % mod
-        rhs = (-3 * q * g0b + qp_scaled * _res(Fraction(s0b, 2), mod)) % mod
-        out.append((lhs, rhs, mod))
+        qp_scaled = pow(_res(mb, mod), q - 1, mod) - 1
+        out.append((ws.legendre(-m) * s0m - s0b, -3 * q * g0b + qp_scaled * Fraction(s0b, 2)))
     return out
 
 
 def _ev_vhm_4k1(ws: Workspace, e: int):
-    mod = ws.mod(3)
-    return [(ws.sum(3, -64, (4, 1), e=3), ws.legendre(-1) * ws.q % mod, mod)]
+    return [(ws.sum(3, -64, (4, 1), e=3), ws.legendre(-1) * ws.q)]
 
 
 def _ev_gz_3k1_16(ws: Workspace, e: int):
-    mod = ws.mod(2)
-    return [(ws.sum(3, 16, (3, 1), e=2), ws.q % mod, mod)]
+    return [(ws.sum(3, 16, (3, 1), e=2), ws.q)]
 
 
 def _ev_gz_3k1_m8(ws: Workspace, e: int):
-    mod = ws.mod(3)
-    return [(ws.sum(3, -8, (3, 1), e=3), ws.legendre(-1) * ws.q % mod, mod)]
+    return [(ws.sum(3, -8, (3, 1), e=3), ws.legendre(-1) * ws.q)]
 
 
 def _ev_su2_21k8(ws: Workspace, e: int):
-    mod = ws.mod(e)
-    return [(ws.sum(3, 1, (21, 8), e=e), 8 * ws.q % mod, mod)]
+    return [(ws.sum(3, 1, (21, 8), e=e), 8 * ws.q)]
 
 
 def _ev_long_6k1_256(ws: Workspace, e: int):
-    mod = ws.mod(4)
     lhs = ws.sum(3, 256, (6, 1), CONST_WEIGHT, HALF, 4)
-    return [(lhs, ws.legendre(-1) * ws.q % mod, mod)]
+    return [(lhs, ws.legendre(-1) * ws.q)]
 
 
 def lemma_2_2_arguments(q: int, count: int) -> list:
@@ -516,19 +479,14 @@ def _ev_lemma2_2(ws: Workspace, e: int):
     out = []
     for x in lemma_2_2_arguments(ws.q, 4):
         z = (x - 1) / 2
-        if z == 0:
-            rhs = 1
-        else:
-            rhs = ws.sum(2, Fraction(-16) / z, e=2)
-        lhs = ws.legendre_poly(_res(x, mod))
-        lhs_neg = ws.legendre_poly(_res(-x, mod))
-        out.append((lhs, rhs, mod))
-        out.append((lhs_neg, _sgn(ws.n) * rhs % mod, mod))
+        rhs = ws.sum(2, Fraction(-16) / z, e=2) if z else 1
+        out.append((ws.legendre_poly(_res(x, mod)), rhs))
+        out.append((ws.legendre_poly(_res(-x, mod)), _sgn(ws.n) * rhs))
     return out
 
 
 def _ev_lemma2_3(ws: Workspace, e: int):
-    q, mod = ws.q, ws.mod(2)
+    q = ws.q
     out = []
     for d in (1, 2, 3, 7):
         if q == d or legendre_symbol(-d, ws.prime) != 1:
@@ -537,195 +495,161 @@ def _ev_lemma2_3(ws: Workspace, e: int):
         pb = pi_bar(ar).value
         x, y = ar.rep.x, ar.rep.y
         s = ar.sqrt_md.value
-        f1 = (2 * x - _res(Fraction(q, 2 * x), mod)) % mod
-        f2 = -s * _res(Fraction(1, 2), mod) % mod * (
-            (4 * y - _res(Fraction(q, d * y), mod)) % mod
-        ) % mod
-        out.append((pb, f1, mod))
-        out.append((pb, f2, mod))
+        out.append((pb, 2 * x - Fraction(q, 2 * x)))
+        out.append((pb, Fraction(-s, 2) * (4 * y - Fraction(q, d * y))))
     return out
 
 
 def _ev_lemma2_4_d2(ws: Workspace, e: int):
-    q, mod = ws.q, ws.mod(2)
+    mod = ws.mod(2)
     ar = ws.aligned(2, X1MOD4)
     pb = pi_bar(ar).value
     y = ar.rep.y
     s = ar.sqrt_md.value
-    if q % 8 == 1:
+    if ws.q % 8 == 1:
         w = ws.sqrt(2).value
-        lhs = ws.legendre_poly(w)
-        i_val = s * pow(w, -1, mod) % mod
-        rhs = pow(i_val, (-y) % 4, mod) * pb % mod
-        return [(lhs, rhs, mod)]
+        i_val = s * pow(w, -1, mod)
+        return [(ws.legendre_poly(w), pow(i_val, (-y) % 4, mod) * pb)]
     l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, 1, 2)
-    i_ext = (0, s * _res(Fraction(1, 2), mod) % mod)
-    r = ext_pow(i_ext, (-y) % 4, 2, mod)
-    return [
-        (l0 % mod, r[0] * pb % mod, mod),
-        (l1 % mod, r[1] * pb % mod, mod),
-    ]
+    r = ext_pow((0, _res(Fraction(s, 2), mod)), (-y) % 4, 2, mod)
+    return [(l0, r[0] * pb), (l1, r[1] * pb)]
 
 
 def _ev_lemma2_4_d3(ws: Workspace, e: int):
-    q, mod = ws.q, ws.mod(2)
+    mod = ws.mod(2)
     ar = ws.aligned(3, XPLUSY1MOD4)
     pb = pi_bar(ar).value
     y = ar.rep.y
     s = ar.sqrt_md.value
-    out = [(ws.legendre_poly(s), _sgn(y) * pb % mod, mod)]
-    if q % 12 == 1:
+    out = [(ws.legendre_poly(s), _sgn(y) * pb)]
+    if ws.q % 12 == 1:
         w = ws.sqrt(3).value
-        arg = w * _res(Fraction(1, 2), mod) % mod
-        minus_i = -s * pow(w, -1, mod) % mod
-        rhs = pow(minus_i, ws.n % 4, mod) * pb % mod
-        out.append((ws.legendre_poly(arg), rhs, mod))
+        arg = _res(Fraction(w, 2), mod)
+        minus_i = -s * pow(w, -1, mod)
+        out.append((ws.legendre_poly(arg), pow(minus_i, ws.n % 4, mod) * pb))
     else:
         l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, _res(Fraction(1, 2), ws.ctx.mod), 3)
-        minus_i = (0, -s * _res(Fraction(1, 3), mod) % mod)
-        r = ext_pow(minus_i, ws.n % 4, 3, mod)
-        out.append((l0 % mod, r[0] * pb % mod, mod))
-        out.append((l1 % mod, r[1] * pb % mod, mod))
+        r = ext_pow((0, _res(Fraction(-s, 3), mod)), ws.n % 4, 3, mod)
+        out += [(l0, r[0] * pb), (l1, r[1] * pb)]
     return out
 
 
 def _ev_lemma2_4_d7(ws: Workspace, e: int):
-    q, mod = ws.q, ws.mod(2)
+    mod = ws.mod(2)
     ar = ws.aligned(7, XPLUSY1MOD4)
     pb = pi_bar(ar).value
     y = ar.rep.y
     s = ar.sqrt_md.value
-    out = [(ws.legendre_poly(3 * s % mod), _sgn(ws.n + y) * pb % mod, mod)]
-    if q % 4 == 1:
+    out = [(ws.legendre_poly(3 * s % mod), _sgn(ws.n + y) * pb)]
+    if ws.q % 4 == 1:
         w = ws.sqrt(7).value
-        arg = 3 * w * _res(Fraction(1, 8), mod) % mod
-        i_val = s * pow(w, -1, mod) % mod
-        rhs = pow(i_val, ws.n % 4, mod) * pb % mod
-        out.append((ws.legendre_poly(arg), rhs, mod))
+        arg = _res(Fraction(3 * w, 8), mod)
+        i_val = s * pow(w, -1, mod)
+        out.append((ws.legendre_poly(arg), pow(i_val, ws.n % 4, mod) * pb))
     else:
-        x1 = 3 * _res(Fraction(1, 8), ws.ctx.mod) % ws.ctx.mod
-        l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, x1, 7)
-        i_ext = (0, s * _res(Fraction(1, 7), mod) % mod)
-        r = ext_pow(i_ext, ws.n % 4, 7, mod)
-        out.append((l0 % mod, r[0] * pb % mod, mod))
-        out.append((l1 % mod, r[1] * pb % mod, mod))
+        l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, _res(Fraction(3, 8), ws.ctx.mod), 7)
+        r = ext_pow((0, _res(Fraction(s, 7), mod)), ws.n % 4, 7, mod)
+        out += [(l0, r[0] * pb), (l1, r[1] * pb)]
     return out
 
 
 def _ev_lemma4_1(ws: Workspace, e: int):
     _, lhs, rhs = lemma_4_1_check(ws.ctx)
-    return [(lhs, rhs, ws.mod(2))]
+    return [(lhs, rhs)]
 
 
 def _ev_thm4_1(ws: Workspace, e: int):
     out = []
     for h, m, poly in THM41_GRID:
-        if m % ws.q == 0:
-            continue
-        lhs, rhs = theorem_4_1_transform(h, m, poly, ws.ctx)
-        out.append((lhs.value, rhs.value, ws.mod(2)))
+        if m % ws.q:
+            lhs, rhs = theorem_4_1_transform(h, m, poly, ws.ctx)
+            out.append((lhs.value, rhs.value))
     return out
 
 
 def _ev_cor4_1(ws: Workspace, e: int):
-    q = ws.q
-    lhs = (ws.legendre(-1) * ws.gap1(-64) - _res(Fraction(1, 6), q)) % q
-    if q % 8 in (1, 3):
+    lhs = ws.legendre(-1) * ws.gap1(-64) - Fraction(1, 6)
+    if ws.q % 8 in (1, 3):
         x = ws.rep(2, RAW).x
         qp = fermat_quotient(2, ws.prime).value
-        rhs = _res(Fraction(-(3 * qp + 2) * x * x, 3), q)
-    else:
-        rhs = 0
-    return [(lhs, rhs, q)]
+        return [(lhs, Fraction(-(3 * qp + 2) * x * x, 3))]
+    return [(lhs, 0)]
 
 
 def _ev_cor4_1_b(ws: Workspace, e: int):
-    q = ws.q
     x = ws.rep(1, RAW).x
     qp = fermat_quotient(2, ws.prime).value
-    rhs = _res(Fraction(-(3 * qp + 2) * x * x, 3), q)
-    return [(ws.gap1(64), rhs, q)]
+    return [(ws.gap1(64), Fraction(-(3 * qp + 2) * x * x, 3))]
 
 
 def _ev_cor4_2(ws: Workspace, e: int):
-    q = ws.q
-    inv6 = _res(Fraction(1, 6), q)
-    a = (ws.gap1(16) - inv6) % q
-    b = (ws.legendre(-1) * ws.gap1(256) - inv6) % q
-    if q % 3 == 1:
+    a = ws.gap1(16) - Fraction(1, 6)
+    b = ws.legendre(-1) * ws.gap1(256) - Fraction(1, 6)
+    if ws.q % 3 == 1:
         x = ws.rep(3, RAW).x
         qp = fermat_quotient(2, ws.prime).value
-        rhs = _res(Fraction(-2 * x * x * (4 * qp + 3), 9), q)
+        rhs = Fraction(-2 * x * x * (4 * qp + 3), 9)
     else:
         rhs = 0
-    return [(a, rhs, q), (b, rhs, q)]
+    return [(a, rhs), (b, rhs)]
+
+
+def _congruent(a, b, mod: int) -> bool:
+    return _res(a - b, mod) == 0
 
 
 def _ev_cor4_3(ws: Workspace, e: int):
-    q, mod2 = ws.q, ws.mod(2)
-    inv6 = _res(Fraction(1, 6), q)
+    # T1 sits at p^2, T2 and T3 at p; x = 0 where p does not split in Q(sqrt -7)
+    q = ws.q
     lhs1 = ws.sum(3, 4096, (42, 5), e=2)
-    rhs1 = 5 * q * ws.legendre(-1) % mod2
-    t1 = lhs1 == rhs1
+    rhs1 = 5 * q * ws.legendre(-1)
     qp = fermat_quotient(2, ws.prime).value
-    split = legendre_symbol(q, 7) == 1
-    x = ws.rep(7, RAW).x if split else 0
-    lhs2 = (ws.gap1(1) - inv6) % q
-    rhs2 = _res(Fraction(-2 * x * x, 3), q) if split else 0
-    t2 = lhs2 == rhs2
-    lhs3 = (ws.legendre(-1) * ws.gap1(4096) - inv6) % q
-    rhs3 = _res(Fraction(-2 * (10 * qp + 7) * x * x, 21), q) if split else 0
-    t3 = lhs3 == rhs3
-    return Equivalence((t1, t2, t3), (lhs1, rhs1, mod2))
+    x = ws.rep(7, RAW).x if legendre_symbol(q, 7) == 1 else 0
+    truths = (
+        _congruent(lhs1, rhs1, q * q),
+        _congruent(ws.gap1(1) - Fraction(1, 6), Fraction(-2 * x * x, 3), q),
+        _congruent(ws.legendre(-1) * ws.gap1(4096) - Fraction(1, 6),
+                   Fraction(-2 * (10 * qp + 7) * x * x, 21), q),
+    )
+    return Equivalence(truths, (lhs1, rhs1))
 
 
 def _ev_cor4_4(ws: Workspace, e: int):
-    q, mod2 = ws.q, ws.mod(2)
-    inv6 = _res(Fraction(1, 6), q)
+    # T1 sits at p^2, T2 and T3 at p; x = 0 where p does not split in Q(i)
+    q = ws.q
     lhs1 = ws.sum(3, -512, (6, 1), e=2)
-    rhs1 = ws.legendre(-2) * q % mod2
-    t1 = lhs1 == rhs1
+    rhs1 = ws.legendre(-2) * q
     qp = fermat_quotient(2, ws.prime).value
-    split = q % 4 == 1
-    x = ws.rep(1, RAW).x if split else 0
-    lhs2 = (ws.gap1(-8) - ws.legendre(-1) * inv6) % q
-    rhs2 = _res(Fraction(-2 * (qp + 1) * x * x, 3), q) if split else 0
-    t2 = lhs2 == rhs2
-    lhs3 = (ws.legendre(-2) * ws.gap1(-512) - inv6) % q
-    rhs3 = _res(Fraction(-(3 * qp + 2) * x * x, 3), q) if split else 0
-    t3 = lhs3 == rhs3
-    return Equivalence((t1, t2, t3), (lhs1, rhs1, mod2))
+    x = ws.rep(1, RAW).x if q % 4 == 1 else 0
+    truths = (
+        _congruent(lhs1, rhs1, q * q),
+        _congruent(ws.gap1(-8) - Fraction(ws.legendre(-1), 6),
+                   Fraction(-2 * (qp + 1) * x * x, 3), q),
+        _congruent(ws.legendre(-2) * ws.gap1(-512) - Fraction(1, 6),
+                   Fraction(-(3 * qp + 2) * x * x, 3), q),
+    )
+    return Equivalence(truths, (lhs1, rhs1))
 
 
 def _ev_conj4_1_i(ws: Workspace, e: int):
-    mod = ws.mod(2)
     a = ws.gap0_half(-8)
     b = ws.gap0_half(64)
     c = ws.gap0_half(-512)
     if ws.q % 4 == 1:
-        mid = _res(Fraction(b, 2), mod)
-        return [
-            (a, mid, mod),
-            (mid, ws.legendre(2) * _res(Fraction(c, 3), mod) % mod, mod),
-        ]
-    return [
-        (a, _res(Fraction(-7 * b, 2), mod), mod),
-        (b, -ws.legendre(2) * c % mod, mod),
-    ]
+        mid = Fraction(b, 2)
+        return [(a, mid), (mid, ws.legendre(2) * Fraction(c, 3))]
+    return [(a, Fraction(-7 * b, 2)), (b, -ws.legendre(2) * c)]
 
 
 def _ev_conj4_1_ii(ws: Workspace, e: int):
-    mod = ws.mod(2)
     if ws.q % 3 == 1:
-        rhs = ws.legendre(-1) * _res(Fraction(ws.gap0_half(256), 2), mod) % mod
-        return [(ws.gap0_half(16), rhs, mod)]
-    return [(ws.gap0_half(256), 0, mod)]
+        rhs = ws.legendre(-1) * Fraction(ws.gap0_half(256), 2)
+        return [(ws.gap0_half(16), rhs)]
+    return [(ws.gap0_half(256), 0)]
 
 
 def _ev_conj4_1_iii(ws: Workspace, e: int):
-    mod = ws.mod(2)
-    rhs = 8 * ws.legendre(-1) * ws.gap0_half(4096) % mod
-    return [(ws.gap0_half(1), rhs, mod)]
+    return [(ws.gap0_half(1), 8 * ws.legendre(-1) * ws.gap0_half(4096))]
 
 
 # ------------------------------------------------------------------ catalogue
@@ -973,7 +897,11 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
         e = e_override if e_override is not None else check.modulus_power(prime)
         ws = workspace or Workspace(prime, e)
         fits = ws.q == prime.p and ws.power >= e
-        outcome = check.evaluate(ws, e) if fits else None
+        if fits:
+            modulus = prime.power(e)
+            outcome = check.evaluate(ws, e)
+            witnesses = [outcome.witness] if isinstance(outcome, Equivalence) else outcome
+            pairs = [(_res(lhs, modulus), _res(rhs, modulus)) for lhs, rhs in witnesses]
     except SuperconError as exc:
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
                            f"{type(exc).__name__}: {exc}",
@@ -988,19 +916,17 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
         raise ValueError(f"a workspace for p = {ws.q} at power {ws.power} "
                          f"({ws.ctx.digits} digits) cannot run {check_id} mod {prime.p}^{e}")
     elapsed = time.perf_counter() - started
+    lhs, rhs = pairs[0]
+    detail = ""
     if isinstance(outcome, Equivalence):
         ok = len(set(outcome.truths)) == 1
         detail = " ".join(f"T{i + 1}={'T' if t else 'F'}" for i, t in enumerate(outcome.truths))
-        lhs, rhs, modulus = outcome.witness
     else:
-        ok = all(lhs == rhs for lhs, rhs, _ in outcome)
-        lhs, rhs, modulus = outcome[0]
-        detail = ""
-        for i, (left, right, mod) in enumerate(outcome):
-            if left != right:
-                lhs, rhs, modulus = left, right, mod
-                detail = f"congruence {i + 1} of {len(outcome)}"
-                break
+        bad = next((i for i, (left, right) in enumerate(pairs) if left != right), None)
+        ok = bad is None
+        if not ok:
+            lhs, rhs = pairs[bad]
+            detail = f"congruence {bad + 1} of {len(pairs)}"
     if ok:
         verdict = PASS
     elif check.failure_mode == ABORT:
@@ -1065,10 +991,13 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
     `aborted` is the first such report at P, and the jobs not yet read are
     cancelled.  A prime that is not an integer (a float or a str) raises
     TypeError, and one above ENGINE_PRIME_BOUND raises PrimeTooLarge before
-    any prime runs; other ints that are not odd primes are dropped.  An
-    override for a check that is not in ids, or whose evaluator does not
-    read its power, raises OverrideRefused.
+    any prime runs; other ints that are not odd primes are dropped.  A
+    worker count below 1 raises ValueError.  An override for a check that
+    is not in ids, or whose evaluator does not read its power, raises
+    OverrideRefused.
     """
+    if workers < 1:
+        raise ValueError(f"workers = {workers}, must be at least 1")
     ids = sorted(set(ids))
     for cid in ids:
         get_check(cid)
@@ -1081,7 +1010,7 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
         raise OverrideRefused(f"override for {', '.join(stray)}, which this run does not include")
     if not ids or not primes:
         return SuiteResult((), {})
-    check_engine_prime(OddPrime(primes[-1]))
+    check_engine_prime(primes[-1])
     jobs = [(tuple(ids), q, overrides) for q in primes]
     # a forked pool starts all its workers at once, so it gets no more than the jobs
     workers = min(workers, len(jobs))

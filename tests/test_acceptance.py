@@ -164,7 +164,7 @@ def _clean_sweep() -> dict:
     return {q: registry._evaluate_prime((ids, q, {})) for q in FAULT_PRIMES}
 
 
-def _faulted_sweep(install) -> tuple:
+def _faulted_sweep(install, power=None) -> tuple:
     """(reached, passing, moved) over FAULT_PRIMES with install's faults in place.
 
     install(mp, offset) patches through the MonkeyPatch mp; offset(q) is a unit
@@ -175,7 +175,9 @@ def _faulted_sweep(install) -> tuple:
     prime with them; for the biconditionals cor4.3 and cor4.4, whose truths can
     all flip together, a changed truth vector is enough.  Each prime runs
     through _evaluate_prime, as run_suite would run it, but without its stop
-    at the first FAIL.
+    at the first FAIL.  With power(check, q) given, offset(q) is the unit times
+    q^(power - 1) for the running check, and passing and moved hold
+    (check, power) pairs.
     """
     ids, clean = tuple(check_ids()), _clean_sweep()
     real_run = registry.run_check
@@ -185,7 +187,8 @@ def _faulted_sweep(install) -> tuple:
         nonlocal calls
         calls += 1
         reached.add(running)
-        return 1 + calls % (q - 1)
+        unit = 1 + calls % (q - 1)
+        return unit * q ** (power(running, q) - 1) if power else unit
 
     def tracking_run(cid, *args):
         nonlocal running
@@ -203,10 +206,11 @@ def _faulted_sweep(install) -> tuple:
         for before, after in zip(clean[q], faulty[q]):
             if before.verdict != PASS:
                 continue
-            passing.add(before.check)
+            key = (before.check, power(before.check, q)) if power else before.check
+            passing.add(key)
             equivalence = before.check in ("cor4.3", "cor4.4")
             if after.verdict != PASS or (equivalence and after.detail != before.detail):
-                moved.add(before.check)
+                moved.add(key)
     return reached, passing, moved
 
 
@@ -254,6 +258,37 @@ def test_a_pass_can_fail_when_its_sums_are_wrong():
     assert direct <= moved, sorted(direct - moved)
     print(f"fault gate: PASS  {len(reached & passing)} checks read a faulted value "
           f"and each left PASS at one of {len(FAULT_PRIMES)} primes")
+
+
+def test_a_pass_can_fail_when_its_top_digit_is_wrong():
+    # A report's modulus is p^E, E the check's modulus_power, so the sums and
+    # Legendre values behind it must carry E digits.  Each binomial_sum answer
+    # and legendre_poly_eval value gets c p^(E-1) added, and every check that
+    # draws one must leave PASS at some prime of each power E at which it
+    # PASSes.  A sum asked at fewer digits drops the fault and trips the gate.
+    real_sum, real_legendre = engine.binomial_sum, engine.legendre_poly_eval
+
+    def power(cid, q):
+        return registry.get_check(cid).modulus_power(OddPrime(q))
+
+    def install(mp, offset):
+        def faulty_sum(spec, p, ctx=None):
+            value = real_sum(spec, p, ctx)
+            return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
+
+        def faulty_legendre(ctx, n, x0, x1=0, disc=0):
+            l0, l1 = real_legendre(ctx, n, x0, x1, disc)
+            return (l0 + offset(ctx.p)) % ctx.mod, (l1 + offset(ctx.p)) % ctx.mod
+
+        for module in (engine, registry):
+            mp.setattr(module, "binomial_sum", faulty_sum)
+            mp.setattr(module, "legendre_poly_eval", faulty_legendre)
+
+    reached, passing, moved = _faulted_sweep(install, power)
+    reached_passing = {key for key in passing if key[0] in reached}
+    assert reached_passing <= moved, sorted(reached_passing - moved)
+    print(f"top-digit gate: PASS  {len(reached_passing)} (check, E) pairs read a "
+          f"faulted value and each left PASS at one of {len(FAULT_PRIMES)} primes")
 
 
 def test_a_pass_can_fail_when_its_right_side_is_wrong():

@@ -115,6 +115,13 @@ def test_sum_and_verify_refuse_primes_above_engine_bound(capsys, monkeypatch):
     assert rc == 2 and out == "" and "above the engine bound" in err
     rc, out, err = run_cli(capsys, "verify", "--checks", "eq1.0", "--primes", "5,1000000007")
     assert rc == 2 and out == "" and "above the engine bound" in err
+    # 2^63 + 29 is prime and above what OddPrime accepts, so the bound is read first
+    big = str(2**63 + 29)
+    for argv in (("verify", "--checks", "eq1.0", "--primes", big),
+                 ("verify", "--checks", "eq1.0", "--primes", f"5..{big}"),
+                 ("sum", "--h", "3", "--m", "64", "-p", big)):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2 and out == "" and "above the engine bound" in err, argv
 
 
 def test_verify_refuses_range_above_engine_bound_before_scanning(capsys, monkeypatch):
@@ -377,12 +384,14 @@ def test_deterministic_output_across_worker_counts(capsys):
 def test_verify_report_is_byte_identical_to_golden(capsys):
     # a speed-up must leave reports byte-identical; the digest is the same on
     # CPython 3.10 through 3.13.  The three primes near 25000, one per residue
-    # class, make every walk 12.5k terms long
-    for primes, digest in (
-            ("5..400", "8235976e316b9d1f656478a62f9281ae7e7e58bbc4b955ea5838e55c28656889"),
-            ("25033,25243,25037",
-             "70d39aef82af47f866fe921657fadcf74bc674fe73849fc318c2b98220b0f29b")):
-        rc, out, _ = run_cli(capsys, "verify", "--checks", "all", "--primes", primes,
-                             "--format", "json")
+    # class, make every walk 12.5k terms long.  The human report carries what
+    # JSON drops: "congruence i of n", the SKIP hypotheses, the counterexamples
+    for args, digest in (
+            (("5..400", "--format", "json"),
+             "8235976e316b9d1f656478a62f9281ae7e7e58bbc4b955ea5838e55c28656889"),
+            (("25033,25243,25037", "--format", "json"),
+             "70d39aef82af47f866fe921657fadcf74bc674fe73849fc318c2b98220b0f29b"),
+            (("5..400",), "0ac2dec39e98d91ae836e28f02ce11cba407ee8a831f40d4014f1ec20c73991d")):
+        rc, out, _ = run_cli(capsys, "verify", "--checks", "all", "--primes", *args)
         assert rc == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, primes
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -154,7 +154,7 @@ def _fail_eq10_at(bad_p):
 
     def evaluate(ws, e):
         if ws.q == bad_p:
-            return [(0, 1, ws.mod(2))]
+            return [(0, 1)]
         return check.evaluate(ws, e)
 
     return dataclasses.replace(check, evaluate=evaluate)
@@ -186,7 +186,7 @@ def test_a_job_above_the_abort_cannot_break_the_run(monkeypatch):
     def evaluate(ws, e):
         if ws.q == 1009:
             time.sleep(0.2)
-            return [(0, 1, ws.mod(2))]
+            return [(0, 1)]
         return check.evaluate(ws, e)
 
     init = Workspace.__init__
@@ -327,7 +327,16 @@ def test_run_suite_refuses_a_prime_above_the_bound_before_running(monkeypatch, r
     monkeypatch.setattr(registry, "_evaluate_prime", lambda job: ran.append(job[1]) or [])
     with pytest.raises(PrimeTooLarge, match="1000003"):
         run_suite(["eq1.0"], [5, 7, 1000003], workers=workers)
+    # 2^63 + 29 is prime and above what OddPrime accepts
+    with pytest.raises(PrimeTooLarge, match=str(2**63 + 29)):
+        run_suite(["eq1.0"], [5, 2**63 + 29], workers=workers)
     assert ran == [] and recording_pool == []
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_suite_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"workers = {workers}"):
+        run_suite(["eq1.0"], [5], workers=workers)
 
 
 def test_run_check_refuses_a_mismatched_workspace():
