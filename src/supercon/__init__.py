@@ -23,7 +23,6 @@ from .engine import (
     WeightSpec,
     binomial_sum,
     legendre_poly_eval,
-    theorem_4_1_transform,
 )
 from .errors import SuperconError, UnknownCheckId
 from .oracle import exact_sum
@@ -68,6 +67,5 @@ __all__ = [
     "run_check",
     "run_suite",
     "sqrt_mod",
-    "theorem_4_1_transform",
     "__version__",
 ]

@@ -10,7 +10,8 @@ every check at one prime; the Apery numbers, read once, and the kernel's
 terms binom^h w_k are streams.  Every function here works on the context it
 is given, at that context's digits; a sweep gives each prime one context,
 owned by the registry's Workspace.  binomial_sum alone may be called without
-one, and then builds a fresh context for that call.
+one, and then builds a fresh context for that call.  The engine states no
+congruence; the catalogue's evaluators reach it only through the Workspace.
 
 Tables grow on demand to the prefix a request needs: a half-range sum
 builds entries k <= n = (p-1)/2 only (inverses to 2n for the harmonic gap),
@@ -49,10 +50,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, isqrt
-from operator import mul
+from math import isqrt
+from operator import index, mul
 
-from .arith import OddPrime, ResidueMod, legendre_symbol
+from .arith import OddPrime, ResidueMod
 from .errors import (
     DenominatorDivisible,
     IndexOutOfRange,
@@ -431,9 +432,12 @@ def binomial_sum(spec: SumSpec, p: "OddPrime | int",
     For n < k < p, p divides binomial(2k,k) exactly once, so the tail of a
     FULL sum has valuation at least h + v(w) + (n+1) v(m^{-1}), with v(w)
     from WeightSpec.valuation.  When spec.e is within that bound only the
-    half range is walked.
+    half range is walked.  An int p above ENGINE_PRIME_BOUND raises
+    PrimeTooLarge before it is validated.
     """
-    p = p if isinstance(p, OddPrime) else OddPrime(p)
+    if not isinstance(p, OddPrime):
+        check_engine_prime(index(p))
+        p = OddPrime(p)
     digits = sum_digits(spec.e, spec.weight)
     if ctx is None:
         ctx = PrimeContext(p, digits)
@@ -476,89 +480,3 @@ def legendre_poly_eval(ctx: PrimeContext, n: int, x0: int, x1: int = 0, disc: in
     mod, inv2 = ctx.mod, (ctx.mod + 1) // 2
     z0, z1 = (x0 - 1) * inv2 % mod, x1 * inv2 % mod
     return _walk(ctx.legendre_coeffs(n), n + 1, z0, z1, disc, mod, False)[:2]
-
-
-def lemma_4_1_check(ctx: PrimeContext) -> tuple[bool, int, int]:
-    """binom(2n-k,k) = (-1)^k binom(2k,k)(1 - p(H_{2k}-H_k)) mod p^2, k <= n.
-
-    n = (p-1)/2, p the context's prime; the left side advances by the exact
-    integer ratio (2n-2k)(2n-2k-1)/((2n-k)(k+1)).  Returns (ok, lhs, rhs)
-    where the residue pair witnesses the first mismatch, or the k = n
-    instance when every index agrees.
-    """
-    q, n, mod = ctx.p, ctx.n, ctx.mod
-    mod2 = q * q
-    hg = ctx.weight_table(WeightSpec(HARMONIC_GAP), n + 1)
-    B = ctx.bh(1, n + 1)
-    inv = ctx.inverses(2 * n + 1)
-    lhs = 1
-    for k in range(n + 1):
-        rhs = B[k] * (1 - hg[k]) % mod2
-        if k % 2:
-            rhs = -rhs % mod2
-        if lhs % mod2 != rhs:
-            return False, lhs % mod2, rhs
-        if k < n:
-            lhs = (
-                lhs
-                * ((2 * n - 2 * k) * (2 * n - 2 * k - 1) % mod)
-                % mod
-                * inv[2 * n - k]
-                % mod
-                * inv[k + 1]
-                % mod
-            )
-    return True, lhs % mod2, rhs
-
-
-def _poly_derivative(poly: tuple) -> tuple:
-    d = len(poly) - 1
-    return tuple(c * (d - i) for i, c in enumerate(poly[:-1]))
-
-
-def _poly_reflect_half(poly: tuple) -> tuple:
-    """2^d * P(-k - 1/2) as integer coefficients in k, highest first."""
-    d = len(poly) - 1
-    asc = [0] * (d + 1)
-    for i, ci in enumerate(poly):
-        e = d - i
-        sign = -1 if e % 2 else 1
-        for j in range(e + 1):
-            asc[j] += ci * sign * comb(e, j) * 2**j * 2**i
-    return tuple(reversed(asc))
-
-
-def theorem_4_1_transform(h: int, m, poly: tuple,
-                          ctx: PrimeContext) -> tuple[ResidueMod, ResidueMod]:
-    """Both sides of the half-range reflection identity, mod p^2, p the context's prime.
-
-    LHS: ((-1)^h m / p) * sum_{k<=n} P(k) binom^h / m^k.
-    RHS: sum_{k<=n} binom^h / mbar^k [ (mbar^{p-1}+1)/2 * P(-k-1/2)
-         + (p/2) P'(-k-1/2) ] - p h sum_{k<=n} binom^h P(-k-1/2) (H_2k-H_k)/mbar^k
-    with mbar = 16^h / m.  All three right-hand sums run over the half range.
-    The sums run by binomial_sum on ctx, the harmonic one mod p (all that p h
-    times it reaches mod p^2), so a context of any digits serves.
-    """
-    poly = tuple(poly)
-    p, q = ctx.prime, ctx.p
-    mod2 = q * q
-    mfrac = Fraction(m)
-    mbar = Fraction(16**h) / mfrac
-    if mbar.numerator % q == 0:
-        raise DenominatorDivisible(f"mbar = {mbar} vanishes mod {q}")
-    sym = legendre_symbol((-1) ** h * mfrac.numerator * mfrac.denominator, q)
-    lhs = sym * binomial_sum(SumSpec(h, m, poly, CONST_WEIGHT, HALF, 2), p, ctx).value % mod2
-
-    d = len(poly) - 1
-    qpoly = _poly_reflect_half(poly)
-    rpoly = _poly_reflect_half(_poly_derivative(poly)) if d >= 1 else None
-    s_q = binomial_sum(SumSpec(h, mbar, qpoly, CONST_WEIGHT, HALF, 2), p, ctx).value
-    s_r = binomial_sum(SumSpec(h, mbar, rpoly, CONST_WEIGHT, HALF, 2), p, ctx).value if rpoly else 0
-    # p * gap_sum mod p^2 reads gap_sum mod p only (it is p-integral on the half range)
-    gap = binomial_sum(SumSpec(h, mbar, qpoly, WeightSpec(HARMONIC_GAP), HALF, 1), p, ctx).value
-    p_gap = q * gap % mod2
-    mb_res = mbar.numerator * pow(mbar.denominator, -1, mod2)
-    fq_factor = (pow(mb_res, q - 1, mod2) + 1) * pow(2, -1, mod2) % mod2
-    inv2d = pow(pow(2, d, mod2), -1, mod2) if d else 1
-    rhs = inv2d * (fq_factor * s_q + q * s_r - h * p_gap) % mod2
-    return ResidueMod(p, 2, lhs), ResidueMod(p, 2, rhs)

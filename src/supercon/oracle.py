@@ -25,8 +25,6 @@ from .seq import (
     THREE_INDICATOR,
 )
 
-ExactRational = Fraction
-
 BRUTE_SQRT_BOUND = 10**7
 EXHAUSTIVE_REPRESENT_BOUND = 10**6
 EXACT_SUM_PRIME_BOUND = 1000

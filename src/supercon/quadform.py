@@ -81,14 +81,16 @@ class AlignedRep:
             raise ValueError("representation is not aligned with sqrt_md")
 
 
-def represent(p: OddPrime, d: int) -> QuadRep:
+def represent(p: "OddPrime | int", d: int) -> QuadRep:
     """Find the representation p = x^2 + d*y^2 with x, y > 0 (Cornacchia).
 
-    For d = 1 the pair is ordered so that x is odd.  Raises RamifiedPrime
-    when p | d and NotRepresentable when (-d/p) = -1.
+    An int p is validated as an OddPrime.  For d = 1 the pair is ordered so
+    that x is odd.  Raises RamifiedPrime when p | d and NotRepresentable
+    when (-d/p) = -1.
     """
     if d not in SUPPORTED_D:
         raise ValueError(f"unsupported d={d}")
+    p = p if isinstance(p, OddPrime) else OddPrime(p)
     q = p.p
     if d % q == 0:
         raise RamifiedPrime(f"p={q} divides d={d}")

@@ -11,9 +11,12 @@ It names no modulus: run_check runs the check at a power e (its
 override, else modulus_power), reduces both sides of each pair mod p^e,
 and reports the first pair that differs.  Modular arithmetic stays only
 where a value must be a residue: an exponentiation mod p^2, a point in
-Z[w], an argument to legendre_poly_eval, a biconditional's truths.
+Z[w], an argument to Workspace.legendre_poly, a biconditional's truths.
 
-A check does not list the sums it evaluates.  The oracle gates in
+The engine states no congruence: lemma 4.1 and theorem 4.1 are evaluators
+here too.  An evaluator reaches sums and Legendre values only through its
+Workspace (sum, legendre_poly) and reads tables through Workspace.ctx.  A
+check does not list the sums it evaluates.  The oracle gates in
 tests/test_acceptance.py cover the sums the catalogue is observed to
 evaluate: they record every SumSpec that reaches binomial_sum, and every
 P_n argument that reaches legendre_poly_eval, while each check runs at a
@@ -25,12 +28,12 @@ from __future__ import annotations
 import dis
 import os
 import random
-import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
+from math import comb
 from operator import index, mul
 from typing import Callable
 
@@ -54,10 +57,8 @@ from .engine import (
     binomial_sum,
     check_engine_prime,
     ext_pow,
-    lemma_4_1_check,
     legendre_poly_eval,
     sum_digits,
-    theorem_4_1_transform,
 )
 from .errors import OverrideRefused, SuperconError, UnknownCheckId
 from .quadform import (
@@ -186,9 +187,9 @@ class Workspace:
                 self._cache[key] = align_pi(rep, root)
         return self._cache[key]
 
-    def legendre_poly(self, value: int) -> int:
-        """P_n(value) for n = (p-1)/2, to the context's digits."""
-        return legendre_poly_eval(self.ctx, self.n, value)[0]
+    def legendre_poly(self, x0: int, x1: int = 0, disc: int = 0) -> tuple:
+        """P_n(x0 + x1 w) in Z[w]/(w^2 - disc) for n = (p-1)/2, a pair to the context's digits."""
+        return legendre_poly_eval(self.ctx, self.n, x0, x1, disc)
 
 
 @dataclass(frozen=True)
@@ -242,7 +243,6 @@ class CheckReport:
     rhs: "int | None"
     modulus: "int | None"
     detail: str = ""
-    elapsed: float = 0.0
 
 
 # ---------------------------------------------------------------- evaluators
@@ -480,8 +480,8 @@ def _ev_lemma2_2(ws: Workspace, e: int):
     for x in lemma_2_2_arguments(ws.q, 4):
         z = (x - 1) / 2
         rhs = ws.sum(2, Fraction(-16) / z, e=2) if z else 1
-        out.append((ws.legendre_poly(_res(x, mod)), rhs))
-        out.append((ws.legendre_poly(_res(-x, mod)), _sgn(ws.n) * rhs))
+        out.append((ws.legendre_poly(_res(x, mod))[0], rhs))
+        out.append((ws.legendre_poly(_res(-x, mod))[0], _sgn(ws.n) * rhs))
     return out
 
 
@@ -509,8 +509,8 @@ def _ev_lemma2_4_d2(ws: Workspace, e: int):
     if ws.q % 8 == 1:
         w = ws.sqrt(2).value
         i_val = s * pow(w, -1, mod)
-        return [(ws.legendre_poly(w), pow(i_val, (-y) % 4, mod) * pb)]
-    l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, 1, 2)
+        return [(ws.legendre_poly(w)[0], pow(i_val, (-y) % 4, mod) * pb)]
+    l0, l1 = ws.legendre_poly(0, 1, 2)
     r = ext_pow((0, _res(Fraction(s, 2), mod)), (-y) % 4, 2, mod)
     return [(l0, r[0] * pb), (l1, r[1] * pb)]
 
@@ -521,14 +521,14 @@ def _ev_lemma2_4_d3(ws: Workspace, e: int):
     pb = pi_bar(ar).value
     y = ar.rep.y
     s = ar.sqrt_md.value
-    out = [(ws.legendre_poly(s), _sgn(y) * pb)]
+    out = [(ws.legendre_poly(s)[0], _sgn(y) * pb)]
     if ws.q % 12 == 1:
         w = ws.sqrt(3).value
         arg = _res(Fraction(w, 2), mod)
         minus_i = -s * pow(w, -1, mod)
-        out.append((ws.legendre_poly(arg), pow(minus_i, ws.n % 4, mod) * pb))
+        out.append((ws.legendre_poly(arg)[0], pow(minus_i, ws.n % 4, mod) * pb))
     else:
-        l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, _res(Fraction(1, 2), ws.ctx.mod), 3)
+        l0, l1 = ws.legendre_poly(0, _res(Fraction(1, 2), ws.ctx.mod), 3)
         r = ext_pow((0, _res(Fraction(-s, 3), mod)), ws.n % 4, 3, mod)
         out += [(l0, r[0] * pb), (l1, r[1] * pb)]
     return out
@@ -540,30 +540,76 @@ def _ev_lemma2_4_d7(ws: Workspace, e: int):
     pb = pi_bar(ar).value
     y = ar.rep.y
     s = ar.sqrt_md.value
-    out = [(ws.legendre_poly(3 * s % mod), _sgn(ws.n + y) * pb)]
+    out = [(ws.legendre_poly(3 * s % mod)[0], _sgn(ws.n + y) * pb)]
     if ws.q % 4 == 1:
         w = ws.sqrt(7).value
         arg = _res(Fraction(3 * w, 8), mod)
         i_val = s * pow(w, -1, mod)
-        out.append((ws.legendre_poly(arg), pow(i_val, ws.n % 4, mod) * pb))
+        out.append((ws.legendre_poly(arg)[0], pow(i_val, ws.n % 4, mod) * pb))
     else:
-        l0, l1 = legendre_poly_eval(ws.ctx, ws.n, 0, _res(Fraction(3, 8), ws.ctx.mod), 7)
+        l0, l1 = ws.legendre_poly(0, _res(Fraction(3, 8), ws.ctx.mod), 7)
         r = ext_pow((0, _res(Fraction(s, 7), mod)), ws.n % 4, 7, mod)
         out += [(l0, r[0] * pb), (l1, r[1] * pb)]
     return out
 
 
 def _ev_lemma4_1(ws: Workspace, e: int):
-    _, lhs, rhs = lemma_4_1_check(ws.ctx)
-    return [(lhs, rhs)]
+    """binom(2n-k,k) = (-1)^k binom(2k,k)(1 - p(H_2k - H_k)) mod p^2 at the first k <= n
+    where it fails, else at k = n; the left side steps by (2n-2k)(2n-2k-1)/((2n-k)(k+1)).
+    """
+    n, ctx = ws.n, ws.ctx
+    mod, mod2 = ctx.mod, ws.mod(2)
+    hg = ctx.weight_table(GAP_WEIGHT, n + 1)  # p (H_2k - H_k)
+    B = ctx.bh(1, n + 1)
+    inv = ctx.inverses(2 * n + 1)
+    lhs = 1
+    for k in range(n + 1):
+        rhs = _sgn(k) * B[k] * (1 - hg[k])
+        if (lhs - rhs) % mod2 or k == n:
+            return [(lhs, rhs)]
+        lhs = lhs * (2 * n - 2 * k) * (2 * n - 2 * k - 1) * inv[2 * n - k] * inv[k + 1] % mod
+
+
+def _poly_derivative(poly: tuple) -> tuple:
+    d = len(poly) - 1
+    return tuple(c * (d - i) for i, c in enumerate(poly[:-1]))
+
+
+def _poly_reflect_half(poly: tuple) -> tuple:
+    """2^d * P(-k - 1/2) as integer coefficients in k, highest first."""
+    d = len(poly) - 1
+    asc = [0] * (d + 1)
+    for i, ci in enumerate(poly):
+        e = d - i
+        sign = -1 if e % 2 else 1
+        for j in range(e + 1):
+            asc[j] += ci * sign * comb(e, j) * 2**j * 2**i
+    return tuple(reversed(asc))
 
 
 def _ev_thm4_1(ws: Workspace, e: int):
+    """Theorem 4.1's half-range reflection mod p^2 at each THM41_GRID instance, mbar = 16^h/m:
+
+    ((-1)^h m / p) sum_{k<=n} P(k) binom^h / m^k = sum_{k<=n} binom^h / mbar^k
+    [(mbar^{p-1}+1)/2 P(-k-1/2) + (p/2) P'(-k-1/2)] - p h sum_{k<=n} binom^h
+    P(-k-1/2) (H_2k-H_k) / mbar^k, with the reflected polynomials times 2^d
+    and the harmonic sum read mod p.
+    """
+    q, mod2 = ws.q, ws.mod(2)
     out = []
     for h, m, poly in THM41_GRID:
-        if m % ws.q:
-            lhs, rhs = theorem_4_1_transform(h, m, poly, ws.ctx)
-            out.append((lhs.value, rhs.value))
+        if m % q == 0:
+            continue
+        mbar = Fraction(16**h, m)
+        d = len(poly) - 1
+        qpoly = _poly_reflect_half(poly)
+        s_q = ws.sum(h, mbar, qpoly, CONST_WEIGHT, HALF)
+        rpoly = _poly_reflect_half(_poly_derivative(poly))
+        s_r = ws.sum(h, mbar, rpoly, CONST_WEIGHT, HALF) if d else 0
+        gap = ws.sum(h, mbar, qpoly, GAP_WEIGHT, HALF, 1)
+        fq = Fraction(pow(_res(mbar, mod2), q - 1, mod2) + 1, 2)
+        lhs = ws.legendre((-1) ** h * m) * ws.sum(h, m, poly, CONST_WEIGHT, HALF)
+        out.append((lhs, (fq * s_q + q * s_r - h * q * gap) / 2**d))
     return out
 
 
@@ -881,19 +927,20 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
               workspace: "Workspace | None" = None) -> CheckReport:
     """One check at one prime, on workspace when given (else a fresh one).
 
-    A workspace for another prime or for a power below the check's raises
-    ValueError; a refused override raises OverrideRefused.
+    A prime above ENGINE_PRIME_BOUND raises PrimeTooLarge before anything
+    else reads it.  A workspace for another prime or for a power below the
+    check's raises ValueError; a refused override raises OverrideRefused.
     """
     check = get_check(check_id)
     if e_override is not None:
         check_overrides({check_id: e_override})
-    prime = p if isinstance(p, OddPrime) else OddPrime(index(p))
-    started = time.perf_counter()
+    q = p.p if isinstance(p, OddPrime) else index(p)
+    check_engine_prime(q)
+    prime = p if isinstance(p, OddPrime) else OddPrime(q)
     try:
         if not check.hypothesis(prime):
             return CheckReport(check_id, prime.p, SKIP, None, None, None,
-                               f"hypothesis: {check.hyp_text}",
-                               time.perf_counter() - started)
+                               f"hypothesis: {check.hyp_text}")
         e = e_override if e_override is not None else check.modulus_power(prime)
         ws = workspace or Workspace(prime, e)
         fits = ws.q == prime.p and ws.power >= e
@@ -904,18 +951,15 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
             pairs = [(_res(lhs, modulus), _res(rhs, modulus)) for lhs, rhs in witnesses]
     except SuperconError as exc:
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
-                           f"{type(exc).__name__}: {exc}",
-                           time.perf_counter() - started)
+                           f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # a catalogue defect: an ERROR report, not a traceback
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
-                           f"{type(exc).__name__} in {check_id} at p={prime.p}: {exc} ({where})",
-                           time.perf_counter() - started)
+                           f"{type(exc).__name__} in {check_id} at p={prime.p}: {exc} ({where})")
     if not fits:
         raise ValueError(f"a workspace for p = {ws.q} at power {ws.power} "
                          f"({ws.ctx.digits} digits) cannot run {check_id} mod {prime.p}^{e}")
-    elapsed = time.perf_counter() - started
     lhs, rhs = pairs[0]
     detail = ""
     if isinstance(outcome, Equivalence):
@@ -933,7 +977,7 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
         verdict = FAIL
     else:
         verdict = COUNTEREXAMPLE
-    return CheckReport(check_id, prime.p, verdict, lhs, rhs, modulus, detail, elapsed)
+    return CheckReport(check_id, prime.p, verdict, lhs, rhs, modulus, detail)
 
 
 def check_overrides(overrides: dict) -> None:

@@ -9,6 +9,7 @@ the bound refers to.
 
 import functools
 import random
+import sys
 import time
 from fractions import Fraction
 from math import comb
@@ -33,7 +34,6 @@ from supercon.engine import (
     SumSpec,
     binomial_sum,
     legendre_poly_eval,
-    lemma_4_1_check,
 )
 from supercon.errors import DenominatorDivisible, NonResidue, ZeroInput
 from supercon.oracle import (
@@ -126,13 +126,51 @@ def _pole_at(spec, q) -> bool:
 
 
 def test_recorder_sees_every_summing_check():
-    # The checks that record no sum are the identity checks, lemma2.3 (pi-bar
-    # alone) and the lemma2.4 family, whose Legendre values the Legendre gate
-    # records; a module that reached binomial_sum under another name would
-    # show up here.
+    # The checks that record no sum are those that read only tables (gauss,
+    # cde, lemma4.1), lemma2.3 (pi-bar alone) and the lemma2.4 family, whose
+    # Legendre values the Legendre gate records; a module that reached
+    # binomial_sum under another name would show up here.
     silent = {cid for cid, specs in _recorded_calls()[0].items() if not specs}
     assert silent == {"gauss", "cde", "lemma2.3", "lemma2.4.d2", "lemma2.4.d3",
                       "lemma2.4.d7", "lemma4.1"}
+
+
+def test_every_sum_and_legendre_value_goes_through_the_workspace():
+    # One door: at RECORDING_PRIMES every binomial_sum and legendre_poly_eval
+    # call a check makes, under the name the engine or the registry binds,
+    # comes straight from Workspace.sum or Workspace.legendre_poly, and the
+    # kernel walks only below one of them.  A check that reached the engine
+    # another way would escape whatever the Workspace records.
+    doors = {Workspace.sum.__code__, Workspace.legendre_poly.__code__}
+    real_sum, real_legendre, real_walk = (
+        engine.binomial_sum, engine.legendre_poly_eval, engine._walk)
+    callers, strays, running = set(), set(), None
+
+    def recording_caller(real):
+        def call(*args):
+            callers.add((running, sys._getframe(1).f_code))
+            return real(*args)
+        return call
+
+    def watched_walk(*args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in doors:
+            frame = frame.f_back
+        if frame is None:
+            strays.add(running)
+        return real_walk(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (engine, registry):
+            mp.setattr(module, "binomial_sum", recording_caller(real_sum))
+            mp.setattr(module, "legendre_poly_eval", recording_caller(real_legendre))
+        mp.setattr(engine, "_walk", watched_walk)
+        for running in check_ids():
+            for q in RECORDING_PRIMES:
+                assert run_check(running, q).verdict != ERROR, (running, q)
+    assert callers and strays == set()
+    assert {code for _, code in callers} == doors, sorted(
+        (cid, code.co_name) for cid, code in callers if code not in doors)
 
 
 def test_legendre_evaluations_match_exact_expansion():
@@ -216,12 +254,12 @@ def _faulted_sweep(install, power=None) -> tuple:
 
 def test_a_pass_can_fail_when_its_sums_are_wrong():
     # Faults in the left sides: every binomial_sum, legendre_poly_eval, binomial
-    # table (PrimeContext.bh), lemma_4_1_check and pi_bar answer is offset.
-    # Every check that reads one and PASSes somewhere must leave PASS.  The
-    # checks that read a table, lemma_4_1_check or pi_bar and no sum are named,
-    # so one that stops reading its value fails the gate.
+    # table (PrimeContext.bh) and pi_bar answer is offset.  Every check that
+    # reads one and PASSes somewhere must leave PASS.  The checks that read a
+    # table or pi_bar and no sum are named, so one that stops reading its
+    # value fails the gate.
     real_sum, real_legendre = engine.binomial_sum, engine.legendre_poly_eval
-    real_bh, real_lemma, real_pi_bar = PrimeContext.bh, registry.lemma_4_1_check, registry.pi_bar
+    real_bh, real_pi_bar = PrimeContext.bh, registry.pi_bar
 
     def install(mp, offset):
         def faulty_sum(spec, p, ctx=None):
@@ -236,10 +274,6 @@ def test_a_pass_can_fail_when_its_sums_are_wrong():
             shift = offset(ctx.p)
             return [(x + shift) % ctx.mod for x in real_bh(ctx, h, hi)]
 
-        def faulty_lemma(ctx):
-            ok, lhs, rhs = real_lemma(ctx)
-            return ok, (lhs + offset(ctx.p)) % ctx.p**2, rhs
-
         def faulty_pi_bar(aligned):
             value = real_pi_bar(aligned)
             return ResidueMod(value.p, value.e, value.value + offset(value.p.p))
@@ -248,7 +282,6 @@ def test_a_pass_can_fail_when_its_sums_are_wrong():
         mp.setattr(registry, "binomial_sum", faulty_sum)
         mp.setattr(registry, "legendre_poly_eval", faulty_legendre)
         mp.setattr(PrimeContext, "bh", faulty_bh)
-        mp.setattr(registry, "lemma_4_1_check", faulty_lemma)
         mp.setattr(registry, "pi_bar", faulty_pi_bar)
 
     reached, passing, moved = _faulted_sweep(install)
@@ -462,8 +495,8 @@ def test_criterion_3_structural_identities():
     # square identity in exact rational arithmetic, and the Legendre
     # polynomial congruence at 20 sampled rational arguments per prime.
     for q in _primes(3, 201):
-        ok, lhs, rhs = lemma_4_1_check(PrimeContext(OddPrime(q), 2))
-        assert ok and lhs == rhs, q
+        report = run_check("lemma4.1", q)
+        assert report.verdict == PASS and report.lhs == report.rhs, q
 
     grid = [Fraction(v, 2) for v in range(-4, 5)]
     for n in range(11):

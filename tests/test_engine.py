@@ -29,10 +29,8 @@ from supercon.engine import (
     SumSpec,
     WeightSpec,
     binomial_sum,
-    lemma_4_1_check,
     legendre_poly_eval,
     m_inverse_residue,
-    theorem_4_1_transform,
 )
 from supercon.errors import (
     DenominatorDivisible,
@@ -47,6 +45,7 @@ from supercon.oracle import (
     exact_weights,
     reduce_fraction,
 )
+from supercon.registry import PASS, THM41_GRID, Workspace, _res, get_check, run_check
 from supercon.seq import (
     COMPANION_PELL,
     HARMONIC,
@@ -189,27 +188,33 @@ def test_clausen_square_identity():
             assert clausen_square_check(n, x)
 
 
+def _pairs_mod_p2(check_id: str, ws: Workspace) -> list:
+    """The (lhs, rhs) pairs of a fixed-power check's evaluator on ws, each reduced mod p^2."""
+    mod = ws.mod(2)
+    return [(_res(lhs, mod), _res(rhs, mod)) for lhs, rhs in get_check(check_id).evaluate(ws, 2)]
+
+
 def test_lemma_4_1_hand_case():
-    # p=5, k=1: binom(3,1) = 3 and (-1)*2*(1 - 5/2) = 3 (mod 25)
-    ok, lhs, rhs = lemma_4_1_check(PrimeContext(OddPrime(5), 2))
-    assert ok and lhs == rhs
+    # p = 5, k = n = 2: binom(2,2) = 1 and binom(4,2)(1 - 5(1/3 + 1/4)) = -23/2 = 1 (mod 25)
+    assert _pairs_mod_p2("lemma4.1", Workspace(OddPrime(5), 2)) == [(1, 1)]
+    report = run_check("lemma4.1", 5)
+    assert (report.verdict, report.lhs, report.rhs, report.modulus) == (PASS, 1, 1, 25)
     for q in (7, 11, 13, 17, 19, 23):
-        ok, lhs, rhs = lemma_4_1_check(PrimeContext(OddPrime(q), 2))
-        assert ok and lhs == rhs
+        report = run_check("lemma4.1", q)
+        assert report.verdict == PASS and report.lhs == report.rhs == 1, q
 
 
 def test_theorem_4_1_transform_examples():
-    lhs, rhs = theorem_4_1_transform(3, 64, (1,), PrimeContext(OddPrime(11), 4))
-    assert lhs.value == rhs.value and lhs.modulus == 121
-    lhs, rhs = theorem_4_1_transform(3, 16, (1, 0), PrimeContext(OddPrime(13), 4))
-    assert lhs.value == rhs.value
-    for q in PRIMES_50:
-        ctx = PrimeContext(OddPrime(q), 4)
-        for h, m, poly in ((3, 64, (1,)), (2, 256, (1, 1)), (1, -4, (1, 2))):
-            if m % q == 0:
-                continue
-            lhs, rhs = theorem_4_1_transform(h, m, poly, ctx)
-            assert lhs.value == rhs.value, (h, m, poly, q)
+    # one pair per THM41_GRID instance whose m is a unit, each side agreeing mod p^2
+    report = run_check("thm4.1", 11)
+    assert report.verdict == PASS and report.modulus == 121
+    for q in [3] + PRIMES_50:
+        grid = [(h, m, poly) for h, m, poly in THM41_GRID if m % q]
+        pairs = _pairs_mod_p2("thm4.1", Workspace(OddPrime(q), 2))
+        assert len(pairs) == len(grid), q
+        for instance, (lhs, rhs) in zip(grid, pairs):
+            assert lhs == rhs, (instance, q)
+        assert run_check("thm4.1", q).verdict == PASS, q
 
 
 class DiscriminantNonResidue(Exception):
@@ -457,6 +462,11 @@ def test_context_refuses_primes_above_engine_bound(monkeypatch):
     monkeypatch.setattr(PrimeContext, "inverses", no_tables)
     with pytest.raises(PrimeTooLarge, match=str(ENGINE_PRIME_BOUND)):
         PrimeContext(OddPrime(1000000007), 2)
+    # an int prime is refused before it is validated: 2^63 + 29 is a prime
+    # that OddPrime itself refuses with a ValueError
+    for big in (1000003, 2**63 + 29):
+        with pytest.raises(PrimeTooLarge, match=str(big)):
+            binomial_sum(SumSpec(3, 64), big)
     monkeypatch.setattr(engine, "ENGINE_PRIME_BOUND", 13)
     with pytest.raises(PrimeTooLarge):
         binomial_sum(SumSpec(3, 64), OddPrime(17))
@@ -466,24 +476,28 @@ def test_context_refuses_primes_above_engine_bound(monkeypatch):
 
 
 def test_shared_context_matches_cold_paths():
-    # the deepest shared context answers as a fresh one at 2 digits, the fewest
-    # a context has: the harmonic sum is read mod p only
+    # the deepest workspace, its tables already grown by every other check,
+    # answers as a fresh one at power 2: the harmonic sum is read mod p only
     for q in (11, 13, 29):
         p = OddPrime(q)
-        ctx = PrimeContext(p, MAX_DIGITS)
-        for h, m, poly in ((3, 64, (1,)), (2, 256, (1, 1)), (1, -4, (1, 2))):
-            shared = theorem_4_1_transform(h, m, poly, ctx)
-            cold = theorem_4_1_transform(h, m, poly, PrimeContext(p, 2))
-            assert [r.value for r in shared] == [r.value for r in cold]
+        shared = Workspace(p, MAX_POWER)
+        for cid in ("eq1.0", "thm1.5", "cor4.3", "lemma2.2"):
+            run_check(cid, p, workspace=shared)
+        for cid in ("thm4.1", "lemma4.1"):
+            assert _pairs_mod_p2(cid, shared) == _pairs_mod_p2(cid, Workspace(p, 2)), (cid, q)
+            assert run_check(cid, p, workspace=shared) == run_check(cid, p), (cid, q)
 
 
 def test_identity_checks_agree_across_context_digits():
-    # both need only the context's two digits to decide mod p^2
+    # both identities need only two digits to decide mod p^2: workspaces of
+    # power 2..4 (contexts of 3..5 digits) give the same pairs
     for q in (3, 5, 11, 13, 29, 61, 97):
         p = OddPrime(q)
+        for cid in ("lemma4.1", "thm4.1"):
+            pairs = [_pairs_mod_p2(cid, Workspace(p, power)) for power in range(2, MAX_POWER + 1)]
+            assert pairs[0] == pairs[1] == pairs[2], (cid, q)
+            assert all(lhs == rhs for lhs, rhs in pairs[0]), (cid, q)
         contexts = [PrimeContext(p, digits) for digits in range(2, MAX_DIGITS + 1)]
-        lemma = {lemma_4_1_check(ctx) for ctx in contexts}
-        assert len(lemma) == 1 and lemma.pop()[0]
         for value in (0, 2, 5, -7, q, q * q + 3):
             n = (q - 1) // 2
             want = reduce_fraction(exact_legendre_poly(n, value), q, 2)
@@ -663,9 +677,3 @@ def test_legendre_coeffs_built_once_per_context_and_degree(monkeypatch):
             assert [hi for owner, hi in builds if owner == id(ctx)] == [n + 1]
             assert ctx.legendre_coeffs(n) == [
                 comb(n, k) * comb(n + k, k) % ctx.mod for k in range(n + 1)]
-
-
-def test_theorem_4_1_transform_refuses_vanishing_mbar():
-    # m = 1/11 is fine (m^{-1} = 11 is only divisible by p), mbar = 16^3 * 11 is not
-    with pytest.raises(DenominatorDivisible, match="mbar"):
-        theorem_4_1_transform(3, Fraction(1, 11), (1,), PrimeContext(OddPrime(11), 4))

@@ -31,6 +31,15 @@ def test_represent_examples():
     assert (rep.x, rep.y) == (3, 2) and rep.x % 2 == 1
 
 
+def test_represent_takes_an_int_prime_as_sqrt_mod_does():
+    # an int p used to raise AttributeError: 'int' object has no attribute 'p'
+    assert represent(13, 1) == represent(OddPrime(13), 1)
+    with pytest.raises(ValueError):
+        represent(15, 1)
+    with pytest.raises(TypeError):
+        represent(13.0, 1)
+
+
 def test_represent_errors():
     with pytest.raises(NotRepresentable):
         represent(OddPrime(5), 7)

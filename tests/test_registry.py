@@ -160,18 +160,13 @@ def _fail_eq10_at(bad_p):
     return dataclasses.replace(check, evaluate=evaluate)
 
 
-def _fields(res):
-    reports = [dataclasses.replace(r, elapsed=0.0) for r in res.reports]
-    return reports, res.summary, dataclasses.replace(res.aborted, elapsed=0.0)
-
-
 @pytest.mark.parametrize("bad_p", [1009, 1103])
 def test_abort_cuts_serial_and_parallel_runs_alike(monkeypatch, bad_p):
     # workers fork after the patch, so they see the failing check too
     monkeypatch.setitem(registry._CHECKS, "eq1.0", _fail_eq10_at(bad_p))
     serial = run_suite(["eq1.0", "eq1.1"], range(1000, 1201))
     parallel = run_suite(["eq1.0", "eq1.1"], range(1000, 1201), workers=2)
-    assert _fields(serial) == _fields(parallel)
+    assert serial == parallel
     assert serial.aborted.check == "eq1.0" and serial.aborted.p == bad_p
     assert serial.aborted.verdict == FAIL
     assert serial.reports[-1].p == bad_p
@@ -203,7 +198,7 @@ def test_a_job_above_the_abort_cannot_break_the_run(monkeypatch):
     assert [r.p for r in serial.reports] == [1009, 1009]
     for _ in range(3):
         parallel = run_suite(["eq1.0", "eq1.1"], range(1000, 1101), workers=2)
-        assert _fields(parallel) == _fields(serial)
+        assert parallel == serial
 
 
 def test_evaluator_exception_is_an_error_report(monkeypatch):
@@ -220,8 +215,8 @@ def test_evaluator_exception_is_an_error_report(monkeypatch):
     assert report.detail.startswith("ZeroDivisionError in eq1.0 at p=1013: ")
     serial = run_suite(["eq1.0", "eq1.1"], range(1000, 1101))
     parallel = run_suite(["eq1.0", "eq1.1"], range(1000, 1101), workers=2)
-    assert _fields(serial) == _fields(parallel)
-    assert serial.aborted == dataclasses.replace(report, elapsed=serial.aborted.elapsed)
+    assert serial == parallel
+    assert serial.aborted == report
     assert serial.reports[-1].p == 1013
 
 
@@ -231,7 +226,7 @@ def test_hypothesis_exception_is_an_error_report(monkeypatch):
     monkeypatch.setitem(registry._CHECKS, "eq1.0", raising)
     serial = run_suite(["eq1.0"], [5, 7, 11, 13])
     parallel = run_suite(["eq1.0"], [5, 7, 11, 13], workers=2)
-    assert _fields(serial) == _fields(parallel)
+    assert serial == parallel
     assert [r.p for r in serial.reports] == [5, 7, 11]
     assert serial.aborted.p == 11 and serial.aborted.verdict == ERROR
     assert serial.aborted.detail.startswith("ZeroDivisionError in eq1.0 at p=11: ")
@@ -330,6 +325,11 @@ def test_run_suite_refuses_a_prime_above_the_bound_before_running(monkeypatch, r
     # 2^63 + 29 is prime and above what OddPrime accepts
     with pytest.raises(PrimeTooLarge, match=str(2**63 + 29)):
         run_suite(["eq1.0"], [5, 2**63 + 29], workers=workers)
+    # run_check reads the bound first too: not a ValueError from OddPrime, an
+    # ERROR report from the context, or a SKIP from a hypothesis that fails
+    for cid, big in (("eq1.0", 2**63 + 29), ("eq1.0", 1000003), ("gauss", 1000003)):
+        with pytest.raises(PrimeTooLarge, match=str(big)):
+            run_check(cid, big)
     assert ran == [] and recording_pool == []
 
 
