@@ -5,6 +5,10 @@ The package has three layers: residue arithmetic mod prime powers
 rational oracle (``engine``, ``oracle``, and the weight names in ``seq``),
 and a catalogue of named congruence checks with a parallel suite runner
 (``registry``, ``cli``).
+
+Importing the package loads what every run needs and no more.  The oracle
+is imported when ``supercon.exact_sum`` is first read, and the process pool
+only when a run starts one.
 """
 
 from .arith import (
@@ -25,7 +29,6 @@ from .engine import (
     legendre_poly_eval,
 )
 from .errors import SuperconError, UnknownCheckId
-from .oracle import exact_sum
 from .quadform import AlignedRep, QuadRep, normalize, represent
 from .registry import (
     CheckReport,
@@ -69,3 +72,13 @@ __all__ = [
     "sqrt_mod",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: no run path reads the oracle, so it is imported on first use
+    if name == "exact_sum":
+        from .oracle import exact_sum
+
+        globals()["exact_sum"] = exact_sum
+        return exact_sum
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,7 @@ never more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NonResidue, NotCoprime, PrecisionExhausted, ZeroInput
 
@@ -41,19 +41,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class OddPrime:
-    """An odd prime below 2^63, validated at construction."""
+class Record:
+    """Base of the records that validate in __new__: a namedtuple subclass
+    lists Record first, so that _make, and through it _replace, validate too.
+    """
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int):
-            raise TypeError(f"prime must be int, got {type(self.p).__name__}")
-        if self.p < 3 or self.p % 2 == 0 or self.p >= 2**63:
-            raise ValueError(f"{self.p} is not an odd prime below 2^63")
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class OddPrime(Record, namedtuple("OddPrime", "p")):
+    """An odd prime below 2^63, validated at construction; ordered by p."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int):
+        if not isinstance(p, int):
+            raise TypeError(f"prime must be int, got {type(p).__name__}")
+        if p < 3 or p % 2 == 0 or p >= 2**63:
+            raise ValueError(f"{p} is not an odd prime below 2^63")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, p)
 
     def power(self, e: int) -> int:
         return self.p**e
@@ -72,18 +84,15 @@ def _as_int_prime(p: "OddPrime | int") -> int:
     return p
 
 
-@dataclass(frozen=True)
-class ResidueMod:
+class ResidueMod(Record, namedtuple("ResidueMod", "p e value")):
     """Integer residue in [0, p^e); the common language of all reports."""
 
-    p: OddPrime
-    e: int
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.e <= MAX_EXPONENT:
-            raise ValueError(f"exponent {self.e} outside 1..{MAX_EXPONENT}")
-        object.__setattr__(self, "value", self.value % self.p.power(self.e))
+    def __new__(cls, p: OddPrime, e: int, value: int):
+        if not 1 <= e <= MAX_EXPONENT:
+            raise ValueError(f"exponent {e} outside 1..{MAX_EXPONENT}")
+        return super().__new__(cls, p, e, value % p.power(e))
 
     @property
     def modulus(self) -> int:

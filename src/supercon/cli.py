@@ -8,7 +8,6 @@ Exit codes: 0 success (including reported counterexamples unless
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -33,7 +32,7 @@ from .errors import (
     SuperconError,
     UnknownCheckId,
 )
-from .quadform import CONVENTIONS, RAW, normalize, represent
+from .quadform import CONVENTIONS, RAW, QuadRep, normalize, represent
 from .registry import (
     CONJECTURAL,
     PROVED,
@@ -208,6 +207,7 @@ def _render_json(result) -> str:
 
 
 def _render_csv(result) -> str:
+    import csv
     import io
 
     buf = io.StringIO()
@@ -302,7 +302,7 @@ def cmd_represent(args) -> int:
     except SuperconError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reps = out if isinstance(out, tuple) else (out,)
+    reps = (out,) if isinstance(out, QuadRep) else out
     for r in reps:
         print(f"{p.p} = {r.x}^2 + {args.d}*{r.y}^2  (x, y) = ({r.x}, {r.y})")
     return 0

@@ -47,13 +47,13 @@ reduction per entry, inv[j] = -(M // j) inv[M mod j] with M = p^digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
 from operator import index, mul
 
-from .arith import OddPrime, ResidueMod
+from .arith import OddPrime, Record, ResidueMod
 from .errors import (
     DenominatorDivisible,
     IndexOutOfRange,
@@ -80,27 +80,25 @@ def check_engine_prime(q: int) -> None:
         raise PrimeTooLarge(f"p = {q} is above the engine bound {ENGINE_PRIME_BOUND}")
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(Record, namedtuple("WeightSpec", "kind a b")):
     """Selector for the weight sequence w_k; a, b are Lucas parameters.
 
     Only the Lucas kinds read (a, b), and they need a nonzero pair; every
     other kind refuses a nonzero pair rather than ignore it.
     """
 
-    kind: str = CONST1
-    a: int = 0
-    b: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in WEIGHT_KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        lucas = self.kind in (LUCAS_U, LUCAS_V)
-        if lucas and (self.a, self.b) == (0, 0):
-            raise ValueError(f"{self.kind} weight needs nonzero Lucas parameters")
-        if not lucas and (self.a, self.b) != (0, 0):
-            raise ValueError(f"{self.kind} weight takes no Lucas parameters, "
-                             f"got (a, b) = ({self.a}, {self.b})")
+    def __new__(cls, kind: str = CONST1, a: int = 0, b: int = 0):
+        if kind not in WEIGHT_KINDS:
+            raise ValueError(f"unknown weight kind {kind!r}")
+        lucas = kind in (LUCAS_U, LUCAS_V)
+        if lucas and (a, b) == (0, 0):
+            raise ValueError(f"{kind} weight needs nonzero Lucas parameters")
+        if not lucas and (a, b) != (0, 0):
+            raise ValueError(f"{kind} weight takes no Lucas parameters, "
+                             f"got (a, b) = ({a}, {b})")
+        return super().__new__(cls, kind, a, b)
 
     @property
     def valuation(self) -> int:
@@ -120,33 +118,29 @@ def sum_digits(e: int, weight: WeightSpec) -> int:
 MAX_DIGITS = sum_digits(MAX_POWER, WeightSpec(HARMONIC_GAP))
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(Record, namedtuple("SumSpec", "h m poly weight range e")):
     """One binomial sum: h, denominator base m, P(k) coeffs, weight, range, e.
 
     poly holds integer coefficients, highest degree first; m is an int or a
     Fraction, else TypeError; range is HALF or FULL; the result is wanted mod p^e.
     """
 
-    h: int
-    m: object
-    poly: tuple = (1,)
-    weight: WeightSpec = CONST_WEIGHT
-    range: str = FULL
-    e: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, Fraction)):
-            raise TypeError(f"m must be an int or a Fraction, got {type(self.m).__name__}")
-        if self.h not in (1, 2, 3):
-            raise ValueError(f"h = {self.h} outside 1..3")
-        if self.range not in (HALF, FULL):
+    def __new__(cls, h: int, m, poly: tuple = (1,), weight: WeightSpec = CONST_WEIGHT,
+                range: str = FULL, e: int = 2):
+        if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
+            raise TypeError(f"m must be an int or a Fraction, got {type(m).__name__}")
+        if h not in (1, 2, 3):
+            raise ValueError(f"h = {h} outside 1..3")
+        if range not in (HALF, FULL):
             raise ValueError(f"range must be {HALF!r} or {FULL!r}")
-        if not 1 <= self.e <= MAX_POWER:
-            raise ValueError(f"e = {self.e} outside 1..{MAX_POWER}")
-        if not self.poly or not all(isinstance(c, int) for c in self.poly):
+        if not 1 <= e <= MAX_POWER:
+            raise ValueError(f"e = {e} outside 1..{MAX_POWER}")
+        poly = tuple(poly)  # before the check reads it: an iterator is read once
+        if not poly or not all(isinstance(c, int) for c in poly):
             raise ValueError("poly must be a nonempty tuple of ints")
-        object.__setattr__(self, "poly", tuple(self.poly))
+        return super().__new__(cls, h, m, poly, weight, range, e)
 
 
 class PrimeContext:

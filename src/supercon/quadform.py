@@ -8,10 +8,10 @@ and through alignment with a chosen square root of -d mod p^e.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
-from .arith import OddPrime, ResidueMod, legendre_symbol, sqrt_mod
+from .arith import OddPrime, Record, ResidueMod, legendre_symbol, sqrt_mod
 from .errors import ConventionUnachievable, NotRepresentable, RamifiedPrime
 
 SUPPORTED_D = (1, 2, 3, 7)
@@ -25,8 +25,7 @@ D1_ODDX1MOD4 = "d1_oddx1mod4"
 CONVENTIONS = (RAW, X1MOD4, Y1MOD4, XPLUSY1MOD4, D1_ODDX1MOD4)
 
 
-@dataclass(frozen=True)
-class QuadRep:
+class QuadRep(Record, namedtuple("QuadRep", "p d x y convention")):
     """One signed representation p = x^2 + d*y^2 under a named convention.
 
     The convention field records which sign rule produced the pair; the
@@ -34,34 +33,28 @@ class QuadRep:
     left (alignment may later flip y where the convention leaves it free).
     """
 
-    p: OddPrime
-    d: int
-    x: int
-    y: int
-    convention: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d not in SUPPORTED_D:
-            raise ValueError(f"unsupported d={self.d}; expected one of {SUPPORTED_D}")
-        if self.x**2 + self.d * self.y**2 != self.p.p:
-            raise ValueError(f"{self.x}^2 + {self.d}*{self.y}^2 != {self.p.p}")
-        c = self.convention
+    def __new__(cls, p: OddPrime, d: int, x: int, y: int, convention: str):
+        if d not in SUPPORTED_D:
+            raise ValueError(f"unsupported d={d}; expected one of {SUPPORTED_D}")
+        if x**2 + d * y**2 != p.p:
+            raise ValueError(f"{x}^2 + {d}*{y}^2 != {p.p}")
+        c = convention
         if c not in CONVENTIONS:
             raise ValueError(f"unknown convention {c!r}")
-        if c == X1MOD4 and self.x % 4 != 1:
-            raise ValueError(f"x = {self.x} violates x = 1 (mod 4)")
-        if c == Y1MOD4 and self.y % 4 != 1:
-            raise ValueError(f"y = {self.y} violates y = 1 (mod 4)")
-        if c == XPLUSY1MOD4 and (self.x + self.y) % 4 != 1:
-            raise ValueError(f"x+y = {self.x + self.y} violates x+y = 1 (mod 4)")
-        if c == D1_ODDX1MOD4 and (
-            self.d != 1 or self.x % 2 == 0 or self.y % 2 != 0 or self.x % 4 != 1
-        ):
+        if c == X1MOD4 and x % 4 != 1:
+            raise ValueError(f"x = {x} violates x = 1 (mod 4)")
+        if c == Y1MOD4 and y % 4 != 1:
+            raise ValueError(f"y = {y} violates y = 1 (mod 4)")
+        if c == XPLUSY1MOD4 and (x + y) % 4 != 1:
+            raise ValueError(f"x+y = {x + y} violates x+y = 1 (mod 4)")
+        if c == D1_ODDX1MOD4 and (d != 1 or x % 2 == 0 or y % 2 != 0 or x % 4 != 1):
             raise ValueError("d=1 convention needs x odd, y even, x = 1 (mod 4)")
+        return super().__new__(cls, p, d, x, y, convention)
 
 
-@dataclass(frozen=True)
-class AlignedRep:
+class AlignedRep(Record, namedtuple("AlignedRep", "rep sqrt_md")):
     """A representation whose y-sign is tied to a square root of -d.
 
     Alignment means x + y*s = 0 (mod p) for s = sqrt_md: the factor
@@ -69,16 +62,16 @@ class AlignedRep:
     conjugate x - y*sqrt(-d) is a p-adic unit.
     """
 
-    rep: QuadRep
-    sqrt_md: ResidueMod
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        p = self.rep.p.p
-        s = self.sqrt_md.value
-        if (s * s + self.rep.d) % p != 0:
+    def __new__(cls, rep: QuadRep, sqrt_md: ResidueMod):
+        p = rep.p.p
+        s = sqrt_md.value
+        if (s * s + rep.d) % p != 0:
             raise ValueError("sqrt_md is not a square root of -d")
-        if (self.rep.x + self.rep.y * s) % p != 0:
+        if (rep.x + rep.y * s) % p != 0:
             raise ValueError("representation is not aligned with sqrt_md")
+        return super().__new__(cls, rep, sqrt_md)
 
 
 def represent(p: "OddPrime | int", d: int) -> QuadRep:
@@ -120,7 +113,8 @@ def normalize(rep: QuadRep, convention: str):
 
     Returns a single QuadRep, except for XPLUSY1MOD4 where exactly two of
     the four sign choices qualify and both are returned as a tuple; the
-    caller disambiguates via select_aligned.
+    caller disambiguates via select_aligned.  A QuadRep is a tuple too, so
+    tell the two apart with isinstance(out, QuadRep).
     """
     x, y = abs(rep.x), abs(rep.y)
     p, d = rep.p, rep.d

@@ -5,13 +5,16 @@ the modulus power, and pass/fail semantics.  Proved results abort the
 suite when they fail (that signals an implementation bug); conjectural
 or biconditional statements record counterexamples and continue.
 
-An evaluator returns its congruences as (lhs, rhs) pairs of p-integral
-ints or Fractions, written as the paper writes them, or an Equivalence.
-It names no modulus: run_check runs the check at a power e (its
-override, else modulus_power), reduces both sides of each pair mod p^e,
-and reports the first pair that differs.  Modular arithmetic stays only
-where a value must be a residue: an exponentiation mod p^2, a point in
-Z[w], an argument to Workspace.legendre_poly, a biconditional's truths.
+An evaluator returns (or yields) its congruences as (lhs, rhs) pairs of
+p-integral ints or Fractions, written as the paper writes them, or an
+Equivalence.  It names no modulus: run_check runs the check at a power e
+(its override, else modulus_power), reduces both sides of each pair mod
+p^e as it reads them, and reports the first pair that differs.  An
+evaluator takes (ws), or (ws, e) when it reads that power; that arity is
+CongruenceCheck.reads_power, and only such a check takes an override.
+Modular arithmetic stays only where a value must be a residue: an
+exponentiation mod p^2, a point in Z[w], an argument to
+Workspace.legendre_poly, a biconditional's truths.
 
 The engine states no congruence: lemma 4.1 and theorem 4.1 are evaluators
 here too.  An evaluator reaches sums and Legendre values only through its
@@ -21,21 +24,20 @@ tests/test_acceptance.py cover the sums the catalogue is observed to
 evaluate: they record every SumSpec that reaches binomial_sum, and every
 P_n argument that reaches legendre_poly_eval, while each check runs at a
 few primes.
+
+Importing this module builds the catalogue and loads no process pool:
+run_suite imports concurrent.futures only when it starts one.
 """
 
 from __future__ import annotations
 
-import dis
 import os
 import random
-import traceback
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 from math import comb
 from operator import index, mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import (
     OddPrime,
@@ -103,7 +105,9 @@ HARMONIC_WEIGHT = WeightSpec(HARMONIC)
 M_GRID = (1, -8, 16, -64, 256, -512, 4096)
 AB_GRID = ((0, 1), (1, 0), (4, 1), (21, 8), (2, -3))
 THM15_M = M_GRID + (3,)
-# (h, m, poly) instances for the half-range reflection transform.
+# (h, m, poly) instances for the half-range reflection transform; the last,
+# of degree 2, pins _poly_derivative and _poly_reflect_half where a P of
+# degree 1 cannot.
 THM41_GRID = (
     (3, 64, (1,)),
     (3, 16, (1, 0)),
@@ -111,11 +115,14 @@ THM41_GRID = (
     (2, 256, (1, 1)),
     (1, -4, (1, 2)),
     (2, -16, (2, 3)),
+    (3, -8, (1, 1, 1)),
 )
 
 
 def _res(value, mod: int) -> int:
     """A p-integral int or Fraction as a residue mod a power of p."""
+    if isinstance(value, int):  # no inverse needed; lemma 4.1 hands over n + 1 int pairs
+        return value % mod
     return value.numerator * pow(value.denominator, -1, mod) % mod
 
 
@@ -192,8 +199,7 @@ class Workspace:
         return legendre_poly_eval(self.ctx, self.n, x0, x1, disc)
 
 
-@dataclass(frozen=True)
-class Equivalence:
+class Equivalence(NamedTuple):
     """Truth values whose mutual agreement is the claim under test.
 
     The evaluator decides each truth at the modulus its statement names;
@@ -205,8 +211,9 @@ class Equivalence:
     witness: tuple
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(NamedTuple):
+    """One catalogue entry; evaluate takes (ws), or (ws, e) when it reads its power."""
+
     id: str
     anchor: str
     hyp_text: str
@@ -214,28 +221,18 @@ class CongruenceCheck:
     failure_mode: str
     max_e: "int | Callable[[OddPrime], int]"
     hypothesis: "Callable[[OddPrime], bool]"
-    evaluate: "Callable[[Workspace, int], object]"
+    evaluate: "Callable[..., object]"
 
     def modulus_power(self, p: OddPrime) -> int:
         return self.max_e(p) if callable(self.max_e) else self.max_e
 
     @property
     def reads_power(self) -> bool:
-        """Whether evaluate reads its power e, so that an override changes the test."""
-        code = self.evaluate.__code__
-        name = code.co_varnames[1]
-        if name in code.co_cellvars:  # read by a nested function
-            return True
-        for ins in dis.get_instructions(code):
-            if ins.opname.startswith("LOAD_FAST"):
-                names = ins.argval if isinstance(ins.argval, tuple) else (ins.argval,)
-                if name in names:
-                    return True
-        return False
+        """Whether evaluate takes the power e, so that an override changes the test."""
+        return self.evaluate.__code__.co_argcount == 2
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     check: str
     p: int
     verdict: str
@@ -248,13 +245,13 @@ class CheckReport:
 # ---------------------------------------------------------------- evaluators
 
 
-def _ev_gauss(ws: Workspace, e: int):
+def _ev_gauss(ws: Workspace):
     x = ws.rep(1, D1_ODDX1MOD4).x
     k = (ws.q - 1) // 4
     return [(ws.ctx.bh(1, k + 1)[k], 2 * x)]
 
 
-def _ev_cde(ws: Workspace, e: int):
+def _ev_cde(ws: Workspace):
     x = ws.rep(1, D1_ODDX1MOD4).x
     k = (ws.q - 1) // 4
     factor = Fraction(pow(2, ws.q - 1, ws.mod(2)) + 1, 2)
@@ -266,12 +263,12 @@ def _four_x_sq(ws: Workspace, d: int) -> int:
     return 4 * x * x - 2 * ws.q
 
 
-def _ev_eq1_0(ws: Workspace, e: int):
+def _ev_eq1_0(ws: Workspace):
     rhs = _four_x_sq(ws, 1) if ws.q % 4 == 1 else 0
     return [(ws.sum(3, 64, e=2), rhs)]
 
 
-def _ev_eq1_1(ws: Workspace, e: int):
+def _ev_eq1_1(ws: Workspace):
     rhs = _four_x_sq(ws, 7) if legendre_symbol(ws.q, 7) == 1 else 0
     return [(ws.sum(3, 1, e=2), rhs)]
 
@@ -283,12 +280,12 @@ def _ev_eq1_2(ws: Workspace, e: int):
     return [(a, b), (b, c)]
 
 
-def _ev_eq1_3(ws: Workspace, e: int):
+def _ev_eq1_3(ws: Workspace):
     rhs = ws.legendre(2) * _four_x_sq(ws, 2) if ws.q % 8 in (1, 3) else 0
     return [(ws.sum(3, -64, e=2), rhs)]
 
 
-def _ev_eq1_4(ws: Workspace, e: int):
+def _ev_eq1_4(ws: Workspace):
     rhs = _four_x_sq(ws, 3) if ws.q % 3 == 1 else 0
     return [(ws.sum(3, 16, e=2), rhs)]
 
@@ -301,12 +298,12 @@ def _ev_eq1_6(ws: Workspace, e: int):
     return [(ws.sum(3, 4096, e=e), ws.legendre(-1) * ws.sum(3, 1, e=e))]
 
 
-def _ev_eq1_8(ws: Workspace, e: int):
+def _ev_eq1_8(ws: Workspace):
     lhs = sum(map(mul, ws.ctx.apery(), cycle((1, -1))))
     return [(lhs, ws.sum(3, 16, e=2))]
 
 
-def _ev_eq1_9(ws: Workspace, e: int):
+def _ev_eq1_9(ws: Workspace):
     return [
         (ws.sum(3, m, (1,), GAP_WEIGHT, FULL, 1),
          Fraction(fermat_quotient(m, ws.prime).value * ws.sum(3, m, e=1), 6))
@@ -314,7 +311,7 @@ def _ev_eq1_9(ws: Workspace, e: int):
     ]
 
 
-def _ev_su5_intro(ws: Workspace, e: int):
+def _ev_su5_intro(ws: Workspace):
     x = ws.rep(1, D1_ODDX1MOD4).x
     target = ws.legendre(2) * x
     s1 = ws.sum(2, 8, (1, 1), CONST_WEIGHT, HALF, 2)
@@ -322,15 +319,15 @@ def _ev_su5_intro(ws: Workspace, e: int):
     return [(s1, target), (s2, target)]
 
 
-def _ev_jameson_ono(ws: Workspace, e: int):
+def _ev_jameson_ono(ws: Workspace):
     return [(ws.sum(3, 1, (1,), GAP_WEIGHT, HALF, 1), 0)]
 
 
-def _ev_su1_1_11(ws: Workspace, e: int):
+def _ev_su1_1_11(ws: Workspace):
     return [(ws.sum(3, 64, (1,), HARMONIC_WEIGHT, HALF, 1), 0)]
 
 
-def _ev_thm1_1_i(ws: Workspace, e: int):
+def _ev_thm1_1_i(ws: Workspace):
     x = ws.rep(2, X1MOD4).x
     a = 4 * ws.sum(2, 32, (1, 0), WeightSpec(PELL))
     b = ws.sum(2, 32, (1, 0), WeightSpec(COMPANION_PELL))
@@ -340,7 +337,7 @@ def _ev_thm1_1_i(ws: Workspace, e: int):
     return [(a, c), (b, c), (d, _sgn((ws.q - 1) // 8) * Fraction(t, 2))]
 
 
-def _ev_thm1_1_ii(ws: Workspace, e: int):
+def _ev_thm1_1_ii(ws: Workspace):
     y = ws.rep(2, RAW).y
     a = ws.sum(2, 32, (1, 0), WeightSpec(PELL))
     b = Fraction(ws.sum(2, 32, (1, 0), WeightSpec(COMPANION_PELL)), 2)
@@ -349,13 +346,13 @@ def _ev_thm1_1_ii(ws: Workspace, e: int):
     return [(a, c), (b, c), (d, _sgn((y - 1) // 2) * (2 * y - Fraction(ws.q, 4 * y)))]
 
 
-def _ev_thm1_2_i(ws: Workspace, e: int):
+def _ev_thm1_2_i(ws: Workspace):
     x = ws.rep(3, X1MOD4).x
     lhs = ws.sum(2, -16, (2, 1), WeightSpec(THREE_INDICATOR))
     return [(lhs, ws.legendre(2) * 2 * x)]
 
 
-def _ev_thm1_2_ii_a(ws: Workspace, e: int):
+def _ev_thm1_2_ii_a(ws: Workspace):
     y = ws.rep(3, Y1MOD4).y
     lhs = ws.sum(2, -16, (1,), WeightSpec(CUBIC_CHAR))
     return [(lhs, _sgn((ws.q - 3) // 4) * (4 * y - Fraction(ws.q, 3 * y)))]
@@ -369,21 +366,21 @@ def _thm1_2_ii_b(ws: Workspace, first_h: int):
     return [(s1, yform), (-s3, yform)]
 
 
-def _ev_thm1_2_ii_b2(ws: Workspace, e: int):
+def _ev_thm1_2_ii_b2(ws: Workspace):
     return _thm1_2_ii_b(ws, 2)
 
 
-def _ev_thm1_2_ii_b3(ws: Workspace, e: int):
+def _ev_thm1_2_ii_b3(ws: Workspace):
     return _thm1_2_ii_b(ws, 3)
 
 
-def _ev_thm1_3_i(ws: Workspace, e: int):
+def _ev_thm1_3_i(ws: Workspace):
     x = ws.rep(7, X1MOD4).x
     lhs = ws.sum(2, 16, (4, 3), WeightSpec(LUCAS_V, 1, 16))
     return [(lhs, 6 * ws.legendre(2) * x)]
 
 
-def _ev_thm1_3_ii(ws: Workspace, e: int):
+def _ev_thm1_3_ii(ws: Workspace):
     y = ws.rep(7, Y1MOD4).y
     su = ws.sum(2, 16, (1, 0), WeightSpec(LUCAS_U, 1, 16))
     sv = ws.sum(2, 16, (1, 0), WeightSpec(LUCAS_V, 1, 16))
@@ -391,14 +388,14 @@ def _ev_thm1_3_ii(ws: Workspace, e: int):
     return [(su, rhs), (sv, rhs)]
 
 
-def _ev_thm1_4_i(ws: Workspace, e: int):
+def _ev_thm1_4_i(ws: Workspace):
     x = ws.rep(3, X1MOD4).x
     a = ws.sum(2, 64, (1,), WeightSpec(LUCAS_V, 4, 1))
     b = ws.sum(2, 64, (1, -1), WeightSpec(LUCAS_V, 4, 1))
     return [(a, 4 * x - Fraction(ws.q, x)), (b, -2 * x)]
 
 
-def _ev_thm1_4_ii(ws: Workspace, e: int):
+def _ev_thm1_4_ii(ws: Workspace):
     y = ws.rep(3, Y1MOD4).y
     a = ws.sum(2, 64, (1,), WeightSpec(LUCAS_U, 4, 1))
     b1 = ws.sum(2, 64, (1, 0), WeightSpec(LUCAS_U, 4, 1))
@@ -406,16 +403,15 @@ def _ev_thm1_4_ii(ws: Workspace, e: int):
     return [(a, 2 * y - Fraction(ws.q, 6 * y)), (b1, y), (b2, y)]
 
 
-def _ev_thm1_5(ws: Workspace, e: int):
+def _ev_thm1_5(ws: Workspace):
     q, mod = ws.q, ws.mod(2)
     inv2, inv4 = pow(2, -1, mod), pow(4, -1, mod)
     out = []
     for m in THM15_M:
-        if Fraction(m).numerator % q == 0:
-            continue
+        # the sums at m come first: they refuse an m whose numerator p divides
+        s1m, s0m = ws.sum(3, m, (1, 0)), ws.sum(3, m)
         mb = Fraction(4096, m)
         fq = (pow(_res(mb, mod), q - 1, mod) + 1) * inv4
-        s1m, s0m = ws.sum(3, m, (1, 0)), ws.sum(3, m)
         s1b, s0b = ws.sum(3, mb, (1, 0)), ws.sum(3, mb)
         g1b, g0b = ws.gap1(mb), ws.sum(3, mb, (1,), GAP_WEIGHT, FULL, 1)
         sym = ws.legendre(-m)
@@ -426,12 +422,10 @@ def _ev_thm1_5(ws: Workspace, e: int):
     return out
 
 
-def _ev_cor1_1(ws: Workspace, e: int):
+def _ev_cor1_1(ws: Workspace):
     q, mod = ws.q, ws.mod(2)
     out = []
     for m in THM15_M:
-        if Fraction(m).numerator % q == 0:
-            continue
         mb = Fraction(4096, m)
         s0m, s0b = ws.sum(3, m), ws.sum(3, mb)
         g0b = ws.sum(3, mb, (1,), GAP_WEIGHT, FULL, 1)
@@ -440,15 +434,15 @@ def _ev_cor1_1(ws: Workspace, e: int):
     return out
 
 
-def _ev_vhm_4k1(ws: Workspace, e: int):
+def _ev_vhm_4k1(ws: Workspace):
     return [(ws.sum(3, -64, (4, 1), e=3), ws.legendre(-1) * ws.q)]
 
 
-def _ev_gz_3k1_16(ws: Workspace, e: int):
+def _ev_gz_3k1_16(ws: Workspace):
     return [(ws.sum(3, 16, (3, 1), e=2), ws.q)]
 
 
-def _ev_gz_3k1_m8(ws: Workspace, e: int):
+def _ev_gz_3k1_m8(ws: Workspace):
     return [(ws.sum(3, -8, (3, 1), e=3), ws.legendre(-1) * ws.q)]
 
 
@@ -456,7 +450,7 @@ def _ev_su2_21k8(ws: Workspace, e: int):
     return [(ws.sum(3, 1, (21, 8), e=e), 8 * ws.q)]
 
 
-def _ev_long_6k1_256(ws: Workspace, e: int):
+def _ev_long_6k1_256(ws: Workspace):
     lhs = ws.sum(3, 256, (6, 1), CONST_WEIGHT, HALF, 4)
     return [(lhs, ws.legendre(-1) * ws.q)]
 
@@ -474,7 +468,7 @@ def lemma_2_2_arguments(q: int, count: int) -> list:
     return args
 
 
-def _ev_lemma2_2(ws: Workspace, e: int):
+def _ev_lemma2_2(ws: Workspace):
     mod = ws.mod(2)
     out = []
     for x in lemma_2_2_arguments(ws.q, 4):
@@ -485,7 +479,7 @@ def _ev_lemma2_2(ws: Workspace, e: int):
     return out
 
 
-def _ev_lemma2_3(ws: Workspace, e: int):
+def _ev_lemma2_3(ws: Workspace):
     q = ws.q
     out = []
     for d in (1, 2, 3, 7):
@@ -500,7 +494,7 @@ def _ev_lemma2_3(ws: Workspace, e: int):
     return out
 
 
-def _ev_lemma2_4_d2(ws: Workspace, e: int):
+def _ev_lemma2_4_d2(ws: Workspace):
     mod = ws.mod(2)
     ar = ws.aligned(2, X1MOD4)
     pb = pi_bar(ar).value
@@ -515,7 +509,7 @@ def _ev_lemma2_4_d2(ws: Workspace, e: int):
     return [(l0, r[0] * pb), (l1, r[1] * pb)]
 
 
-def _ev_lemma2_4_d3(ws: Workspace, e: int):
+def _ev_lemma2_4_d3(ws: Workspace):
     mod = ws.mod(2)
     ar = ws.aligned(3, XPLUSY1MOD4)
     pb = pi_bar(ar).value
@@ -534,7 +528,7 @@ def _ev_lemma2_4_d3(ws: Workspace, e: int):
     return out
 
 
-def _ev_lemma2_4_d7(ws: Workspace, e: int):
+def _ev_lemma2_4_d7(ws: Workspace):
     mod = ws.mod(2)
     ar = ws.aligned(7, XPLUSY1MOD4)
     pb = pi_bar(ar).value
@@ -553,20 +547,18 @@ def _ev_lemma2_4_d7(ws: Workspace, e: int):
     return out
 
 
-def _ev_lemma4_1(ws: Workspace, e: int):
-    """binom(2n-k,k) = (-1)^k binom(2k,k)(1 - p(H_2k - H_k)) mod p^2 at the first k <= n
-    where it fails, else at k = n; the left side steps by (2n-2k)(2n-2k-1)/((2n-k)(k+1)).
+def _ev_lemma4_1(ws: Workspace):
+    """binom(2n-k,k) = (-1)^k binom(2k,k)(1 - p(H_2k - H_k)) mod p^2, one pair per k = 0..n,
+    yielded in k order; the left side steps by (2n-2k)(2n-2k-1)/((2n-k)(k+1)).
     """
     n, ctx = ws.n, ws.ctx
-    mod, mod2 = ctx.mod, ws.mod(2)
+    mod = ctx.mod
     hg = ctx.weight_table(GAP_WEIGHT, n + 1)  # p (H_2k - H_k)
     B = ctx.bh(1, n + 1)
     inv = ctx.inverses(2 * n + 1)
     lhs = 1
     for k in range(n + 1):
-        rhs = _sgn(k) * B[k] * (1 - hg[k])
-        if (lhs - rhs) % mod2 or k == n:
-            return [(lhs, rhs)]
+        yield lhs, _sgn(k) * B[k] * (1 - hg[k])
         lhs = lhs * (2 * n - 2 * k) * (2 * n - 2 * k - 1) * inv[2 * n - k] * inv[k + 1] % mod
 
 
@@ -587,7 +579,7 @@ def _poly_reflect_half(poly: tuple) -> tuple:
     return tuple(reversed(asc))
 
 
-def _ev_thm4_1(ws: Workspace, e: int):
+def _ev_thm4_1(ws: Workspace):
     """Theorem 4.1's half-range reflection mod p^2 at each THM41_GRID instance, mbar = 16^h/m:
 
     ((-1)^h m / p) sum_{k<=n} P(k) binom^h / m^k = sum_{k<=n} binom^h / mbar^k
@@ -598,8 +590,8 @@ def _ev_thm4_1(ws: Workspace, e: int):
     q, mod2 = ws.q, ws.mod(2)
     out = []
     for h, m, poly in THM41_GRID:
-        if m % q == 0:
-            continue
+        # the sum at m comes first: it refuses an m whose numerator p divides
+        lhs = ws.legendre((-1) ** h * m) * ws.sum(h, m, poly, CONST_WEIGHT, HALF)
         mbar = Fraction(16**h, m)
         d = len(poly) - 1
         qpoly = _poly_reflect_half(poly)
@@ -608,12 +600,11 @@ def _ev_thm4_1(ws: Workspace, e: int):
         s_r = ws.sum(h, mbar, rpoly, CONST_WEIGHT, HALF) if d else 0
         gap = ws.sum(h, mbar, qpoly, GAP_WEIGHT, HALF, 1)
         fq = Fraction(pow(_res(mbar, mod2), q - 1, mod2) + 1, 2)
-        lhs = ws.legendre((-1) ** h * m) * ws.sum(h, m, poly, CONST_WEIGHT, HALF)
         out.append((lhs, (fq * s_q + q * s_r - h * q * gap) / 2**d))
     return out
 
 
-def _ev_cor4_1(ws: Workspace, e: int):
+def _ev_cor4_1(ws: Workspace):
     lhs = ws.legendre(-1) * ws.gap1(-64) - Fraction(1, 6)
     if ws.q % 8 in (1, 3):
         x = ws.rep(2, RAW).x
@@ -622,13 +613,13 @@ def _ev_cor4_1(ws: Workspace, e: int):
     return [(lhs, 0)]
 
 
-def _ev_cor4_1_b(ws: Workspace, e: int):
+def _ev_cor4_1_b(ws: Workspace):
     x = ws.rep(1, RAW).x
     qp = fermat_quotient(2, ws.prime).value
     return [(ws.gap1(64), Fraction(-(3 * qp + 2) * x * x, 3))]
 
 
-def _ev_cor4_2(ws: Workspace, e: int):
+def _ev_cor4_2(ws: Workspace):
     a = ws.gap1(16) - Fraction(1, 6)
     b = ws.legendre(-1) * ws.gap1(256) - Fraction(1, 6)
     if ws.q % 3 == 1:
@@ -644,7 +635,7 @@ def _congruent(a, b, mod: int) -> bool:
     return _res(a - b, mod) == 0
 
 
-def _ev_cor4_3(ws: Workspace, e: int):
+def _ev_cor4_3(ws: Workspace):
     # T1 sits at p^2, T2 and T3 at p; x = 0 where p does not split in Q(sqrt -7)
     q = ws.q
     lhs1 = ws.sum(3, 4096, (42, 5), e=2)
@@ -660,7 +651,7 @@ def _ev_cor4_3(ws: Workspace, e: int):
     return Equivalence(truths, (lhs1, rhs1))
 
 
-def _ev_cor4_4(ws: Workspace, e: int):
+def _ev_cor4_4(ws: Workspace):
     # T1 sits at p^2, T2 and T3 at p; x = 0 where p does not split in Q(i)
     q = ws.q
     lhs1 = ws.sum(3, -512, (6, 1), e=2)
@@ -677,7 +668,7 @@ def _ev_cor4_4(ws: Workspace, e: int):
     return Equivalence(truths, (lhs1, rhs1))
 
 
-def _ev_conj4_1_i(ws: Workspace, e: int):
+def _ev_conj4_1_i(ws: Workspace):
     a = ws.gap0_half(-8)
     b = ws.gap0_half(64)
     c = ws.gap0_half(-512)
@@ -687,14 +678,14 @@ def _ev_conj4_1_i(ws: Workspace, e: int):
     return [(a, Fraction(-7 * b, 2)), (b, -ws.legendre(2) * c)]
 
 
-def _ev_conj4_1_ii(ws: Workspace, e: int):
+def _ev_conj4_1_ii(ws: Workspace):
     if ws.q % 3 == 1:
         rhs = ws.legendre(-1) * Fraction(ws.gap0_half(256), 2)
         return [(ws.gap0_half(16), rhs)]
     return [(ws.gap0_half(256), 0)]
 
 
-def _ev_conj4_1_iii(ws: Workspace, e: int):
+def _ev_conj4_1_iii(ws: Workspace):
     return [(ws.gap0_half(1), 8 * ws.legendre(-1) * ws.gap0_half(4096))]
 
 
@@ -946,13 +937,24 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
         fits = ws.q == prime.p and ws.power >= e
         if fits:
             modulus = prime.power(e)
-            outcome = check.evaluate(ws, e)
+            outcome = check.evaluate(ws, e) if check.reads_power else check.evaluate(ws)
             witnesses = [outcome.witness] if isinstance(outcome, Equivalence) else outcome
-            pairs = [(_res(lhs, modulus), _res(rhs, modulus)) for lhs, rhs in witnesses]
+            # each pair is reduced as it is read; only the first, the first that
+            # differs and the count are kept, so an evaluator may yield its pairs
+            first = bad = None
+            count = 0
+            for lhs, rhs in witnesses:
+                pair = _res(lhs, modulus), _res(rhs, modulus)
+                first = first or pair
+                if bad is None and pair[0] != pair[1]:
+                    bad = count, pair
+                count += 1
     except SuperconError as exc:
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
                            f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # a catalogue defect: an ERROR report, not a traceback
+        import traceback
+
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
@@ -960,17 +962,16 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
     if not fits:
         raise ValueError(f"a workspace for p = {ws.q} at power {ws.power} "
                          f"({ws.ctx.digits} digits) cannot run {check_id} mod {prime.p}^{e}")
-    lhs, rhs = pairs[0]
+    lhs, rhs = first
     detail = ""
     if isinstance(outcome, Equivalence):
         ok = len(set(outcome.truths)) == 1
         detail = " ".join(f"T{i + 1}={'T' if t else 'F'}" for i, t in enumerate(outcome.truths))
     else:
-        bad = next((i for i, (left, right) in enumerate(pairs) if left != right), None)
         ok = bad is None
         if not ok:
-            lhs, rhs = pairs[bad]
-            detail = f"congruence {bad + 1} of {len(pairs)}"
+            i, (lhs, rhs) = bad
+            detail = f"congruence {i + 1} of {count}"
     if ok:
         verdict = PASS
     elif check.failure_mode == ABORT:
@@ -1004,8 +1005,7 @@ def _evaluate_prime(args) -> list:
     return [run_check(cid, prime, overrides.get(cid), ws) for cid in ids]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     reports: tuple
     summary: dict
     aborted: "CheckReport | None" = None
@@ -1058,7 +1058,11 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
     jobs = [(tuple(ids), q, overrides) for q in primes]
     # a forked pool starts all its workers at once, so it gets no more than the jobs
     workers = min(workers, len(jobs))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:  # a serial run never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     reports: list = []
     aborted = None
     try:

@@ -4,9 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supercon
 from supercon.arith import is_prime
 from supercon.cli import _load_config, main
 
@@ -395,3 +400,20 @@ def test_verify_report_is_byte_identical_to_golden(capsys):
         rc, out, _ = run_cli(capsys, "verify", "--checks", "all", "--primes", *args)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+def test_import_loads_only_what_every_run_needs():
+    # in a fresh interpreter, importing the CLI adds no process pool, no
+    # dataclasses, no csv writer and no oracle to what the interpreter holds
+    # at start; the oracle still resolves as supercon.exact_sum
+    code = ("import sys; bare = set(sys.modules); import supercon.cli; "
+            "print(' '.join(sorted(set(sys.modules) - bare))); "
+            "print(supercon.exact_sum.__module__)")
+    env = dict(os.environ, PYTHONPATH=str(Path(supercon.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    added = out[0].split()
+    lazy = {"concurrent", "multiprocessing", "dataclasses", "csv"}
+    assert "supercon.cli" in added
+    assert [m for m in added if m.split(".")[0] in lazy or m == "supercon.oracle"] == []
+    assert out[1] == "supercon.oracle"

@@ -1,6 +1,5 @@
 """Summation engine, Legendre polynomial evaluation, structural identities."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import islice
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercon import engine
+from supercon import engine, registry
 from supercon.arith import (
     OddPrime,
     ResidueMod,
@@ -45,7 +44,16 @@ from supercon.oracle import (
     exact_weights,
     reduce_fraction,
 )
-from supercon.registry import PASS, THM41_GRID, Workspace, _res, get_check, run_check
+from supercon.registry import (
+    ERROR,
+    FAIL,
+    PASS,
+    THM41_GRID,
+    Workspace,
+    _res,
+    get_check,
+    run_check,
+)
 from supercon.seq import (
     COMPANION_PELL,
     HARMONIC,
@@ -93,6 +101,16 @@ def test_sum_spec_refuses_an_m_of_another_type():
     for m in (0.3, 64.0, True, "64", None, ResidueMod(OddPrime(13), 4, 64)):
         with pytest.raises(TypeError, match="int or a Fraction"):
             SumSpec(3, m)
+
+
+def test_sum_spec_keeps_a_poly_given_as_an_iterator():
+    # the check used to read the iterator before the tuple was taken, leaving
+    # poly = () and a sum of 0
+    spec = SumSpec(3, 64, iter((1, 0)))
+    assert spec.poly == (1, 0)
+    assert binomial_sum(spec, 13) == binomial_sum(SumSpec(3, 64, (1, 0)), 13)
+    with pytest.raises(ValueError, match="nonempty tuple"):
+        SumSpec(3, 64, iter(()))
 
 
 def test_legendre_poly_eval_basics():
@@ -191,12 +209,13 @@ def test_clausen_square_identity():
 def _pairs_mod_p2(check_id: str, ws: Workspace) -> list:
     """The (lhs, rhs) pairs of a fixed-power check's evaluator on ws, each reduced mod p^2."""
     mod = ws.mod(2)
-    return [(_res(lhs, mod), _res(rhs, mod)) for lhs, rhs in get_check(check_id).evaluate(ws, 2)]
+    return [(_res(lhs, mod), _res(rhs, mod)) for lhs, rhs in get_check(check_id).evaluate(ws)]
 
 
 def test_lemma_4_1_hand_case():
-    # p = 5, k = n = 2: binom(2,2) = 1 and binom(4,2)(1 - 5(1/3 + 1/4)) = -23/2 = 1 (mod 25)
-    assert _pairs_mod_p2("lemma4.1", Workspace(OddPrime(5), 2)) == [(1, 1)]
+    # p = 5, one pair per k = 0..n: k = 1 gives binom(3,1) = 3 and -binom(2,1)(1 - 5/2) = 3;
+    # k = n = 2 gives binom(2,2) = 1 and binom(4,2)(1 - 5(1/3 + 1/4)) = -23/2 = 1 (mod 25)
+    assert _pairs_mod_p2("lemma4.1", Workspace(OddPrime(5), 2)) == [(1, 1), (3, 3), (1, 1)]
     report = run_check("lemma4.1", 5)
     assert (report.verdict, report.lhs, report.rhs, report.modulus) == (PASS, 1, 1, 25)
     for q in (7, 11, 13, 17, 19, 23):
@@ -204,12 +223,48 @@ def test_lemma_4_1_hand_case():
         assert report.verdict == PASS and report.lhs == report.rhs == 1, q
 
 
-def test_theorem_4_1_transform_examples():
-    # one pair per THM41_GRID instance whose m is a unit, each side agreeing mod p^2
+def test_lemma_4_1_reports_the_first_k_that_fails(monkeypatch):
+    # one corrupted harmonic-gap entry at 0 < k < n moves that k's pair, the
+    # (k+1)-th of n + 1; a check that stopped at the first bad k shows 1 of 1
+    q, bad_k = 29, 5
+    n = (q - 1) // 2
+    table = PrimeContext.weight_table
+
+    def corrupted(ctx, ws, hi=None):
+        out = table(ctx, ws, hi)
+        if ws.kind != HARMONIC_GAP:
+            return out
+        return out[:bad_k] + [out[bad_k] + 1] + out[bad_k + 1:]
+
+    monkeypatch.setattr(PrimeContext, "weight_table", corrupted)
+    report = run_check("lemma4.1", q)
+    assert report.verdict == FAIL and report.lhs != report.rhs
+    assert report.detail == f"congruence {bad_k + 1} of {n + 1}"
+
+
+@pytest.mark.parametrize("cid, grid, entry", [
+    ("thm1.5", "THM15_M", 22),
+    ("cor1.1", "THM15_M", 22),
+    ("thm4.1", "THM41_GRID", (2, 22, (1, 1))),
+])
+def test_a_grid_m_that_p_divides_is_an_error_not_a_skip(monkeypatch, cid, grid, entry):
+    # no grid m has a numerator p divides, so the evaluators skip none: an
+    # edit that put one in reports the pole rather than drop the instance
+    monkeypatch.setattr(registry, grid, getattr(registry, grid) + (entry,))
+    report = run_check(cid, 11)
+    assert report.verdict == ERROR
+    assert report.detail == "DenominatorDivisible: m = 22 vanishes mod 11"
+
+
+def test_theorem_4_1_transform_examples(monkeypatch):
+    # one pair per grid instance (every m is +-2^a), each side agreeing mod p^2;
+    # a degree-3 instance joins the grid here only, since in the catalogue its
+    # four polynomial walks per prime would cost every sweep
+    grid = THM41_GRID + ((1, 8, (2, -1, 0, 5)),)
+    monkeypatch.setattr(registry, "THM41_GRID", grid)
     report = run_check("thm4.1", 11)
     assert report.verdict == PASS and report.modulus == 121
     for q in [3] + PRIMES_50:
-        grid = [(h, m, poly) for h, m, poly in THM41_GRID if m % q]
         pairs = _pairs_mod_p2("thm4.1", Workspace(OddPrime(q), 2))
         assert len(pairs) == len(grid), q
         for instance, (lhs, rhs) in zip(grid, pairs):
@@ -515,7 +570,7 @@ def test_binomial_sum_refuses_a_mismatched_context():
     with pytest.raises(ValueError, match="p = 11"):
         binomial_sum(spec, p, PrimeContext(OddPrime(11), MAX_DIGITS))
     # the harmonic gap, v(w) = -1, needs e + 1 digits
-    gap = dataclasses.replace(spec, weight=WeightSpec(HARMONIC_GAP))
+    gap = spec._replace(weight=WeightSpec(HARMONIC_GAP))
     assert reduce(binomial_sum(gap, p, PrimeContext(p, 3)), 2).value == exact_sum(gap, p).value
     with pytest.raises(ValueError, match="needs 3 digits"):
         binomial_sum(gap, p, PrimeContext(p, 2))
@@ -524,7 +579,7 @@ def test_binomial_sum_refuses_a_mismatched_context():
     with pytest.raises(ValueError, match="outside 2..5"):
         PrimeContext(p, 6)
     for case, need in ((spec, 4), (gap, 5)):
-        case = dataclasses.replace(case, e=4)
+        case = case._replace(e=4)
         with pytest.raises(ValueError, match=f"needs {need} digits"):
             binomial_sum(case, p, PrimeContext(p, need - 1))
         got = binomial_sum(case, p, PrimeContext(p, need))

@@ -1,14 +1,16 @@
 """Check catalogue semantics and the suite runner."""
 
-import dataclasses
+import concurrent.futures
+import pickle
 import time
 
 import pytest
 
 from supercon import engine, registry
-from supercon.arith import OddPrime, is_prime
+from supercon.arith import OddPrime, ResidueMod, is_prime
+from supercon.engine import SumSpec, WeightSpec
 from supercon.errors import OverrideRefused, PrimeTooLarge, UnknownCheckId
-from supercon.quadform import RAW, QuadRep
+from supercon.quadform import RAW, QuadRep, align_pi
 from supercon.registry import (
     ABORT,
     CONJECTURAL,
@@ -152,12 +154,12 @@ def test_run_suite_conjectural_failures_do_not_abort():
 def _fail_eq10_at(bad_p):
     check = get_check("eq1.0")
 
-    def evaluate(ws, e):
+    def evaluate(ws):
         if ws.q == bad_p:
             return [(0, 1)]
-        return check.evaluate(ws, e)
+        return check.evaluate(ws)
 
-    return dataclasses.replace(check, evaluate=evaluate)
+    return check._replace(evaluate=evaluate)
 
 
 @pytest.mark.parametrize("bad_p", [1009, 1103])
@@ -178,11 +180,11 @@ def test_a_job_above_the_abort_cannot_break_the_run(monkeypatch):
     # reads the batches in prime order stops at 1009 and never sees the raise
     check = get_check("eq1.0")
 
-    def evaluate(ws, e):
+    def evaluate(ws):
         if ws.q == 1009:
             time.sleep(0.2)
             return [(0, 1)]
-        return check.evaluate(ws, e)
+        return check.evaluate(ws)
 
     init = Workspace.__init__
 
@@ -191,7 +193,7 @@ def test_a_job_above_the_abort_cannot_break_the_run(monkeypatch):
             raise RuntimeError("the job above the abort")
         init(self, p, power)
 
-    monkeypatch.setitem(registry._CHECKS, "eq1.0", dataclasses.replace(check, evaluate=evaluate))
+    monkeypatch.setitem(registry._CHECKS, "eq1.0", check._replace(evaluate=evaluate))
     monkeypatch.setattr(Workspace, "__init__", raising_init)
     serial = run_suite(["eq1.0", "eq1.1"], range(1000, 1101))
     assert serial.aborted.p == 1009 and serial.aborted.verdict == FAIL
@@ -204,12 +206,12 @@ def test_a_job_above_the_abort_cannot_break_the_run(monkeypatch):
 def test_evaluator_exception_is_an_error_report(monkeypatch):
     check = get_check("eq1.0")
 
-    def evaluate(ws, e):
+    def evaluate(ws):
         if ws.q == 1013:
             return 1 // (ws.q - 1013)
-        return check.evaluate(ws, e)
+        return check.evaluate(ws)
 
-    monkeypatch.setitem(registry._CHECKS, "eq1.0", dataclasses.replace(check, evaluate=evaluate))
+    monkeypatch.setitem(registry._CHECKS, "eq1.0", check._replace(evaluate=evaluate))
     report = run_check("eq1.0", 1013)
     assert report.verdict == ERROR and (report.lhs, report.rhs, report.modulus) == (None,) * 3
     assert report.detail.startswith("ZeroDivisionError in eq1.0 at p=1013: ")
@@ -222,7 +224,7 @@ def test_evaluator_exception_is_an_error_report(monkeypatch):
 
 def test_hypothesis_exception_is_an_error_report(monkeypatch):
     check = get_check("eq1.0")
-    raising = dataclasses.replace(check, hypothesis=lambda p: 1 // (p.p - 11) >= 0)
+    raising = check._replace(hypothesis=lambda p: 1 // (p.p - 11) >= 0)
     monkeypatch.setitem(registry._CHECKS, "eq1.0", raising)
     serial = run_suite(["eq1.0"], [5, 7, 11, 13])
     parallel = run_suite(["eq1.0"], [5, 7, 11, 13], workers=2)
@@ -232,8 +234,32 @@ def test_hypothesis_exception_is_an_error_report(monkeypatch):
     assert serial.aborted.detail.startswith("ZeroDivisionError in eq1.0 at p=11: ")
 
 
+def test_records_are_immutable_hashable_picklable_tuples():
+    p = OddPrime(13)
+    ws = Workspace(p, 2)
+    result = run_suite(["eq1.0", "gauss"], [13])
+    records = [p, ResidueMod(p, 2, 1000), WeightSpec("lucas_u", 1, 16),
+               SumSpec(3, 64, [1, 0], WeightSpec("harmonic")), QuadRep(p, 1, 3, 2, RAW),
+               align_pi(ws.rep(1, RAW), ws.sqrt(-1)), get_check("cor4.3").evaluate(ws),
+               get_check("eq1.0"), result.reports[0], result]
+    for record in records:
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert type(pickle.loads(pickle.dumps(record))) is type(record)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        if record is not result:  # its summary is a dict
+            assert hash(record._replace()) == hash(record)
+    assert repr(records[4]) == "QuadRep(p=OddPrime(13), d=1, x=3, y=2, convention='raw')"
+    assert repr(records[1]) == "155 (mod 13^2)" and records[3].poly == (1, 0)
+    assert OddPrime(11) < p < OddPrime(17)
+    # _replace validates as the constructor does
+    assert records[1]._replace(value=-1).value == 168
+    with pytest.raises(ValueError, match="15 is not prime"):
+        p._replace(p=15)
+
+
 def test_override_refused_where_the_power_is_fixed():
-    # derived from the evaluators' code: only these read their power e
+    # derived from the evaluators' arity: only these take their power e
     assert [c.id for c in checks() if c.reads_power] == ["eq1.2", "eq1.5", "eq1.6", "su2.21k8"]
     with pytest.raises(OverrideRefused, match="eq1.0"):
         run_suite(["eq1.0"], [11], overrides={"eq1.0": 3})
@@ -300,7 +326,7 @@ def recording_pool(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(registry, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
