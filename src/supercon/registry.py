@@ -13,17 +13,17 @@ p^e as it reads them, and reports the first pair that differs.  An
 evaluator takes (ws), or (ws, e) when it reads that power; that arity is
 CongruenceCheck.reads_power, and only such a check takes an override.
 Modular arithmetic stays only where a value must be a residue: an
-exponentiation mod p^2, a point in Z[w], an argument to
-Workspace.legendre_poly, a biconditional's truths.
+exponentiation mod p^2, a point in Z[w], a biconditional's truths.
 
 The engine states no congruence: lemma 4.1 and theorem 4.1 are evaluators
-here too.  An evaluator reaches sums and Legendre values only through its
-Workspace (sum, legendre_poly) and reads tables through Workspace.ctx.  A
-check does not list the sums it evaluates.  The oracle gates in
-tests/test_acceptance.py cover the sums the catalogue is observed to
-evaluate: they record every SumSpec that reaches binomial_sum, and every
-P_n argument that reaches legendre_poly_eval, while each check runs at a
-few primes.
+here too.  An evaluator reads every engine value through its Workspace:
+sums (sum), Legendre values (legendre_poly) and table entries
+(central_binomial, alternating_apery, half_tables).  The prime's context is
+private to the Workspace.  A check does not list the sums it evaluates.
+The oracle gates in tests/test_acceptance.py cover the sums the catalogue
+is observed to evaluate: they record every SumSpec that reaches
+binomial_sum, and every P_n argument that reaches legendre_poly_eval,
+while each check runs at a few primes.
 
 Importing this module builds the catalogue and loads no process pool:
 run_suite imports concurrent.futures only when it starts one.
@@ -134,10 +134,12 @@ class Workspace:
     """Per-prime evaluation bundle shared by every check in a batch, up to mod p^power.
 
     It owns the prime's one PrimeContext, deep enough for any weight, and hands
-    it to every engine call; the context is dropped with the workspace.
+    it to every engine call; the context is dropped with the workspace.  No
+    evaluator reads the context: every sum, Legendre value and table entry a
+    check reads is a method here, so a test can answer them all another way.
     """
 
-    __slots__ = ("prime", "q", "n", "power", "ctx", "_cache")
+    __slots__ = ("prime", "q", "n", "power", "_ctx", "_cache")
 
     def __init__(self, p: OddPrime, power: int):
         if not 1 <= power <= MAX_POWER:
@@ -147,7 +149,7 @@ class Workspace:
         self.n = (p.p - 1) // 2
         self.power = power
         # the harmonic gap, v(w) = -1, needs the most digits
-        self.ctx = PrimeContext(p, sum_digits(power, GAP_WEIGHT))
+        self._ctx = PrimeContext(p, sum_digits(power, GAP_WEIGHT))
         self._cache: dict = {}
 
     def mod(self, e: int) -> int:
@@ -160,7 +162,7 @@ class Workspace:
     def sum(self, h, m, poly=(1,), weight=CONST_WEIGHT, rng=FULL, e=2) -> int:
         # evaluate once at the workspace power, then cut down to e
         spec = SumSpec(h, m, tuple(poly), weight, rng, self.power)
-        return reduce(binomial_sum(spec, self.prime, self.ctx), e).value
+        return reduce(binomial_sum(spec, self.prime, self._ctx), e).value
 
     def gap1(self, m) -> int:
         """True value of sum_k k binom^3 (H_2k - H_k)/m^k mod p."""
@@ -168,6 +170,20 @@ class Workspace:
 
     def gap0_half(self, m) -> int:
         return self.sum(3, m, (1,), GAP_WEIGHT, HALF, 2)
+
+    def central_binomial(self, k: int) -> int:
+        """binomial(2k, k) to the context's digits; the table grows to k alone."""
+        return self._ctx.bh(1, k + 1)[k]
+
+    def alternating_apery(self) -> int:
+        """sum_{k<p} (-1)^k A_k, A_k the Apery numbers, unreduced but true to the context's digits."""
+        return sum(map(mul, self._ctx.apery(), cycle((1, -1))))
+
+    def half_tables(self) -> tuple:
+        """Lemma 4.1's tables to the context's digits: binomial(2k, k) and p(H_2k - H_k)
+        by k <= n, and j^{-1} by 0 < j <= 2n."""
+        ctx, n = self._ctx, self.n
+        return ctx.bh(1, n + 1), ctx.weight_table(GAP_WEIGHT, n + 1), ctx.inverses(2 * n + 1)
 
     def rep(self, d: int, convention: str):
         key = ("rep", d, convention)
@@ -194,9 +210,11 @@ class Workspace:
                 self._cache[key] = align_pi(rep, root)
         return self._cache[key]
 
-    def legendre_poly(self, x0: int, x1: int = 0, disc: int = 0) -> tuple:
-        """P_n(x0 + x1 w) in Z[w]/(w^2 - disc) for n = (p-1)/2, a pair to the context's digits."""
-        return legendre_poly_eval(self.ctx, self.n, x0, x1, disc)
+    def legendre_poly(self, x0, x1=0, disc: int = 0) -> tuple:
+        """P_n(x0 + x1 w) in Z[w]/(w^2 - disc) for n = (p-1)/2, a pair to the context's digits;
+        x0 and x1 are p-integral ints or Fractions."""
+        mod = self._ctx.mod
+        return legendre_poly_eval(self._ctx, self.n, _res(x0, mod), _res(x1, mod), disc)
 
 
 class Equivalence(NamedTuple):
@@ -247,15 +265,13 @@ class CheckReport(NamedTuple):
 
 def _ev_gauss(ws: Workspace):
     x = ws.rep(1, D1_ODDX1MOD4).x
-    k = (ws.q - 1) // 4
-    return [(ws.ctx.bh(1, k + 1)[k], 2 * x)]
+    return [(ws.central_binomial((ws.q - 1) // 4), 2 * x)]
 
 
 def _ev_cde(ws: Workspace):
     x = ws.rep(1, D1_ODDX1MOD4).x
-    k = (ws.q - 1) // 4
     factor = Fraction(pow(2, ws.q - 1, ws.mod(2)) + 1, 2)
-    return [(ws.ctx.bh(1, k + 1)[k], factor * (2 * x - Fraction(ws.q, 2 * x)))]
+    return [(ws.central_binomial((ws.q - 1) // 4), factor * (2 * x - Fraction(ws.q, 2 * x)))]
 
 
 def _four_x_sq(ws: Workspace, d: int) -> int:
@@ -299,8 +315,7 @@ def _ev_eq1_6(ws: Workspace, e: int):
 
 
 def _ev_eq1_8(ws: Workspace):
-    lhs = sum(map(mul, ws.ctx.apery(), cycle((1, -1))))
-    return [(lhs, ws.sum(3, 16, e=2))]
+    return [(ws.alternating_apery(), ws.sum(3, 16, e=2))]
 
 
 def _ev_eq1_9(ws: Workspace):
@@ -469,13 +484,12 @@ def lemma_2_2_arguments(q: int, count: int) -> list:
 
 
 def _ev_lemma2_2(ws: Workspace):
-    mod = ws.mod(2)
     out = []
     for x in lemma_2_2_arguments(ws.q, 4):
         z = (x - 1) / 2
         rhs = ws.sum(2, Fraction(-16) / z, e=2) if z else 1
-        out.append((ws.legendre_poly(_res(x, mod))[0], rhs))
-        out.append((ws.legendre_poly(_res(-x, mod))[0], _sgn(ws.n) * rhs))
+        out.append((ws.legendre_poly(x)[0], rhs))
+        out.append((ws.legendre_poly(-x)[0], _sgn(ws.n) * rhs))
     return out
 
 
@@ -494,18 +508,15 @@ def _ev_lemma2_3(ws: Workspace):
     return out
 
 
+# P_n(c sqrt d) is evaluated in Z[w]/(w^2 - d) at every prime: where sqrt d
+# exists mod p, n = (p-1)/2 is even, P_n is an even polynomial, and its value
+# there depends on d alone.
 def _ev_lemma2_4_d2(ws: Workspace):
     mod = ws.mod(2)
     ar = ws.aligned(2, X1MOD4)
     pb = pi_bar(ar).value
-    y = ar.rep.y
-    s = ar.sqrt_md.value
-    if ws.q % 8 == 1:
-        w = ws.sqrt(2).value
-        i_val = s * pow(w, -1, mod)
-        return [(ws.legendre_poly(w)[0], pow(i_val, (-y) % 4, mod) * pb)]
     l0, l1 = ws.legendre_poly(0, 1, 2)
-    r = ext_pow((0, _res(Fraction(s, 2), mod)), (-y) % 4, 2, mod)
+    r = ext_pow((0, _res(Fraction(ar.sqrt_md.value, 2), mod)), (-ar.rep.y) % 4, 2, mod)
     return [(l0, r[0] * pb), (l1, r[1] * pb)]
 
 
@@ -513,49 +524,29 @@ def _ev_lemma2_4_d3(ws: Workspace):
     mod = ws.mod(2)
     ar = ws.aligned(3, XPLUSY1MOD4)
     pb = pi_bar(ar).value
-    y = ar.rep.y
     s = ar.sqrt_md.value
-    out = [(ws.legendre_poly(s)[0], _sgn(y) * pb)]
-    if ws.q % 12 == 1:
-        w = ws.sqrt(3).value
-        arg = _res(Fraction(w, 2), mod)
-        minus_i = -s * pow(w, -1, mod)
-        out.append((ws.legendre_poly(arg)[0], pow(minus_i, ws.n % 4, mod) * pb))
-    else:
-        l0, l1 = ws.legendre_poly(0, _res(Fraction(1, 2), ws.ctx.mod), 3)
-        r = ext_pow((0, _res(Fraction(-s, 3), mod)), ws.n % 4, 3, mod)
-        out += [(l0, r[0] * pb), (l1, r[1] * pb)]
-    return out
+    l0, l1 = ws.legendre_poly(0, Fraction(1, 2), 3)
+    r = ext_pow((0, _res(Fraction(-s, 3), mod)), ws.n % 4, 3, mod)
+    return [(ws.legendre_poly(s)[0], _sgn(ar.rep.y) * pb), (l0, r[0] * pb), (l1, r[1] * pb)]
 
 
 def _ev_lemma2_4_d7(ws: Workspace):
     mod = ws.mod(2)
     ar = ws.aligned(7, XPLUSY1MOD4)
     pb = pi_bar(ar).value
-    y = ar.rep.y
     s = ar.sqrt_md.value
-    out = [(ws.legendre_poly(3 * s % mod)[0], _sgn(ws.n + y) * pb)]
-    if ws.q % 4 == 1:
-        w = ws.sqrt(7).value
-        arg = _res(Fraction(3 * w, 8), mod)
-        i_val = s * pow(w, -1, mod)
-        out.append((ws.legendre_poly(arg)[0], pow(i_val, ws.n % 4, mod) * pb))
-    else:
-        l0, l1 = ws.legendre_poly(0, _res(Fraction(3, 8), ws.ctx.mod), 7)
-        r = ext_pow((0, _res(Fraction(s, 7), mod)), ws.n % 4, 7, mod)
-        out += [(l0, r[0] * pb), (l1, r[1] * pb)]
-    return out
+    l0, l1 = ws.legendre_poly(0, Fraction(3, 8), 7)
+    r = ext_pow((0, _res(Fraction(s, 7), mod)), ws.n % 4, 7, mod)
+    return [(ws.legendre_poly(3 * s)[0], _sgn(ws.n + ar.rep.y) * pb), (l0, r[0] * pb),
+            (l1, r[1] * pb)]
 
 
 def _ev_lemma4_1(ws: Workspace):
     """binom(2n-k,k) = (-1)^k binom(2k,k)(1 - p(H_2k - H_k)) mod p^2, one pair per k = 0..n,
     yielded in k order; the left side steps by (2n-2k)(2n-2k-1)/((2n-k)(k+1)).
     """
-    n, ctx = ws.n, ws.ctx
-    mod = ctx.mod
-    hg = ctx.weight_table(GAP_WEIGHT, n + 1)  # p (H_2k - H_k)
-    B = ctx.bh(1, n + 1)
-    inv = ctx.inverses(2 * n + 1)
+    n, mod = ws.n, ws.mod(2)
+    B, hg, inv = ws.half_tables()
     lhs = 1
     for k in range(n + 1):
         yield lhs, _sgn(k) * B[k] * (1 - hg[k])
@@ -949,6 +940,8 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
                 if bad is None and pair[0] != pair[1]:
                     bad = count, pair
                 count += 1
+            if first is None:
+                raise ValueError("the evaluator gave no congruence")
     except SuperconError as exc:
         return CheckReport(check_id, prime.p, ERROR, None, None, None,
                            f"{type(exc).__name__}: {exc}")
@@ -961,7 +954,7 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
                            f"{type(exc).__name__} in {check_id} at p={prime.p}: {exc} ({where})")
     if not fits:
         raise ValueError(f"a workspace for p = {ws.q} at power {ws.power} "
-                         f"({ws.ctx.digits} digits) cannot run {check_id} mod {prime.p}^{e}")
+                         f"({ws._ctx.digits} digits) cannot run {check_id} mod {prime.p}^{e}")
     lhs, rhs = first
     detail = ""
     if isinstance(outcome, Equivalence):

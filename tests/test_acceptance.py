@@ -30,6 +30,7 @@ from supercon.engine import (
     CONST_WEIGHT,
     FULL,
     HALF,
+    MAX_POWER,
     PrimeContext,
     SumSpec,
     binomial_sum,
@@ -39,6 +40,8 @@ from supercon.errors import DenominatorDivisible, NonResidue, ZeroInput
 from supercon.oracle import (
     brute_sqrt,
     clausen_square_check,
+    exact_apery,
+    exact_harmonic_gap,
     exact_legendre_poly,
     exact_sum,
     exhaustive_represent,
@@ -140,11 +143,14 @@ def test_every_sum_and_legendre_value_goes_through_the_workspace():
     # call a check makes, under the name the engine or the registry binds,
     # comes straight from Workspace.sum or Workspace.legendre_poly, and the
     # kernel walks only below one of them.  A check that reached the engine
-    # another way would escape whatever the Workspace records.
+    # another way would escape whatever the Workspace records.  Nor does any
+    # code in the registry but a Workspace method read a context's attribute:
+    # an evaluator that read a table there would escape the same way.
     doors = {Workspace.sum.__code__, Workspace.legendre_poly.__code__}
+    methods = {f.__code__ for f in vars(Workspace).values() if hasattr(f, "__code__")}
     real_sum, real_legendre, real_walk = (
         engine.binomial_sum, engine.legendre_poly_eval, engine._walk)
-    callers, strays, running = set(), set(), None
+    callers, strays, readers, running = set(), set(), set(), None
 
     def recording_caller(real):
         def call(*args):
@@ -160,15 +166,23 @@ def test_every_sum_and_legendre_value_goes_through_the_workspace():
             strays.add(running)
         return real_walk(*args)
 
+    def watched_getattribute(ctx, name):
+        code = sys._getframe(1).f_code
+        if code.co_filename == registry.__file__ and code not in methods:
+            readers.add((running, code.co_name))
+        return object.__getattribute__(ctx, name)
+
     with pytest.MonkeyPatch.context() as mp:
         for module in (engine, registry):
             mp.setattr(module, "binomial_sum", recording_caller(real_sum))
             mp.setattr(module, "legendre_poly_eval", recording_caller(real_legendre))
         mp.setattr(engine, "_walk", watched_walk)
+        mp.setattr(PrimeContext, "__getattribute__", watched_getattribute)
         for running in check_ids():
             for q in RECORDING_PRIMES:
                 assert run_check(running, q).verdict != ERROR, (running, q)
     assert callers and strays == set()
+    assert readers == set(), sorted(readers)
     assert {code for _, code in callers} == doors, sorted(
         (cid, code.co_name) for cid, code in callers if code not in doors)
 
@@ -191,6 +205,63 @@ def test_legendre_evaluations_match_exact_expansion():
         assert (l0 % mod, l1 % mod) == (reduce_fraction(a, q, 2), reduce_fraction(b, q, 2)), (
             q, n, x0, x1, disc)
     print(f"legendre gate: PASS  {len(calls)} P_n evaluations vs exact sums")
+
+
+class ExactWorkspace(Workspace):
+    """A Workspace without a context: every value an evaluator reads is exact arithmetic.
+
+    Sums come from oracle.exact_sum, P_n in Z[w] from Fractions, the binomials
+    from math.comb, the Apery sum from oracle.exact_apery and the harmonic gap
+    from oracle.exact_harmonic_gap; an evaluator that read the context would
+    meet None and report an ERROR.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, p, power):
+        super().__init__(p, power)
+        self._ctx = None
+
+    def sum(self, h, m, poly=(1,), weight=CONST_WEIGHT, rng=FULL, e=2):
+        return exact_sum(SumSpec(h, m, poly, weight, rng, e), self.prime).value
+
+    def legendre_poly(self, x0, x1=0, disc=0):
+        return _exact_legendre_pair(self.n, x0, x1, disc)
+
+    def central_binomial(self, k):
+        return comb(2 * k, k)
+
+    def alternating_apery(self):
+        return sum((-1) ** k * exact_apery(k) for k in range(self.q))
+
+    def half_tables(self):
+        n = self.n
+        return ([comb(2 * k, k) for k in range(n + 1)],
+                [self.q * exact_harmonic_gap(k) for k in range(n + 1)],
+                [0] + [Fraction(1, j) for j in range(1, 2 * n + 1)])
+
+
+def test_reports_match_an_exact_arithmetic_workspace():
+    # A report-level oracle: every live report at the odd primes below 60, and
+    # every check that reads its power at each power 1..MAX_POWER, is the same
+    # whether the Workspace answers from the engine or from exact arithmetic.
+    # It covers the glue the value gates above do not: the precision each sum
+    # is asked at, the reduction of Fraction sides, the order of the pairs.
+    runs = [(check, None) for check in checks()] + [
+        (check, e) for check in checks() if check.reads_power for e in range(1, MAX_POWER + 1)]
+    compared, mismatches = 0, []
+    for q in _primes(3, 60):
+        p = OddPrime(q)
+        for check, e in runs:
+            if not check.hypothesis(p):
+                continue
+            exact = ExactWorkspace(p, e or check.modulus_power(p))
+            want, got = run_check(check.id, q, e), run_check(check.id, q, e, exact)
+            compared += 1
+            if got != want:
+                mismatches.append((want, got))
+    assert compared > 600 and not mismatches, (compared, len(mismatches), mismatches[:3])
+    print(f"exact workspace gate: PASS  {compared} reports equal the engine's")
 
 
 FAULT_PRIMES = tuple(_primes(5, 200))

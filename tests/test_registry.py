@@ -222,6 +222,19 @@ def test_evaluator_exception_is_an_error_report(monkeypatch):
     assert serial.reports[-1].p == 1013
 
 
+def test_an_evaluator_that_gives_no_congruence_is_an_error_report(monkeypatch):
+    monkeypatch.setattr(registry, "THM41_GRID", ())
+    report = run_check("thm4.1", 11)
+    assert report.verdict == ERROR and (report.lhs, report.rhs, report.modulus) == (None,) * 3
+    assert report.detail.startswith(
+        "ValueError in thm4.1 at p=11: the evaluator gave no congruence")
+    serial = run_suite(["eq1.0", "thm4.1"], [5, 7, 11])
+    parallel = run_suite(["eq1.0", "thm4.1"], [5, 7, 11], workers=2)
+    assert serial == parallel
+    assert serial.aborted.check == "thm4.1" and serial.aborted.p == 5
+    assert [r.check for r in serial.reports] == ["eq1.0", "thm4.1"]
+
+
 def test_hypothesis_exception_is_an_error_report(monkeypatch):
     check = get_check("eq1.0")
     raising = check._replace(hypothesis=lambda p: 1 // (p.p - 11) >= 0)
@@ -372,7 +385,7 @@ def test_run_check_refuses_a_mismatched_workspace():
     with pytest.raises(ValueError, match=r"power 3 \(4 digits\)"):
         run_check("su2.21k8", 11, e_override=4, workspace=Workspace(OddPrime(11), 3))
     ws = Workspace(OddPrime(11), 4)
-    assert ws.ctx.digits == 5
+    assert ws._ctx.digits == 5
     assert run_check("su2.21k8", 11, e_override=4, workspace=ws).verdict == PASS
     # a deeper workspace serves a check at a lower power
     assert run_check("eq1.0", 11, workspace=ws).verdict == PASS
@@ -387,7 +400,7 @@ def test_gauss_and_cde_build_tables_to_their_one_entry():
         for cid in ("gauss", "cde"):
             ws = Workspace(OddPrime(q), 2)
             assert run_check(cid, q, workspace=ws).verdict == PASS
-            tables = [ws.ctx._inv, *ws.ctx._bh.values(), *ws.ctx._weights.values()]
+            tables = [ws._ctx._inv, *ws._ctx._bh.values(), *ws._ctx._weights.values()]
             assert max(len(t) for t in tables) == k + 1
 
 
@@ -405,7 +418,7 @@ def test_a_full_sweep_keeps_each_table_once(monkeypatch):
     monkeypatch.setattr(Workspace, "__init__", recording_init)
     reports = registry._evaluate_prime((tuple(check_ids()), q, {}))
     assert {r.verdict for r in reports} <= {PASS, SKIP}
-    (ctx,) = [ws.ctx for ws in workspaces]
+    (ctx,) = [ws._ctx for ws in workspaces]
     assert len(ctx._inv) <= q + 1
     tables = [ctx._inv, *ctx._bh.values(), *ctx._weights.values(), *ctx._legendre.values()]
     assert max(len(t) for t in tables[1:]) <= q
