@@ -10,7 +10,7 @@ from supercon.registry import ABORT, PROVED, checks, run_suite
 def main() -> None:
     ids = [c.id for c in checks()
            if c.status == PROVED and c.failure_mode == ABORT
-           and not callable(c.max_e) and c.max_e <= 2]
+           and not c.deeper and c.power <= 2]
     result = run_suite(ids, range(5, 200), workers=2)
     for cid in ids:
         tally = result.summary.get(cid, {})

@@ -1,8 +1,9 @@
 """Modular arithmetic over odd primes.
 
-All congruence checks ultimately compare ResidueMod values, residues mod p^e;
-binomial_sum returns one, and reduce() cuts a residue down to fewer digits,
-never more.
+ResidueMod is a residue mod p^e: binomial_sum returns one, and reduce() cuts
+a residue down to fewer digits, never more.  Reports do not hold ResidueMods:
+run_check reduces both sides of each pair, ints or Fractions, mod p^e itself,
+and a CheckReport holds ints.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _as_int_prime(p: "OddPrime | int") -> int:
 
 
 class ResidueMod(Record, namedtuple("ResidueMod", "p e value")):
-    """Integer residue in [0, p^e); the common language of all reports."""
+    """Integer residue in [0, p^e), with its prime and exponent."""
 
     __slots__ = ()
 

@@ -47,9 +47,8 @@ _POWER_GLYPH = {1: "p", 2: "p²", 3: "p³", 4: "p⁴"}
 
 
 def _power_label(check) -> str:
-    if callable(check.max_e):
-        return f"{_POWER_GLYPH[2]}/{_POWER_GLYPH[3]}"
-    return _POWER_GLYPH[check.max_e]
+    e = check.power
+    return f"{_POWER_GLYPH[e]}/{_POWER_GLYPH[e + 1]}" if check.deeper else _POWER_GLYPH[e]
 
 
 def _signed(value: int, mod: int) -> str:
@@ -115,9 +114,9 @@ def _parse_overrides(pairs) -> dict:
 def _load_config(path: str) -> dict:
     """Flat key=value file; '#' starts a comment, blank lines ignored.
 
-    The keys are the verify flags less --config.  ValueError names the file,
-    the line and the key of an unknown key or of a boolean that is not one of
-    1/true/yes or 0/false/no.
+    The keys are the verify flags less --config, '-' or '_' alike.  ValueError
+    names the file, the line and the key of an unknown key, of a key given on
+    a second line, or of a boolean that is not one of 1/true/yes or 0/false/no.
     """
     flags = {"checks", "primes", "format", "output", "workers", "override",
              "strict_conjectures"}
@@ -133,6 +132,8 @@ def _load_config(path: str) -> dict:
             key, value = key.strip().replace("-", "_"), value.strip()
             if key not in flags:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in conf:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given more than once")
             if key == "strict_conjectures":
                 truth = {"1": True, "true": True, "yes": True,
                          "0": False, "false": False, "no": False}.get(value.lower())
@@ -231,7 +232,7 @@ def cmd_list(args) -> int:
         if args.status and check.status.lower() != args.status:
             continue
         rows.append(
-            f"{check.id} | {check.anchor} | {check.hyp_text} | "
+            f"{check.id} | {check.anchor} | {check.hypothesis.text} | "
             f"{_power_label(check)} | {check.status}"
         )
     print("\n".join(rows))

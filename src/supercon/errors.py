@@ -1,8 +1,8 @@
 """Exception taxonomy for the toolkit.
 
 Every error carries enough context in its message to identify the offending
-input; check runners map hypothesis-style failures to SKIP verdicts and the
-rest to ERROR.
+input.  An error raised while a check evaluates is reported as ERROR; a SKIP
+comes only from the check's hypothesis on p, never from an error.
 """
 
 

@@ -1,9 +1,14 @@
 """Named congruence checks over prime moduli, plus the suite runner.
 
-Each check bundles its hypotheses on p, the evaluator for both sides,
-the modulus power, and pass/fail semantics.  Proved results abort the
-suite when they fail (that signals an implementation bug); conjectural
-or biconditional statements record counterexamples and continue.
+The catalogue is one table, _CHECKS, with a row per check: its id and
+anchor, its hypothesis on p, its status and failure mode, its modulus
+power, its evaluator, and optionally a second hypothesis under which it
+holds one power of p deeper.  A Hypothesis carries the text that list and
+a SKIP print beside its predicate, and is built from a few combinators
+(ALL, GT3, _ne, _mod, the two Legendre conditions, _and), so the text is
+derived, not typed again.  Proved results abort the suite when they fail
+(that signals an implementation bug); conjectural or biconditional
+statements record counterexamples and continue.
 
 An evaluator returns (or yields) its congruences as (lhs, rhs) pairs of
 p-integral ints or Fractions, written as the paper writes them, or an
@@ -229,20 +234,33 @@ class Equivalence(NamedTuple):
     witness: tuple
 
 
+class Hypothesis(NamedTuple):
+    """A condition on p: the text that list and a SKIP print, and the predicate it names."""
+
+    text: str
+    predicate: "Callable[[OddPrime], bool]"
+
+    def __call__(self, p: OddPrime) -> bool:
+        return self.predicate(p)
+
+
 class CongruenceCheck(NamedTuple):
-    """One catalogue entry; evaluate takes (ws), or (ws, e) when it reads its power."""
+    """One catalogue entry; evaluate takes (ws), or (ws, e) when it reads its power.
+
+    The check runs mod p^power, or mod p^(power + 1) at a prime where deeper holds.
+    """
 
     id: str
     anchor: str
-    hyp_text: str
+    hypothesis: Hypothesis
     status: str
     failure_mode: str
-    max_e: "int | Callable[[OddPrime], int]"
-    hypothesis: "Callable[[OddPrime], bool]"
+    power: int
     evaluate: "Callable[..., object]"
+    deeper: "Hypothesis | None" = None
 
     def modulus_power(self, p: OddPrime) -> int:
-        return self.max_e(p) if callable(self.max_e) else self.max_e
+        return self.power + 1 if self.deeper and self.deeper(p) else self.power
 
     @property
     def reads_power(self) -> bool:
@@ -497,7 +515,7 @@ def _ev_lemma2_3(ws: Workspace):
     q = ws.q
     out = []
     for d in (1, 2, 3, 7):
-        if q == d or legendre_symbol(-d, ws.prime) != 1:
+        if legendre_symbol(-d, ws.prime) != 1:
             continue
         ar = ws.aligned(d, RAW)
         pb = pi_bar(ar).value
@@ -683,208 +701,118 @@ def _ev_conj4_1_iii(ws: Workspace):
 # ------------------------------------------------------------------ catalogue
 
 
-def _h_all(p: OddPrime) -> bool:
+# ALL and GT3 name module-level functions, so a check that uses them alone
+# pickles; the combinators below build closures
+def _all_odd(p: OddPrime) -> bool:
     return True
 
 
-def _h_gt3(p: OddPrime) -> bool:
+def _gt3(p: OddPrime) -> bool:
     return p.p > 3
 
 
-def _h_mod(m: int, *residues: int):
-    def hyp(p: OddPrime) -> bool:
-        return p.p % m in residues
-
-    return hyp
-
-
-def _h_and(*hs):
-    def hyp(p: OddPrime) -> bool:
-        return all(h(p) for h in hs)
-
-    return hyp
+ALL = Hypothesis("all odd p", _all_odd)
+GT3 = Hypothesis("p > 3", _gt3)
+_QR7 = Hypothesis("(p/7) = 1", lambda p: legendre_symbol(p.p, 7) == 1)
+_NEG7_QR = Hypothesis("(-7/p) = 1", lambda p: legendre_symbol(-7, p) == 1)
 
 
-def _h_symbol(a: int, want: int):
-    def hyp(p: OddPrime) -> bool:
-        return p.p != abs(a) and legendre_symbol(a, p) == want
-
-    return hyp
+def _ne(a: int) -> Hypothesis:
+    return Hypothesis(f"p != {a}", lambda p: p.p != a)
 
 
-def _h_lemma2_3(p: OddPrime) -> bool:
-    return any(p.p != d and legendre_symbol(-d, p) == 1 for d in (1, 2, 3, 7))
+def _mod(m: int, *residues: int) -> Hypothesis:
+    return Hypothesis(f"p == {', '.join(map(str, residues))} (mod {m})",
+                      lambda p: p.p % m in residues)
 
 
-def _e_eq1_2(p: OddPrime) -> int:
-    return (5 + legendre_symbol(-1, p)) // 2
+def _and(*hs: Hypothesis) -> Hypothesis:
+    return Hypothesis(", ".join(h.text for h in hs), lambda p: all(h(p) for h in hs))
 
 
-def _e_eq1_5(p: OddPrime) -> int:
-    return (5 + legendre_symbol(p.p, 3)) // 2
-
-
-def _e_eq1_6(p: OddPrime) -> int:
-    return (5 + legendre_symbol(p.p, 7)) // 2
-
-
-_CHECKS: "dict[str, CongruenceCheck]" = {}
-
-
-def _register(check: CongruenceCheck) -> None:
-    _CHECKS[check.id] = check
-
-
-def _build_catalogue() -> None:
-    reg = _register
-    reg(CongruenceCheck(
-        "gauss", "Gauss 1828", "p == 1 (mod 4)", PROVED, ABORT, 1,
-        _h_mod(4, 1), _ev_gauss))
-    reg(CongruenceCheck(
-        "cde", "Chowla-Dwork-Evans 1986", "p == 1 (mod 4)", PROVED, ABORT, 2,
-        _h_mod(4, 1), _ev_cde))
-    reg(CongruenceCheck(
-        "eq1.0", "van Hamme 1997", "all odd p", PROVED, ABORT, 2,
-        _h_all, _ev_eq1_0))
-    reg(CongruenceCheck(
-        "eq1.1", "KLMSY 2012", "p != 7", PROVED, ABORT, 2,
-        lambda p: p.p != 7, _ev_eq1_1))
-    reg(CongruenceCheck(
-        "eq1.2", "KLMSY 2012", "all odd p", PROVED, ABORT, _e_eq1_2,
-        _h_all, _ev_eq1_2))
-    reg(CongruenceCheck(
-        "eq1.3", "KLMSY 2012", "all odd p", PROVED, ABORT, 2,
-        _h_all, _ev_eq1_3))
-    reg(CongruenceCheck(
-        "eq1.4", "KLMSY 2012", "p != 3", PROVED, ABORT, 2,
-        lambda p: p.p != 3, _ev_eq1_4))
-    reg(CongruenceCheck(
-        "eq1.5", "KLMSY 2012", "p != 3", PROVED, ABORT, _e_eq1_5,
-        lambda p: p.p != 3, _ev_eq1_5))
-    reg(CongruenceCheck(
-        "eq1.6", "KLMSY 2012", "p != 7", PROVED, ABORT, _e_eq1_6,
-        lambda p: p.p != 7, _ev_eq1_6))
-    reg(CongruenceCheck(
-        "eq1.8", "alternating Apery sum vs m=16", "all odd p", PROVED, ABORT, 2,
-        _h_all, _ev_eq1_8))
-    reg(CongruenceCheck(
-        "eq1.9", "KLMSY 2012", "p > 3", PROVED, ABORT, 1,
-        _h_gt3, _ev_eq1_9))
-    reg(CongruenceCheck(
-        "su5.intro", "x mod p^2 from half-range binom^2 sums", "p == 1 (mod 4)",
-        PROVED, ABORT, 2, _h_mod(4, 1), _ev_su5_intro))
-    reg(CongruenceCheck(
-        "jameson.ono", "Jameson-Ono observation", "p > 3", PROVED, ABORT, 1,
-        _h_gt3, _ev_jameson_ono))
-    reg(CongruenceCheck(
-        "su1.1.11", "half-range harmonic sum at 64 vanishes", "p > 3, p == 3 (mod 4)",
-        PROVED, ABORT, 1, _h_and(_h_gt3, _h_mod(4, 3)), _ev_su1_1_11))
-    reg(CongruenceCheck(
-        "thm1.1.i", "Pell-weighted sums, p = x^2+2y^2", "p == 1 (mod 8)",
-        PROVED, ABORT, 2, _h_mod(8, 1), _ev_thm1_1_i))
-    reg(CongruenceCheck(
-        "thm1.1.ii", "Pell-weighted sums, p = x^2+2y^2", "p == 3 (mod 8)",
-        PROVED, ABORT, 2, _h_mod(8, 3), _ev_thm1_1_ii))
-    reg(CongruenceCheck(
-        "thm1.2.i", "three-indicator weighted sum, p = x^2+3y^2", "p == 1 (mod 12)",
-        PROVED, ABORT, 2, _h_mod(12, 1), _ev_thm1_2_i))
-    reg(CongruenceCheck(
-        "thm1.2.ii.a", "cubic-character weighted sum, p = x^2+3y^2", "p == 7 (mod 12)",
-        PROVED, ABORT, 2, _h_mod(12, 7), _ev_thm1_2_ii_a))
-    reg(CongruenceCheck(
-        "thm1.2.ii.b2", "y mod p^2, squared-binomial reading", "p == 7 (mod 12)",
-        PROVED, ABORT, 2, _h_mod(12, 7), _ev_thm1_2_ii_b2))
-    reg(CongruenceCheck(
-        "thm1.2.ii.b3", "y mod p^2, cubed-binomial reading", "p == 7 (mod 12)",
-        CONJECTURAL, COUNTEREXAMPLE_MODE, 2, _h_mod(12, 7), _ev_thm1_2_ii_b3))
-    reg(CongruenceCheck(
-        "thm1.3.i", "v_k(1,16)-weighted sum, p = x^2+7y^2", "p == 1 (mod 4), (p/7) = 1",
-        PROVED, ABORT, 2,
-        _h_and(_h_mod(4, 1), lambda p: p.p != 7 and legendre_symbol(p.p, 7) == 1),
-        _ev_thm1_3_i))
-    reg(CongruenceCheck(
-        "thm1.3.ii", "u_k(1,16)-weighted sums, p = x^2+7y^2", "p == 3 (mod 4), (p/7) = 1",
-        PROVED, ABORT, 2,
-        _h_and(_h_mod(4, 3), lambda p: p.p != 7 and legendre_symbol(p.p, 7) == 1),
-        _ev_thm1_3_ii))
-    reg(CongruenceCheck(
-        "thm1.4.i", "v_k(4,1)-weighted sums at 64^k, p = x^2+3y^2", "p == 1 (mod 12)",
-        PROVED, ABORT, 2, _h_mod(12, 1), _ev_thm1_4_i))
-    reg(CongruenceCheck(
-        "thm1.4.ii", "u_k(4,1)-weighted sums at 64^k, p = x^2+3y^2", "p == 7 (mod 12)",
-        PROVED, ABORT, 2, _h_mod(12, 7), _ev_thm1_4_ii))
-    reg(CongruenceCheck(
-        "thm1.5", "dual-m reflection with harmonic correction", "p > 3",
-        PROVED, ABORT, 2, _h_gt3, _ev_thm1_5))
-    reg(CongruenceCheck(
-        "cor1.1", "symmetric m vs 4096/m relation", "p > 3",
-        PROVED, ABORT, 2, _h_gt3, _ev_cor1_1))
-    reg(CongruenceCheck(
-        "vhm.4k1", "van Hamme-Mortenson 4k+1 at -64", "p > 3", PROVED, ABORT, 3,
-        _h_gt3, _ev_vhm_4k1))
-    reg(CongruenceCheck(
-        "gz.3k1.16", "Guo-Zeng 3k+1 at 16", "p > 3", PROVED, ABORT, 2,
-        _h_gt3, _ev_gz_3k1_16))
-    reg(CongruenceCheck(
-        "gz.3k1.m8", "Guo-Zeng 3k+1 at -8", "p > 3", PROVED, ABORT, 3,
-        _h_gt3, _ev_gz_3k1_m8))
-    reg(CongruenceCheck(
-        "su2.21k8", "21k+8 supercongruence", "p > 3", PROVED, ABORT, 3,
-        _h_gt3, _ev_su2_21k8))
-    reg(CongruenceCheck(
-        "long.6k1.256", "Long 2011, 6k+1 at 256", "p > 3", PROVED, ABORT, 4,
-        _h_gt3, _ev_long_6k1_256))
-    reg(CongruenceCheck(
-        "lemma2.2", "Legendre polynomial vs binom^2 sum", "all odd p",
-        PROVED, ABORT, 2, _h_all, _ev_lemma2_2))
-    reg(CongruenceCheck(
-        "lemma2.3", "conjugate factor closed forms", "(-d/p) = 1 for some d in {1,2,3,7}",
-        PROVED, ABORT, 2, _h_lemma2_3, _ev_lemma2_3))
-    reg(CongruenceCheck(
-        "lemma2.4.d2", "Coster-van Hamme, corrected: P_n(sqrt 2)", "p == 1, 3 (mod 8)",
-        PROVED, ABORT, 2, _h_mod(8, 1, 3), _ev_lemma2_4_d2))
-    reg(CongruenceCheck(
-        "lemma2.4.d3", "Coster-van Hamme, corrected: P_n(sqrt -3), P_n(sqrt3/2)",
-        "p == 1 (mod 3)", PROVED, ABORT, 2,
-        _h_and(_h_mod(3, 1), lambda p: p.p != 3), _ev_lemma2_4_d3))
-    reg(CongruenceCheck(
-        "lemma2.4.d7", "Coster-van Hamme, corrected: P_n(3 sqrt -7), P_n(3 sqrt7/8)",
-        "(-7/p) = 1", PROVED, ABORT, 2, _h_symbol(-7, 1), _ev_lemma2_4_d7))
-    reg(CongruenceCheck(
-        "lemma4.1", "binom(2n-k,k) reflection identity", "all odd p",
-        PROVED, ABORT, 2, _h_all, _ev_lemma4_1))
-    reg(CongruenceCheck(
-        "thm4.1", "half-range reflection transform", "all odd p",
-        PROVED, ABORT, 2, _h_all, _ev_thm4_1))
-    reg(CongruenceCheck(
-        "cor4.1", "harmonic moment at -64", "p > 3", PROVED, ABORT, 1,
-        _h_gt3, _ev_cor4_1))
-    reg(CongruenceCheck(
-        "cor4.1.b", "harmonic moment at 64", "p == 1 (mod 4)", PROVED, ABORT, 1,
-        _h_and(_h_gt3, _h_mod(4, 1)), _ev_cor4_1_b))
-    reg(CongruenceCheck(
-        "cor4.2", "harmonic moments at 16 and 256", "p > 3", PROVED, ABORT, 1,
-        _h_gt3, _ev_cor4_2))
-    reg(CongruenceCheck(
-        "cor4.3", "42k+5 biconditional", "p > 3, p != 7", PROVED, COUNTEREXAMPLE_MODE, 2,
-        _h_and(_h_gt3, lambda p: p.p != 7), _ev_cor4_3))
-    reg(CongruenceCheck(
-        "cor4.4", "6k+1 at -512 biconditional", "p > 3", PROVED, COUNTEREXAMPLE_MODE, 2,
-        _h_gt3, _ev_cor4_4))
-    reg(CongruenceCheck(
-        "conj4.1.i", "half-range harmonic-gap relations at -8, 64, -512", "p > 3",
-        CONJECTURAL, COUNTEREXAMPLE_MODE, 2, _h_gt3, _ev_conj4_1_i))
-    reg(CongruenceCheck(
-        "conj4.1.ii", "half-range harmonic-gap relation at 16 vs 256", "p != 3",
-        CONJECTURAL, COUNTEREXAMPLE_MODE, 2,
-        lambda p: p.p != 3, _ev_conj4_1_ii))
-    reg(CongruenceCheck(
-        "conj4.1.iii", "half-range harmonic-gap relation at 1 vs 4096",
-        "p > 3, p == 3, 5, 6 (mod 7)", CONJECTURAL, COUNTEREXAMPLE_MODE, 2,
-        _h_and(_h_gt3, _h_mod(7, 3, 5, 6)), _ev_conj4_1_iii))
-
-
-_build_catalogue()
+_CHECKS: "dict[str, CongruenceCheck]" = {check.id: check for check in (
+    CongruenceCheck("gauss", "Gauss 1828", _mod(4, 1), PROVED, ABORT, 1, _ev_gauss),
+    CongruenceCheck("cde", "Chowla-Dwork-Evans 1986", _mod(4, 1), PROVED, ABORT, 2, _ev_cde),
+    CongruenceCheck("eq1.0", "van Hamme 1997", ALL, PROVED, ABORT, 2, _ev_eq1_0),
+    CongruenceCheck("eq1.1", "KLMSY 2012", _ne(7), PROVED, ABORT, 2, _ev_eq1_1),
+    CongruenceCheck("eq1.2", "KLMSY 2012", ALL, PROVED, ABORT, 2, _ev_eq1_2, _mod(4, 1)),
+    CongruenceCheck("eq1.3", "KLMSY 2012", ALL, PROVED, ABORT, 2, _ev_eq1_3),
+    CongruenceCheck("eq1.4", "KLMSY 2012", _ne(3), PROVED, ABORT, 2, _ev_eq1_4),
+    CongruenceCheck("eq1.5", "KLMSY 2012", _ne(3), PROVED, ABORT, 2, _ev_eq1_5, _mod(3, 1)),
+    CongruenceCheck("eq1.6", "KLMSY 2012", _ne(7), PROVED, ABORT, 2, _ev_eq1_6, _QR7),
+    CongruenceCheck("eq1.8", "alternating Apery sum vs m=16", ALL, PROVED, ABORT, 2,
+                    _ev_eq1_8),
+    CongruenceCheck("eq1.9", "KLMSY 2012", GT3, PROVED, ABORT, 1, _ev_eq1_9),
+    CongruenceCheck("su5.intro", "x mod p^2 from half-range binom^2 sums", _mod(4, 1),
+                    PROVED, ABORT, 2, _ev_su5_intro),
+    CongruenceCheck("jameson.ono", "Jameson-Ono observation", GT3, PROVED, ABORT, 1,
+                    _ev_jameson_ono),
+    CongruenceCheck("su1.1.11", "half-range harmonic sum at 64 vanishes",
+                    _and(GT3, _mod(4, 3)), PROVED, ABORT, 1, _ev_su1_1_11),
+    CongruenceCheck("thm1.1.i", "Pell-weighted sums, p = x^2+2y^2", _mod(8, 1),
+                    PROVED, ABORT, 2, _ev_thm1_1_i),
+    CongruenceCheck("thm1.1.ii", "Pell-weighted sums, p = x^2+2y^2", _mod(8, 3),
+                    PROVED, ABORT, 2, _ev_thm1_1_ii),
+    CongruenceCheck("thm1.2.i", "three-indicator weighted sum, p = x^2+3y^2", _mod(12, 1),
+                    PROVED, ABORT, 2, _ev_thm1_2_i),
+    CongruenceCheck("thm1.2.ii.a", "cubic-character weighted sum, p = x^2+3y^2", _mod(12, 7),
+                    PROVED, ABORT, 2, _ev_thm1_2_ii_a),
+    CongruenceCheck("thm1.2.ii.b2", "y mod p^2, squared-binomial reading", _mod(12, 7),
+                    PROVED, ABORT, 2, _ev_thm1_2_ii_b2),
+    CongruenceCheck("thm1.2.ii.b3", "y mod p^2, cubed-binomial reading", _mod(12, 7),
+                    CONJECTURAL, COUNTEREXAMPLE_MODE, 2, _ev_thm1_2_ii_b3),
+    CongruenceCheck("thm1.3.i", "v_k(1,16)-weighted sum, p = x^2+7y^2", _and(_mod(4, 1), _QR7),
+                    PROVED, ABORT, 2, _ev_thm1_3_i),
+    CongruenceCheck("thm1.3.ii", "u_k(1,16)-weighted sums, p = x^2+7y^2",
+                    _and(_mod(4, 3), _QR7), PROVED, ABORT, 2, _ev_thm1_3_ii),
+    CongruenceCheck("thm1.4.i", "v_k(4,1)-weighted sums at 64^k, p = x^2+3y^2", _mod(12, 1),
+                    PROVED, ABORT, 2, _ev_thm1_4_i),
+    CongruenceCheck("thm1.4.ii", "u_k(4,1)-weighted sums at 64^k, p = x^2+3y^2", _mod(12, 7),
+                    PROVED, ABORT, 2, _ev_thm1_4_ii),
+    CongruenceCheck("thm1.5", "dual-m reflection with harmonic correction", GT3,
+                    PROVED, ABORT, 2, _ev_thm1_5),
+    CongruenceCheck("cor1.1", "symmetric m vs 4096/m relation", GT3, PROVED, ABORT, 2,
+                    _ev_cor1_1),
+    CongruenceCheck("vhm.4k1", "van Hamme-Mortenson 4k+1 at -64", GT3, PROVED, ABORT, 3,
+                    _ev_vhm_4k1),
+    CongruenceCheck("gz.3k1.16", "Guo-Zeng 3k+1 at 16", GT3, PROVED, ABORT, 2, _ev_gz_3k1_16),
+    CongruenceCheck("gz.3k1.m8", "Guo-Zeng 3k+1 at -8", GT3, PROVED, ABORT, 3, _ev_gz_3k1_m8),
+    CongruenceCheck("su2.21k8", "21k+8 supercongruence", GT3, PROVED, ABORT, 3, _ev_su2_21k8),
+    CongruenceCheck("long.6k1.256", "Long 2011, 6k+1 at 256", GT3, PROVED, ABORT, 4,
+                    _ev_long_6k1_256),
+    CongruenceCheck("lemma2.2", "Legendre polynomial vs binom^2 sum", ALL, PROVED, ABORT, 2,
+                    _ev_lemma2_2),
+    CongruenceCheck("lemma2.3", "conjugate factor closed forms",
+                    Hypothesis("(-d/p) = 1 for some d in {1,2,3,7}",
+                               lambda p: any(legendre_symbol(-d, p) == 1 for d in (1, 2, 3, 7))),
+                    PROVED, ABORT, 2, _ev_lemma2_3),
+    CongruenceCheck("lemma2.4.d2", "Coster-van Hamme, corrected: P_n(sqrt 2)", _mod(8, 1, 3),
+                    PROVED, ABORT, 2, _ev_lemma2_4_d2),
+    CongruenceCheck("lemma2.4.d3", "Coster-van Hamme, corrected: P_n(sqrt -3), P_n(sqrt3/2)",
+                    _mod(3, 1), PROVED, ABORT, 2, _ev_lemma2_4_d3),
+    CongruenceCheck("lemma2.4.d7", "Coster-van Hamme, corrected: P_n(3 sqrt -7), P_n(3 sqrt7/8)",
+                    _NEG7_QR, PROVED, ABORT, 2, _ev_lemma2_4_d7),
+    CongruenceCheck("lemma4.1", "binom(2n-k,k) reflection identity", ALL, PROVED, ABORT, 2,
+                    _ev_lemma4_1),
+    CongruenceCheck("thm4.1", "half-range reflection transform", ALL, PROVED, ABORT, 2,
+                    _ev_thm4_1),
+    CongruenceCheck("cor4.1", "harmonic moment at -64", GT3, PROVED, ABORT, 1, _ev_cor4_1),
+    CongruenceCheck("cor4.1.b", "harmonic moment at 64", _mod(4, 1), PROVED, ABORT, 1,
+                    _ev_cor4_1_b),
+    CongruenceCheck("cor4.2", "harmonic moments at 16 and 256", GT3, PROVED, ABORT, 1,
+                    _ev_cor4_2),
+    CongruenceCheck("cor4.3", "42k+5 biconditional", _and(GT3, _ne(7)),
+                    PROVED, COUNTEREXAMPLE_MODE, 2, _ev_cor4_3),
+    CongruenceCheck("cor4.4", "6k+1 at -512 biconditional", GT3,
+                    PROVED, COUNTEREXAMPLE_MODE, 2, _ev_cor4_4),
+    CongruenceCheck("conj4.1.i", "half-range harmonic-gap relations at -8, 64, -512", GT3,
+                    CONJECTURAL, COUNTEREXAMPLE_MODE, 2, _ev_conj4_1_i),
+    CongruenceCheck("conj4.1.ii", "half-range harmonic-gap relation at 16 vs 256", _ne(3),
+                    CONJECTURAL, COUNTEREXAMPLE_MODE, 2, _ev_conj4_1_ii),
+    CongruenceCheck("conj4.1.iii", "half-range harmonic-gap relation at 1 vs 4096",
+                    _and(GT3, _mod(7, 3, 5, 6)), CONJECTURAL, COUNTEREXAMPLE_MODE, 2,
+                    _ev_conj4_1_iii),
+)}
 
 
 def checks() -> tuple:
@@ -922,7 +850,7 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
     try:
         if not check.hypothesis(prime):
             return CheckReport(check_id, prime.p, SKIP, None, None, None,
-                               f"hypothesis: {check.hyp_text}")
+                               f"hypothesis: {check.hypothesis.text}")
         e = e_override if e_override is not None else check.modulus_power(prime)
         ws = workspace or Workspace(prime, e)
         fits = ws.q == prime.p and ws.power >= e

@@ -241,16 +241,13 @@ class ExactWorkspace(Workspace):
                 [0] + [Fraction(1, j) for j in range(1, 2 * n + 1)])
 
 
-def test_reports_match_an_exact_arithmetic_workspace():
-    # A report-level oracle: every live report at the odd primes below 60, and
-    # every check that reads its power at each power 1..MAX_POWER, is the same
-    # whether the Workspace answers from the engine or from exact arithmetic.
-    # It covers the glue the value gates above do not: the precision each sum
-    # is asked at, the reduction of Fraction sides, the order of the pairs.
+def _exact_mismatches(primes) -> tuple:
+    """(compared, mismatches) over every live report at primes, and every check that
+    reads its power at each power 1..MAX_POWER, run on the engine and on an ExactWorkspace."""
     runs = [(check, None) for check in checks()] + [
         (check, e) for check in checks() if check.reads_power for e in range(1, MAX_POWER + 1)]
     compared, mismatches = 0, []
-    for q in _primes(3, 60):
+    for q in primes:
         p = OddPrime(q)
         for check, e in runs:
             if not check.hypothesis(p):
@@ -260,6 +257,16 @@ def test_reports_match_an_exact_arithmetic_workspace():
             compared += 1
             if got != want:
                 mismatches.append((want, got))
+    return compared, mismatches
+
+
+def test_reports_match_an_exact_arithmetic_workspace():
+    # A report-level oracle: every live report at the odd primes below 60 is the
+    # same whether the Workspace answers from the engine or from exact arithmetic.
+    # It covers the glue the value gates above do not: the precision each sum
+    # is asked at, the reduction of Fraction sides, the order of the pairs.
+    # CI runs the same comparison over the odd primes 60..150.
+    compared, mismatches = _exact_mismatches(_primes(3, 60))
     assert compared > 600 and not mismatches, (compared, len(mismatches), mismatches[:3])
     print(f"exact workspace gate: PASS  {compared} reports equal the engine's")
 
@@ -452,8 +459,8 @@ def test_criterion_1_proved_suite():
     # every check must actually fire (PASS somewhere), so a hypothesis
     # predicate that never matches cannot silently hollow out the sweep.
     proved = [c for c in checks() if c.status == PROVED and c.failure_mode == ABORT]
-    shallow = [c.id for c in proved if not callable(c.max_e) and c.max_e <= 2]
-    deep = [c.id for c in proved if callable(c.max_e) or c.max_e >= 3]
+    shallow = [c.id for c in proved if not c.deeper and c.power <= 2]
+    deep = [c.id for c in proved if c.deeper or c.power >= 3]
     assert len(shallow) + len(deep) == len(proved)
 
     start = time.perf_counter()

@@ -351,6 +351,24 @@ def test_verify_refuses_a_repeated_override_in_config(tmp_path, capsys):
     assert rc == 0 and "PASS" in out
 
 
+@pytest.mark.parametrize("lines, key", [
+    # the last line used to win: eq1.2 ran mod 5^4, reported FAIL and exited 1
+    (["checks = eq1.2", "override = eq1.2=3", "override = eq1.2=4"], "override"),
+    # only gauss used to run
+    (["checks = eq1.0", "checks = gauss"], "checks"),
+    # one key, spelt both ways
+    (["checks = eq1.0", "strict-conjectures = no", "strict_conjectures = yes"],
+     "strict_conjectures"),
+], ids=["override", "checks", "both-spellings"])
+def test_verify_config_refuses_a_repeated_key(tmp_path, capsys, lines, key):
+    conf = tmp_path / "twice.conf"
+    conf.write_text("primes = 5..7\n" + "\n".join(lines) + "\n")
+    rc, out, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and f"{conf}:{len(lines) + 1}:" in err
+    assert repr(key) in err and "Traceback" not in err
+
+
 def test_verify_workers_env(monkeypatch, capsys):
     monkeypatch.setenv("SUPERCON_WORKERS", "2")
     rc, out, _ = run_cli(
@@ -390,14 +408,19 @@ def test_verify_report_is_byte_identical_to_golden(capsys):
     # a speed-up must leave reports byte-identical; the digest is the same on
     # CPython 3.10 through 3.13.  The three primes near 25000, one per residue
     # class, make every walk 12.5k terms long.  The human report carries what
-    # JSON drops: "congruence i of n", the SKIP hypotheses, the counterexamples
+    # JSON drops: "congruence i of n", the SKIP hypotheses, the counterexamples.
+    # Only list prints every hypothesis text and power label: "all odd p",
+    # "p > 3" and "p != 3" never SKIP in 5..400
+    verify = ("verify", "--checks", "all", "--primes")
     for args, digest in (
-            (("5..400", "--format", "json"),
+            ((*verify, "5..400", "--format", "json"),
              "8235976e316b9d1f656478a62f9281ae7e7e58bbc4b955ea5838e55c28656889"),
-            (("25033,25243,25037", "--format", "json"),
+            ((*verify, "25033,25243,25037", "--format", "json"),
              "70d39aef82af47f866fe921657fadcf74bc674fe73849fc318c2b98220b0f29b"),
-            (("5..400",), "0ac2dec39e98d91ae836e28f02ce11cba407ee8a831f40d4014f1ec20c73991d")):
-        rc, out, _ = run_cli(capsys, "verify", "--checks", "all", "--primes", *args)
+            ((*verify, "5..400"),
+             "0ac2dec39e98d91ae836e28f02ce11cba407ee8a831f40d4014f1ec20c73991d"),
+            (("list",), "3cc13469acca118d17e92accd1833baff9506465d1cc72fe525617533f41664a")):
+        rc, out, _ = run_cli(capsys, *args)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 

@@ -21,6 +21,7 @@ from supercon.registry import (
     PASS,
     PROVED,
     SKIP,
+    Hypothesis,
     Workspace,
     check_ids,
     checks,
@@ -44,7 +45,7 @@ def test_catalogue_shape():
             # to record counterexamples (the open half may fail)
             if check.failure_mode == COUNTEREXAMPLE_MODE:
                 assert check.id in ("cor4.3", "cor4.4")
-        assert check.anchor and check.hyp_text
+        assert check.anchor and check.hypothesis.text
 
 
 def test_get_check_unknown():
@@ -237,7 +238,7 @@ def test_an_evaluator_that_gives_no_congruence_is_an_error_report(monkeypatch):
 
 def test_hypothesis_exception_is_an_error_report(monkeypatch):
     check = get_check("eq1.0")
-    raising = check._replace(hypothesis=lambda p: 1 // (p.p - 11) >= 0)
+    raising = check._replace(hypothesis=Hypothesis("p > 0", lambda p: 1 // (p.p - 11) >= 0))
     monkeypatch.setitem(registry._CHECKS, "eq1.0", raising)
     serial = run_suite(["eq1.0"], [5, 7, 11, 13])
     parallel = run_suite(["eq1.0"], [5, 7, 11, 13], workers=2)
