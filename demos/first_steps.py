@@ -14,11 +14,11 @@ from supercon.quadform import represent
 def main() -> None:
     p = OddPrime(193)
     rep = represent(p, 1)
-    print(f"{p.p} = {rep.x}^2 + {rep.y}^2  (x odd)")
+    print(f"{p} = {rep.x}^2 + {rep.y}^2  (x odd)")
 
     spec = SumSpec(3, 64, (1,), CONST_WEIGHT, FULL, 2)
     fast = binomial_sum(spec, p)
-    want = (4 * rep.x * rep.x - 2 * p.p) % fast.modulus
+    want = (4 * rep.x * rep.x - 2 * p) % fast.modulus
     print(f"sum binom(2k,k)^3/64^k = {fast.value} (mod {fast.modulus})")
     print(f"4x^2 - 2p             = {want} (mod {fast.modulus})")
     assert fast.value == want

@@ -9,6 +9,7 @@ and a CheckReport holds ints.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 
 from .errors import NonResidue, NotCoprime, PrecisionExhausted, ZeroInput
 
@@ -54,35 +55,43 @@ class Record:
         return cls(*iterable)
 
 
-class OddPrime(Record, namedtuple("OddPrime", "p")):
-    """An odd prime below 2^63, validated at construction; ordered by p."""
+def require_int(name: str, value) -> None:
+    """TypeError unless value is an int; a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_exponent(e) -> None:
+    require_int("exponent", e)
+    if not 1 <= e <= MAX_EXPONENT:
+        raise ValueError(f"exponent {e} outside 1..{MAX_EXPONENT}")
+
+
+class OddPrime(int):
+    """An odd prime below 2^63, validated at construction, and an int in every other way.
+
+    OddPrime(p) returns an OddPrime p unchanged, so every function that takes
+    a prime starts with p = OddPrime(p) and a prime is checked once.  It reads
+    anything else through __index__: a float or a str is a TypeError.  str()
+    prints the bare number, so reports, CSV and JSON show 13; repr() shows
+    OddPrime(13).
+    """
 
     __slots__ = ()
+    __str__ = int.__repr__
 
-    def __new__(cls, p: int):
-        if not isinstance(p, int):
-            raise TypeError(f"prime must be int, got {type(p).__name__}")
+    def __new__(cls, p):
+        if type(p) is cls:
+            return p
+        p = index(p)
         if p < 3 or p % 2 == 0 or p >= 2**63:
             raise ValueError(f"{p} is not an odd prime below 2^63")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return super().__new__(cls, p)
 
-    def power(self, e: int) -> int:
-        return self.p**e
-
-    def __int__(self) -> int:
-        return self.p
-
     def __repr__(self) -> str:
-        return f"OddPrime({self.p})"
-
-
-def _as_int_prime(p: "OddPrime | int") -> int:
-    if isinstance(p, OddPrime):
-        return p.p
-    OddPrime(p)  # validate
-    return p
+        return f"OddPrime({self})"
 
 
 class ResidueMod(Record, namedtuple("ResidueMod", "p e value")):
@@ -90,37 +99,36 @@ class ResidueMod(Record, namedtuple("ResidueMod", "p e value")):
 
     __slots__ = ()
 
-    def __new__(cls, p: OddPrime, e: int, value: int):
-        if not 1 <= e <= MAX_EXPONENT:
-            raise ValueError(f"exponent {e} outside 1..{MAX_EXPONENT}")
-        return super().__new__(cls, p, e, value % p.power(e))
+    def __new__(cls, p: int, e: int, value: int):
+        p = OddPrime(p)
+        _check_exponent(e)
+        return super().__new__(cls, p, e, value % p**e)
 
     @property
     def modulus(self) -> int:
-        return self.p.power(self.e)
+        return self.p**self.e
 
     def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p.p}^{self.e})"
+        return f"{self.value} (mod {self.p}^{self.e})"
 
 
-def legendre_symbol(a: int, p: "OddPrime | int") -> int:
+def legendre_symbol(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1} by Euler's criterion."""
-    q = _as_int_prime(p)
-    a %= q
+    p = OddPrime(p)
+    a %= p
     if a == 0:
         return 0
-    t = pow(a, (q - 1) // 2, q)
+    t = pow(a, (p - 1) // 2, p)
     return 1 if t == 1 else -1
 
 
-def fermat_quotient(m: int, p: "OddPrime | int") -> ResidueMod:
+def fermat_quotient(m: int, p: int) -> ResidueMod:
     """q_p(m) = (m^(p-1) - 1)/p mod p, for m coprime to p."""
-    q = _as_int_prime(p)
-    if m % q == 0:
-        raise NotCoprime(f"{m} is divisible by {q}")
-    t = pow(m, q - 1, q * q)
-    prime = p if isinstance(p, OddPrime) else OddPrime(q)
-    return ResidueMod(prime, 1, (t - 1) // q)
+    p = OddPrime(p)
+    if m % p == 0:
+        raise NotCoprime(f"{m} is divisible by {p}")
+    t = pow(m, p - 1, p * p)
+    return ResidueMod(p, 1, (t - 1) // p)
 
 
 def _tonelli_shanks(a: int, p: int) -> int:
@@ -153,34 +161,34 @@ def _tonelli_shanks(a: int, p: int) -> int:
     return x
 
 
-def sqrt_mod(a: int, p: "OddPrime | int", e: int) -> tuple[ResidueMod, ResidueMod]:
+def sqrt_mod(a: int, p: int, e: int) -> tuple[ResidueMod, ResidueMod]:
     """Both square roots of a mod p^e, smaller representative first.
 
     Raises ZeroInput when p | a and NonResidue when (a/p) = -1.  Root choice
     beyond the (smaller, larger) ordering carries no meaning; callers that
     need a specific root must select it by an explicit convention.
     """
-    q = _as_int_prime(p)
-    if a % q == 0:
-        raise ZeroInput(f"sqrt_mod needs a unit; {a} = 0 (mod {q})")
-    if legendre_symbol(a, q) == -1:
-        raise NonResidue(f"{a} is not a square mod {q}")
-    r = _tonelli_shanks(a % q, q)
-    mod = q
-    while mod < q**e:
+    p = OddPrime(p)
+    _check_exponent(e)
+    if a % p == 0:
+        raise ZeroInput(f"sqrt_mod needs a unit; {a} = 0 (mod {p})")
+    if legendre_symbol(a, p) == -1:
+        raise NonResidue(f"{a} is not a square mod {p}")
+    r = _tonelli_shanks(a % p, p)
+    mod = p
+    while mod < p**e:
         # quadratic Newton step for z^2 - a, doubling the known digits
-        mod = min(mod * mod, q**e)
+        mod = min(mod * mod, p**e)
         r = (r + a * pow(r, -1, mod)) * pow(2, -1, mod) % mod
-    mod = q**e
+    mod = p**e
     r %= mod
     assert r * r % mod == a % mod
-    prime = p if isinstance(p, OddPrime) else OddPrime(q)
     lo, hi = sorted((r, mod - r))
-    return ResidueMod(prime, e, lo), ResidueMod(prime, e, hi)
+    return ResidueMod(p, e, lo), ResidueMod(p, e, hi)
 
 
 def reduce(x: ResidueMod, e: int) -> ResidueMod:
     """x mod p^e for e <= x.e; PrecisionExhausted for digits x does not carry."""
     if e > x.e:
-        raise PrecisionExhausted(f"value known mod {x.p.p}^{x.e}, requested mod {x.p.p}^{e}")
+        raise PrecisionExhausted(f"value known mod {x.p}^{x.e}, requested mod {x.p}^{e}")
     return ResidueMod(x.p, e, x.value)

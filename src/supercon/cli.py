@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .arith import OddPrime, is_prime
+from .arith import is_prime
 from .engine import (
     ENGINE_PRIME_BOUND,
     FULL,
@@ -21,7 +21,7 @@ from .engine import (
     SumSpec,
     WeightSpec,
     binomial_sum,
-    check_engine_prime,
+    engine_prime,
 )
 from .errors import (
     ConventionUnachievable,
@@ -57,6 +57,11 @@ def _signed(value: int, mod: int) -> str:
     return str(value)
 
 
+def _square(v: int) -> str:
+    """v^2 as it reads: a negative base in parentheses, so -3^2 is not read as -(3^2)."""
+    return f"({v})^2" if v < 0 else f"{v}^2"
+
+
 def _parse_primes(text: str) -> list:
     """Prime list from '5..100' range syntax or '5,7,13' explicit list.
 
@@ -70,18 +75,9 @@ def _parse_primes(text: str) -> list:
         above = (q for q in range(max(lo, ENGINE_PRIME_BOUND + 1), hi + 1) if is_prime(q))
         first = next(above, None)
         if first is not None:
-            check_engine_prime(first)
-        out = [q for q in range(max(lo, 3), hi + 1) if q % 2 and is_prime(q)]
-    else:
-        out = []
-        for part in text.split(","):
-            q = int(part)
-            if q < 3 or q % 2 == 0 or not is_prime(q):
-                raise ValueError(f"{q} is not an odd prime")
-            out.append(q)
-    if out:
-        check_engine_prime(max(out))
-    return out
+            engine_prime(first)
+        return [q for q in range(max(lo, 3), hi + 1) if q % 2 and is_prime(q)]
+    return [engine_prime(int(part)) for part in text.split(",")]
 
 
 def _parse_checks(text: str) -> list:
@@ -290,29 +286,22 @@ def cmd_verify(args) -> int:
 
 def cmd_represent(args) -> int:
     try:
-        p = OddPrime(args.p)
-    except (ValueError, SuperconError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rep = represent(p, args.d)
-        out = normalize(rep, args.convention)
+        out = normalize(represent(args.p, args.d), args.convention)
     except (NotRepresentable, RamifiedPrime, ConventionUnachievable) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except SuperconError as exc:
+    except (ValueError, SuperconError) as exc:  # a ValueError: args.p is no odd prime
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reps = (out,) if isinstance(out, QuadRep) else out
     for r in reps:
-        print(f"{p.p} = {r.x}^2 + {args.d}*{r.y}^2  (x, y) = ({r.x}, {r.y})")
+        print(f"{r.p} = {_square(r.x)} + {args.d}*{_square(r.y)}  (x, y) = ({r.x}, {r.y})")
     return 0
 
 
 def cmd_sum(args) -> int:
     try:
-        check_engine_prime(args.p)
-        p = OddPrime(args.p)
+        p = engine_prime(args.p)
         m = Fraction(args.m)
         m = int(m) if m.denominator == 1 else m
         poly = tuple(int(c) for c in args.poly.split(","))

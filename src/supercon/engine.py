@@ -53,7 +53,7 @@ from itertools import islice
 from math import isqrt
 from operator import index, mul
 
-from .arith import OddPrime, Record, ResidueMod
+from .arith import OddPrime, Record, ResidueMod, require_int
 from .errors import (
     DenominatorDivisible,
     IndexOutOfRange,
@@ -70,14 +70,16 @@ MAX_POWER = 4  # every congruence is taken mod p^e, 1 <= e <= MAX_POWER
 ENGINE_PRIME_BOUND = 10**6
 
 
-def check_engine_prime(q: int) -> None:
-    """PrimeTooLarge when the int q is above ENGINE_PRIME_BOUND.
+def engine_prime(p: int) -> OddPrime:
+    """OddPrime(p), after PrimeTooLarge when p is above ENGINE_PRIME_BOUND.
 
-    It takes an int so that a caller can refuse q before building an
-    OddPrime, which refuses q >= 2^63 with a ValueError.
+    The bound is read first, so a prime the engine cannot hold is refused as
+    too large even where OddPrime would refuse it, at 2^63 and above.
     """
+    q = index(p)
     if q > ENGINE_PRIME_BOUND:
         raise PrimeTooLarge(f"p = {q} is above the engine bound {ENGINE_PRIME_BOUND}")
+    return OddPrime(p)
 
 
 class WeightSpec(Record, namedtuple("WeightSpec", "kind a b")):
@@ -90,6 +92,8 @@ class WeightSpec(Record, namedtuple("WeightSpec", "kind a b")):
     __slots__ = ()
 
     def __new__(cls, kind: str = CONST1, a: int = 0, b: int = 0):
+        require_int("a", a)
+        require_int("b", b)
         if kind not in WEIGHT_KINDS:
             raise ValueError(f"unknown weight kind {kind!r}")
         lucas = kind in (LUCAS_U, LUCAS_V)
@@ -122,7 +126,8 @@ class SumSpec(Record, namedtuple("SumSpec", "h m poly weight range e")):
     """One binomial sum: h, denominator base m, P(k) coeffs, weight, range, e.
 
     poly holds integer coefficients, highest degree first; m is an int or a
-    Fraction, else TypeError; range is HALF or FULL; the result is wanted mod p^e.
+    Fraction, and h and e are ints, else TypeError; range is HALF or FULL; the
+    result is wanted mod p^e.
     """
 
     __slots__ = ()
@@ -131,6 +136,8 @@ class SumSpec(Record, namedtuple("SumSpec", "h m poly weight range e")):
                 range: str = FULL, e: int = 2):
         if isinstance(m, bool) or not isinstance(m, (int, Fraction)):
             raise TypeError(f"m must be an int or a Fraction, got {type(m).__name__}")
+        require_int("h", h)
+        require_int("e", e)
         if h not in (1, 2, 3):
             raise ValueError(f"h = {h} outside 1..3")
         if range not in (HALF, FULL):
@@ -153,20 +160,17 @@ class PrimeContext:
     no inverse above p stays once the harmonic gap's tail is built.
     """
 
-    __slots__ = ("prime", "p", "digits", "mod", "n", "_inv", "_bh", "_weights",
-                 "_moments", "_legendre")
+    __slots__ = ("p", "digits", "mod", "n", "_inv", "_bh", "_weights", "_moments", "_legendre")
 
-    def __init__(self, prime: OddPrime, digits: int):
-        if not isinstance(prime, OddPrime):
-            raise TypeError(f"prime must be an OddPrime, got {type(prime).__name__}")
+    def __init__(self, p: int, digits: int):
+        p = engine_prime(p)
+        require_int("digits", digits)
         if not 2 <= digits <= MAX_DIGITS:
             raise ValueError(f"digits {digits} outside 2..{MAX_DIGITS}")
-        check_engine_prime(prime.p)
-        self.prime = prime
-        self.p = prime.p
+        self.p = p
         self.digits = digits
-        self.mod = prime.power(digits)
-        self.n = (self.p - 1) // 2
+        self.mod = p**digits
+        self.n = (p - 1) // 2
         self._inv = [0, 1]  # inv[1] seeds the recurrence in inverses (M mod 1 = 0)
         self._bh: dict = {}
         self._weights: dict = {}
@@ -415,9 +419,8 @@ def m_inverse_residue(ctx: PrimeContext, m) -> int:
     return frac.denominator * pow(frac.numerator, -1, mod) % mod
 
 
-def binomial_sum(spec: SumSpec, p: "OddPrime | int",
-                 ctx: "PrimeContext | None" = None) -> ResidueMod:
-    """The sum described by spec, mod p^spec.e; an int p is validated as an OddPrime.
+def binomial_sum(spec: SumSpec, p: int, ctx: "PrimeContext | None" = None) -> ResidueMod:
+    """The sum described by spec, mod p^spec.e, at the prime p read by engine_prime.
 
     Works at the digits of ctx, which must be a context for p with at least
     sum_digits(spec.e, spec.weight) digits, else ValueError; without ctx it
@@ -426,18 +429,15 @@ def binomial_sum(spec: SumSpec, p: "OddPrime | int",
     For n < k < p, p divides binomial(2k,k) exactly once, so the tail of a
     FULL sum has valuation at least h + v(w) + (n+1) v(m^{-1}), with v(w)
     from WeightSpec.valuation.  When spec.e is within that bound only the
-    half range is walked.  An int p above ENGINE_PRIME_BOUND raises
-    PrimeTooLarge before it is validated.
+    half range is walked.
     """
-    if not isinstance(p, OddPrime):
-        check_engine_prime(index(p))
-        p = OddPrime(p)
+    p = engine_prime(p)
     digits = sum_digits(spec.e, spec.weight)
     if ctx is None:
         ctx = PrimeContext(p, digits)
-    elif ctx.p != p.p or ctx.digits < digits:
+    elif ctx.p != p or ctx.digits < digits:
         raise ValueError(f"a context for p = {ctx.p} at {ctx.digits} digits cannot "
-                         f"evaluate mod {p.p}^{spec.e}, which needs {digits} digits")
+                         f"evaluate mod {p}^{spec.e}, which needs {digits} digits")
     minv = m_inverse_residue(ctx, spec.m)
     # a lower bound on the valuation of the tail n < k < p
     bound = spec.h + spec.weight.valuation + (ctx.n + 1) * _valuation(minv, ctx.p, ctx.digits)

@@ -30,12 +30,9 @@ EXHAUSTIVE_REPRESENT_BOUND = 10**6
 EXACT_SUM_PRIME_BOUND = 1000
 
 
-def _as_int(p) -> int:
-    return p.p if isinstance(p, OddPrime) else int(p)
-
-
 def reduce_fraction(value: Fraction, p: int, e: int) -> int:
     """Least non-negative residue of a p-integral rational mod p^e."""
+    p = OddPrime(p)
     den = value.denominator
     if den % p == 0:
         raise NegativeValuation(f"{value} has a pole at {p}")
@@ -106,20 +103,19 @@ def exact_weights(kind: str, a: int, b: int, count: int) -> list:
     raise ValueError(f"unknown weight kind {kind!r}")
 
 
-def exact_sum(spec, p) -> ResidueMod:
+def exact_sum(spec, p: int) -> ResidueMod:
     """Evaluate a SumSpec exactly over Q, then reduce mod p^spec.e.
 
     spec.m must be an int or Fraction; the quadratic-time weight
     evaluation bounds practical use to p <= 1000.
     """
-    prime = p if isinstance(p, OddPrime) else OddPrime(p)
-    q = prime.p
-    if q > EXACT_SUM_PRIME_BOUND:
+    p = OddPrime(p)
+    if p > EXACT_SUM_PRIME_BOUND:
         raise IndexOutOfRange(f"exact_sum bound is p <= {EXACT_SUM_PRIME_BOUND}")
     m = spec.m
     if not isinstance(m, (int, Fraction)):
         raise TypeError(f"exact_sum needs an exact m, got {type(m).__name__}")
-    kmax = (q - 1) // 2 if spec.range == "half" else q - 1
+    kmax = (p - 1) // 2 if spec.range == "half" else p - 1
     weights = exact_weights(spec.weight.kind, spec.weight.a, spec.weight.b, kmax + 1)
     minv = Fraction(1, 1) / Fraction(m)
     total = Fraction(0)
@@ -130,18 +126,18 @@ def exact_sum(spec, p) -> ResidueMod:
             c = c * k + ci
         total += c * Fraction(comb(2 * k, k)) ** spec.h * weights[k] * mk
         mk *= minv
-    return ResidueMod(prime, spec.e, reduce_fraction(total, q, spec.e))
+    return ResidueMod(p, spec.e, reduce_fraction(total, p, spec.e))
 
 
-def exhaustive_represent(p, d: int) -> list:
+def exhaustive_represent(p: int, d: int) -> list:
     """All (x, y) with x, y >= 1 and x^2 + d y^2 = p, by full scan."""
-    q = _as_int(p)
-    if q >= EXHAUSTIVE_REPRESENT_BOUND:
+    p = OddPrime(p)
+    if p >= EXHAUSTIVE_REPRESENT_BOUND:
         raise IndexOutOfRange(f"exhaustive scan bound is p < {EXHAUSTIVE_REPRESENT_BOUND}")
     out = []
     x = 1
-    while x * x < q:
-        rem = q - x * x
+    while x * x < p:
+        rem = p - x * x
         if rem % d == 0:
             y = isqrt(rem // d)
             if y >= 1 and d * y * y == rem:
@@ -150,10 +146,9 @@ def exhaustive_represent(p, d: int) -> list:
     return sorted(out)
 
 
-def brute_sqrt(a: int, p, e: int) -> list:
+def brute_sqrt(a: int, p: int, e: int) -> list:
     """All square roots of a mod p^e by full scan; bound p^e <= 10^7."""
-    q = _as_int(p)
-    mod = q**e
+    mod = OddPrime(p) ** e
     if mod > BRUTE_SQRT_BOUND:
         raise IndexOutOfRange(f"brute force bound is p^e <= {BRUTE_SQRT_BOUND}")
     a %= mod

@@ -35,11 +35,12 @@ class QuadRep(Record, namedtuple("QuadRep", "p d x y convention")):
 
     __slots__ = ()
 
-    def __new__(cls, p: OddPrime, d: int, x: int, y: int, convention: str):
+    def __new__(cls, p: int, d: int, x: int, y: int, convention: str):
+        p = OddPrime(p)
         if d not in SUPPORTED_D:
             raise ValueError(f"unsupported d={d}; expected one of {SUPPORTED_D}")
-        if x**2 + d * y**2 != p.p:
-            raise ValueError(f"{x}^2 + {d}*{y}^2 != {p.p}")
+        if x**2 + d * y**2 != p:
+            raise ValueError(f"{x}^2 + {d}*{y}^2 != {p}")
         c = convention
         if c not in CONVENTIONS:
             raise ValueError(f"unknown convention {c!r}")
@@ -65,7 +66,7 @@ class AlignedRep(Record, namedtuple("AlignedRep", "rep sqrt_md")):
     __slots__ = ()
 
     def __new__(cls, rep: QuadRep, sqrt_md: ResidueMod):
-        p = rep.p.p
+        p = rep.p
         s = sqrt_md.value
         if (s * s + rep.d) % p != 0:
             raise ValueError("sqrt_md is not a square root of -d")
@@ -74,28 +75,26 @@ class AlignedRep(Record, namedtuple("AlignedRep", "rep sqrt_md")):
         return super().__new__(cls, rep, sqrt_md)
 
 
-def represent(p: "OddPrime | int", d: int) -> QuadRep:
+def represent(p: int, d: int) -> QuadRep:
     """Find the representation p = x^2 + d*y^2 with x, y > 0 (Cornacchia).
 
-    An int p is validated as an OddPrime.  For d = 1 the pair is ordered so
-    that x is odd.  Raises RamifiedPrime when p | d and NotRepresentable
-    when (-d/p) = -1.
+    For d = 1 the pair is ordered so that x is odd.  Raises RamifiedPrime
+    when p | d and NotRepresentable when (-d/p) = -1.
     """
+    p = OddPrime(p)
     if d not in SUPPORTED_D:
         raise ValueError(f"unsupported d={d}")
-    p = p if isinstance(p, OddPrime) else OddPrime(p)
-    q = p.p
-    if d % q == 0:
-        raise RamifiedPrime(f"p={q} divides d={d}")
-    if legendre_symbol(-d, q) != 1:
-        raise NotRepresentable(f"-{d} is not a quadratic residue mod {q}")
-    limit = isqrt(q)
+    if d % p == 0:
+        raise RamifiedPrime(f"p={p} divides d={d}")
+    if legendre_symbol(-d, p) != 1:
+        raise NotRepresentable(f"-{d} is not a quadratic residue mod {p}")
+    limit = isqrt(p)
     r0 = sqrt_mod(-d, p, 1)[0].value
-    for r in (r0, q - r0):
-        a, b = q, r
+    for r in (r0, p - r0):
+        a, b = p, r
         while b > limit:
             a, b = b, a % b
-        rem = q - b * b
+        rem = p - b * b
         if rem % d == 0:
             y2 = rem // d
             y = isqrt(y2)
@@ -103,9 +102,9 @@ def represent(p: "OddPrime | int", d: int) -> QuadRep:
                 x = b
                 if d == 1 and x % 2 == 0:
                     x, y = y, x
-                assert x * x + d * y * y == q
+                assert x * x + d * y * y == p
                 return QuadRep(p, d, x, y, RAW)
-    raise NotRepresentable(f"no x^2 + {d}y^2 = {q} found")  # pragma: no cover
+    raise NotRepresentable(f"no x^2 + {d}y^2 = {p} found")  # pragma: no cover
 
 
 def normalize(rep: QuadRep, convention: str):
@@ -157,9 +156,8 @@ def align_pi(rep: QuadRep, sqrt_md: ResidueMod) -> AlignedRep:
     Only used with conventions that leave the sign of y free; a flip that
     would break the recorded convention degrades the label to raw.
     """
-    p = rep.p.p
     s = sqrt_md.value
-    if (rep.x + rep.y * s) % p == 0:
+    if (rep.x + rep.y * s) % rep.p == 0:
         return AlignedRep(rep, sqrt_md)
     label = rep.convention
     if label in (Y1MOD4, XPLUSY1MOD4):
@@ -170,10 +168,9 @@ def align_pi(rep: QuadRep, sqrt_md: ResidueMod) -> AlignedRep:
 
 def select_aligned(pair, sqrt_md: ResidueMod) -> AlignedRep:
     """Pick the member of a normalize() pair that is aligned with sqrt_md."""
-    p = pair[0].p.p
     s = sqrt_md.value
     for rep in pair:
-        if (rep.x + rep.y * s) % p == 0:
+        if (rep.x + rep.y * s) % rep.p == 0:
             return AlignedRep(rep, sqrt_md)
     raise ConventionUnachievable("no member of the pair aligns; wrong sqrt?")
 
@@ -186,5 +183,5 @@ def pi_bar(aligned: AlignedRep) -> ResidueMod:
     """
     s, rep = aligned.sqrt_md, aligned.rep
     out = ResidueMod(rep.p, s.e, rep.x - rep.y * s.value)
-    assert out.value % rep.p.p != 0
+    assert out.value % rep.p != 0
     return out

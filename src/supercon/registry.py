@@ -51,6 +51,7 @@ from .arith import (
     is_prime,
     legendre_symbol,
     reduce,
+    require_int,
     sqrt_mod,
 )
 from .engine import (
@@ -62,7 +63,7 @@ from .engine import (
     SumSpec,
     WeightSpec,
     binomial_sum,
-    check_engine_prime,
+    engine_prime,
     ext_pow,
     legendre_poly_eval,
     sum_digits,
@@ -144,30 +145,31 @@ class Workspace:
     check reads is a method here, so a test can answer them all another way.
     """
 
-    __slots__ = ("prime", "q", "n", "power", "_ctx", "_cache")
+    __slots__ = ("q", "n", "power", "_ctx", "_cache")
 
-    def __init__(self, p: OddPrime, power: int):
+    def __init__(self, p: int, power: int):
+        p = engine_prime(p)
+        require_int("power", power)
         if not 1 <= power <= MAX_POWER:
             raise ValueError(f"workspace power {power} outside 1..{MAX_POWER}")
-        self.prime = p
-        self.q = p.p
-        self.n = (p.p - 1) // 2
+        self.q = p
+        self.n = (p - 1) // 2
         self.power = power
         # the harmonic gap, v(w) = -1, needs the most digits
         self._ctx = PrimeContext(p, sum_digits(power, GAP_WEIGHT))
         self._cache: dict = {}
 
     def mod(self, e: int) -> int:
-        return self.prime.power(e)
+        return self.q**e
 
     def legendre(self, a) -> int:
         fr = Fraction(a)
-        return legendre_symbol(fr.numerator * fr.denominator, self.prime)
+        return legendre_symbol(fr.numerator * fr.denominator, self.q)
 
     def sum(self, h, m, poly=(1,), weight=CONST_WEIGHT, rng=FULL, e=2) -> int:
         # evaluate once at the workspace power, then cut down to e
         spec = SumSpec(h, m, tuple(poly), weight, rng, self.power)
-        return reduce(binomial_sum(spec, self.prime, self._ctx), e).value
+        return reduce(binomial_sum(spec, self.q, self._ctx), e).value
 
     def gap1(self, m) -> int:
         """True value of sum_k k binom^3 (H_2k - H_k)/m^k mod p."""
@@ -193,7 +195,7 @@ class Workspace:
     def rep(self, d: int, convention: str):
         key = ("rep", d, convention)
         if key not in self._cache:
-            raw = self._cache.setdefault(("raw", d), represent(self.prime, d))
+            raw = self._cache.setdefault(("raw", d), represent(self.q, d))
             self._cache[key] = raw if convention == RAW else normalize(raw, convention)
         return self._cache[key]
 
@@ -201,7 +203,7 @@ class Workspace:
         """The smaller square root of a mod p^2."""
         key = ("sqrt", a)
         if key not in self._cache:
-            self._cache[key] = sqrt_mod(a, self.prime, 2)[0]
+            self._cache[key] = sqrt_mod(a, self.q, 2)[0]
         return self._cache[key]
 
     def aligned(self, d: int, convention: str):
@@ -339,7 +341,7 @@ def _ev_eq1_8(ws: Workspace):
 def _ev_eq1_9(ws: Workspace):
     return [
         (ws.sum(3, m, (1,), GAP_WEIGHT, FULL, 1),
-         Fraction(fermat_quotient(m, ws.prime).value * ws.sum(3, m, e=1), 6))
+         Fraction(fermat_quotient(m, ws.q).value * ws.sum(3, m, e=1), 6))
         for m in M_GRID
     ]
 
@@ -489,7 +491,8 @@ def _ev_long_6k1_256(ws: Workspace):
 
 
 def lemma_2_2_arguments(q: int, count: int) -> list:
-    """Deterministic rational sample points with denominators prime to q."""
+    """Deterministic rational sample points with denominators prime to the prime q."""
+    q = OddPrime(q)
     rng = random.Random(10007 * q + 17)
     args = []
     while len(args) < count:
@@ -515,7 +518,7 @@ def _ev_lemma2_3(ws: Workspace):
     q = ws.q
     out = []
     for d in (1, 2, 3, 7):
-        if legendre_symbol(-d, ws.prime) != 1:
+        if legendre_symbol(-d, q) != 1:
             continue
         ar = ws.aligned(d, RAW)
         pb = pi_bar(ar).value
@@ -617,14 +620,14 @@ def _ev_cor4_1(ws: Workspace):
     lhs = ws.legendre(-1) * ws.gap1(-64) - Fraction(1, 6)
     if ws.q % 8 in (1, 3):
         x = ws.rep(2, RAW).x
-        qp = fermat_quotient(2, ws.prime).value
+        qp = fermat_quotient(2, ws.q).value
         return [(lhs, Fraction(-(3 * qp + 2) * x * x, 3))]
     return [(lhs, 0)]
 
 
 def _ev_cor4_1_b(ws: Workspace):
     x = ws.rep(1, RAW).x
-    qp = fermat_quotient(2, ws.prime).value
+    qp = fermat_quotient(2, ws.q).value
     return [(ws.gap1(64), Fraction(-(3 * qp + 2) * x * x, 3))]
 
 
@@ -633,7 +636,7 @@ def _ev_cor4_2(ws: Workspace):
     b = ws.legendre(-1) * ws.gap1(256) - Fraction(1, 6)
     if ws.q % 3 == 1:
         x = ws.rep(3, RAW).x
-        qp = fermat_quotient(2, ws.prime).value
+        qp = fermat_quotient(2, ws.q).value
         rhs = Fraction(-2 * x * x * (4 * qp + 3), 9)
     else:
         rhs = 0
@@ -649,7 +652,7 @@ def _ev_cor4_3(ws: Workspace):
     q = ws.q
     lhs1 = ws.sum(3, 4096, (42, 5), e=2)
     rhs1 = 5 * q * ws.legendre(-1)
-    qp = fermat_quotient(2, ws.prime).value
+    qp = fermat_quotient(2, ws.q).value
     x = ws.rep(7, RAW).x if legendre_symbol(q, 7) == 1 else 0
     truths = (
         _congruent(lhs1, rhs1, q * q),
@@ -665,7 +668,7 @@ def _ev_cor4_4(ws: Workspace):
     q = ws.q
     lhs1 = ws.sum(3, -512, (6, 1), e=2)
     rhs1 = ws.legendre(-2) * q
-    qp = fermat_quotient(2, ws.prime).value
+    qp = fermat_quotient(2, ws.q).value
     x = ws.rep(1, RAW).x if q % 4 == 1 else 0
     truths = (
         _congruent(lhs1, rhs1, q * q),
@@ -708,22 +711,22 @@ def _all_odd(p: OddPrime) -> bool:
 
 
 def _gt3(p: OddPrime) -> bool:
-    return p.p > 3
+    return p > 3
 
 
 ALL = Hypothesis("all odd p", _all_odd)
 GT3 = Hypothesis("p > 3", _gt3)
-_QR7 = Hypothesis("(p/7) = 1", lambda p: legendre_symbol(p.p, 7) == 1)
+_QR7 = Hypothesis("(p/7) = 1", lambda p: legendre_symbol(p, 7) == 1)
 _NEG7_QR = Hypothesis("(-7/p) = 1", lambda p: legendre_symbol(-7, p) == 1)
 
 
 def _ne(a: int) -> Hypothesis:
-    return Hypothesis(f"p != {a}", lambda p: p.p != a)
+    return Hypothesis(f"p != {a}", lambda p: p != a)
 
 
 def _mod(m: int, *residues: int) -> Hypothesis:
     return Hypothesis(f"p == {', '.join(map(str, residues))} (mod {m})",
-                      lambda p: p.p % m in residues)
+                      lambda p: p % m in residues)
 
 
 def _and(*hs: Hypothesis) -> Hypothesis:
@@ -833,7 +836,7 @@ def get_check(check_id: str) -> CongruenceCheck:
 # ------------------------------------------------------------------- running
 
 
-def run_check(check_id: str, p, e_override: "int | None" = None,
+def run_check(check_id: str, p: int, e_override: "int | None" = None,
               workspace: "Workspace | None" = None) -> CheckReport:
     """One check at one prime, on workspace when given (else a fresh one).
 
@@ -844,18 +847,17 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
     check = get_check(check_id)
     if e_override is not None:
         check_overrides({check_id: e_override})
-    q = p.p if isinstance(p, OddPrime) else index(p)
-    check_engine_prime(q)
-    prime = p if isinstance(p, OddPrime) else OddPrime(q)
+    p = engine_prime(p)
+    q = int(p)  # a report holds a plain int, which unpickles without a primality test
     try:
-        if not check.hypothesis(prime):
-            return CheckReport(check_id, prime.p, SKIP, None, None, None,
+        if not check.hypothesis(p):
+            return CheckReport(check_id, q, SKIP, None, None, None,
                                f"hypothesis: {check.hypothesis.text}")
-        e = e_override if e_override is not None else check.modulus_power(prime)
-        ws = workspace or Workspace(prime, e)
-        fits = ws.q == prime.p and ws.power >= e
+        e = e_override if e_override is not None else check.modulus_power(p)
+        ws = workspace or Workspace(p, e)
+        fits = ws.q == p and ws.power >= e
         if fits:
-            modulus = prime.power(e)
+            modulus = p**e
             outcome = check.evaluate(ws, e) if check.reads_power else check.evaluate(ws)
             witnesses = [outcome.witness] if isinstance(outcome, Equivalence) else outcome
             # each pair is reduced as it is read; only the first, the first that
@@ -871,18 +873,17 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
             if first is None:
                 raise ValueError("the evaluator gave no congruence")
     except SuperconError as exc:
-        return CheckReport(check_id, prime.p, ERROR, None, None, None,
-                           f"{type(exc).__name__}: {exc}")
+        return CheckReport(check_id, q, ERROR, None, None, None, f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # a catalogue defect: an ERROR report, not a traceback
         import traceback
 
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
-        return CheckReport(check_id, prime.p, ERROR, None, None, None,
-                           f"{type(exc).__name__} in {check_id} at p={prime.p}: {exc} ({where})")
+        return CheckReport(check_id, q, ERROR, None, None, None,
+                           f"{type(exc).__name__} in {check_id} at p={q}: {exc} ({where})")
     if not fits:
         raise ValueError(f"a workspace for p = {ws.q} at power {ws.power} "
-                         f"({ws._ctx.digits} digits) cannot run {check_id} mod {prime.p}^{e}")
+                         f"({ws._ctx.digits} digits) cannot run {check_id} mod {q}^{e}")
     lhs, rhs = first
     detail = ""
     if isinstance(outcome, Equivalence):
@@ -899,7 +900,7 @@ def run_check(check_id: str, p, e_override: "int | None" = None,
         verdict = FAIL
     else:
         verdict = COUNTEREXAMPLE
-    return CheckReport(check_id, prime.p, verdict, lhs, rhs, modulus, detail)
+    return CheckReport(check_id, q, verdict, lhs, rhs, modulus, detail)
 
 
 def check_overrides(overrides: dict) -> None:
@@ -907,23 +908,24 @@ def check_overrides(overrides: dict) -> None:
     for cid, e in overrides.items():
         if not get_check(cid).reads_power:
             raise OverrideRefused(f"{cid} is evaluated at a fixed power; it takes no override")
+        require_int(f"override power for {cid}", e)
         if e not in range(1, MAX_POWER + 1):
             raise OverrideRefused(f"override power {e} for {cid} outside 1..{MAX_POWER}")
 
 
 def _evaluate_prime(args) -> list:
-    ids, q, overrides = args
-    prime = OddPrime(q)
+    ids, p, overrides = args
+    p = engine_prime(p)
     live = []
     for cid in ids:
         check = get_check(cid)
         try:
-            if check.hypothesis(prime):
-                live.append(overrides.get(cid) or check.modulus_power(prime))
+            if check.hypothesis(p):
+                live.append(overrides.get(cid) or check.modulus_power(p))
         except Exception:  # run_check below reports it as an ERROR
             pass
-    ws = Workspace(prime, max(live)) if live else None
-    return [run_check(cid, prime, overrides.get(cid), ws) for cid in ids]
+    ws = Workspace(p, max(live)) if live else None
+    return [run_check(cid, p, overrides.get(cid), ws) for cid in ids]
 
 
 class SuiteResult(NamedTuple):
@@ -967,7 +969,7 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
     for cid in ids:
         get_check(cid)
     # accept any integer iterable (e.g. range(5, 101)) and keep the odd primes
-    primes = sorted({q for q in map(index, primes) if q >= 3 and q % 2 and is_prime(q)})
+    primes = sorted({q for q in map(index, primes) if q % 2 and is_prime(q)})
     overrides = dict(overrides or {})
     check_overrides(overrides)
     stray = sorted(set(overrides) - set(ids))
@@ -975,7 +977,7 @@ def run_suite(ids, primes, workers: int = 1, overrides: "dict | None" = None) ->
         raise OverrideRefused(f"override for {', '.join(stray)}, which this run does not include")
     if not ids or not primes:
         return SuiteResult((), {})
-    check_engine_prime(primes[-1])
+    engine_prime(primes[-1])
     jobs = [(tuple(ids), q, overrides) for q in primes]
     # a forked pool starts all its workers at once, so it gets no more than the jobs
     workers = min(workers, len(jobs))

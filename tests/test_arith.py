@@ -93,6 +93,21 @@ def test_sqrt_mod_examples():
         sqrt_mod(22, OddPrime(11), 2)
 
 
+def test_an_exponent_must_be_an_int_in_range():
+    # sqrt_mod(2, 7, -1) used to fail a bare assert, and e = 2.0 gave float residues
+    for e in (-1, 0, 13):
+        with pytest.raises(ValueError, match="outside 1..12"):
+            sqrt_mod(2, 7, e)
+        with pytest.raises(ValueError, match="outside 1..12"):
+            ResidueMod(7, e, 5)
+    for e in (2.0, True, 1.5, None):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            sqrt_mod(2, 7, e)
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            ResidueMod(7, e, 5)
+    assert [r.value for r in sqrt_mod(2, 7, 2)] == [10, 39]
+
+
 def test_sqrt_mod_random_instances():
     rng = random.Random(2026)
     done = 0

@@ -163,6 +163,15 @@ def test_represent_examples(capsys):
     assert "(4, 1)" in out and "(-4, 1)" in out
 
 
+def test_represent_parenthesizes_a_negative_part(capsys):
+    # -3^2 reads as -(3^2): a negative part is printed in parentheses
+    rc, out, _ = run_cli(capsys, "represent", "17", "2", "--convention", "x1mod4")
+    assert rc == 0 and out == "17 = (-3)^2 + 2*2^2  (x, y) = (-3, 2)\n"
+    rc, out, _ = run_cli(capsys, "represent", "1009", "7", "--convention", "xplusy1mod4")
+    assert rc == 0 and out.splitlines() == ["1009 = 1^2 + 7*12^2  (x, y) = (1, 12)",
+                                            "1009 = 1^2 + 7*(-12)^2  (x, y) = (1, -12)"]
+
+
 def test_represent_failures(capsys):
     rc, _, err = run_cli(capsys, "represent", "5", "7")
     assert rc == 1 and "NotRepresentable" in err
@@ -419,6 +428,10 @@ def test_verify_report_is_byte_identical_to_golden(capsys):
              "70d39aef82af47f866fe921657fadcf74bc674fe73849fc318c2b98220b0f29b"),
             ((*verify, "5..400"),
              "0ac2dec39e98d91ae836e28f02ce11cba407ee8a831f40d4014f1ec20c73991d"),
+            # the csv writer calls str() on every field, so it alone would show
+            # a prime that printed as anything but its digits
+            ((*verify, "5..400", "--format", "csv"),
+             "18bf6a6f58bfec05cd815dc2b1e6301f50451b7d0e2efb731a14da8de08ef7d5"),
             (("list",), "3cc13469acca118d17e92accd1833baff9506465d1cc72fe525617533f41664a")):
         rc, out, _ = run_cli(capsys, *args)
         assert rc == 0

@@ -103,6 +103,22 @@ def test_sum_spec_refuses_an_m_of_another_type():
             SumSpec(3, m)
 
 
+def test_specs_refuse_a_float_or_bool_parameter():
+    # e = 2.0 used to give a residue "mod 13^2.0", e = 2.5 a TypeError from pow,
+    # and a float Lucas parameter failed only when summed
+    for h, e in ((3.0, 2), (True, 2), (3, 2.0), (3, 2.5), (3, True)):
+        with pytest.raises(TypeError, match="must be an int"):
+            SumSpec(h, 64, e=e)
+    for kind, a, b in ((LUCAS_U, 1.5, 2), (LUCAS_V, 1, 2.0), (LUCAS_U, True, 2),
+                       (HARMONIC, 0.0, 0)):
+        with pytest.raises(TypeError, match="must be an int"):
+            WeightSpec(kind, a, b)
+    assert SumSpec(3, 64, e=2) == SumSpec(3, 64)
+    for digits in (3.0, True):
+        with pytest.raises(TypeError, match="digits must be an int"):
+            PrimeContext(13, digits)
+
+
 def test_sum_spec_keeps_a_poly_given_as_an_iterator():
     # the check used to read the iterator before the tuple was taken, leaving
     # poly = () and a sum of 0
@@ -288,14 +304,14 @@ def lemma_2_1_check(m: int, branch: int, a: int, b: int, ctx: PrimeContext) -> b
     root, m* and the sums are taken mod p^digits of ctx, and branch picks
     the smaller or larger root at that precision.
     """
-    p, digits, q, mod = ctx.prime, ctx.digits, ctx.p, ctx.mod
+    digits, q, mod = ctx.digits, ctx.p, ctx.mod
     mod2 = q * q
     disc = m * m - 64 * m
     if disc % q == 0:
         raise DiscriminantNonResidue(f"p = {q} divides m^2 - 64m for m = {m}")
     if legendre_symbol(disc, q) == -1:
         raise DiscriminantNonResidue(f"m^2 - 64m = {disc} is not a square mod {q}")
-    root = sqrt_mod(disc, p, digits)[0 if branch >= 0 else 1].value
+    root = sqrt_mod(disc, q, digits)[0 if branch >= 0 else 1].value
     mstar = (m + root) * ctx.inverses(3)[2] % mod
     a_res, b_res = a % mod2, b % mod2
 
@@ -596,8 +612,10 @@ def test_binomial_sum_takes_an_int_prime_as_exact_sum_does():
     for bad in (13.0, None):
         with pytest.raises(TypeError):
             binomial_sum(spec, bad)
-    for bad in (13, 13.0, None):
-        with pytest.raises(TypeError, match="OddPrime"):
+    # a context reads its prime through the same door: 13 is accepted
+    assert PrimeContext(13, 3).p == 13
+    for bad in (13.0, None):
+        with pytest.raises(TypeError):
             PrimeContext(bad, 3)
 
 

@@ -7,10 +7,18 @@ import time
 import pytest
 
 from supercon import engine, registry
-from supercon.arith import OddPrime, ResidueMod, is_prime
-from supercon.engine import SumSpec, WeightSpec
+from supercon.arith import (
+    OddPrime,
+    ResidueMod,
+    fermat_quotient,
+    is_prime,
+    legendre_symbol,
+    sqrt_mod,
+)
+from supercon.engine import PrimeContext, SumSpec, WeightSpec, binomial_sum
 from supercon.errors import OverrideRefused, PrimeTooLarge, UnknownCheckId
-from supercon.quadform import RAW, QuadRep, align_pi
+from supercon.oracle import brute_sqrt, exact_sum, exhaustive_represent
+from supercon.quadform import RAW, QuadRep, align_pi, represent
 from supercon.registry import (
     ABORT,
     CONJECTURAL,
@@ -190,7 +198,7 @@ def test_a_job_above_the_abort_cannot_break_the_run(monkeypatch):
     init = Workspace.__init__
 
     def raising_init(self, p, power):
-        if p.p == 1013:
+        if p == 1013:
             raise RuntimeError("the job above the abort")
         init(self, p, power)
 
@@ -238,7 +246,7 @@ def test_an_evaluator_that_gives_no_congruence_is_an_error_report(monkeypatch):
 
 def test_hypothesis_exception_is_an_error_report(monkeypatch):
     check = get_check("eq1.0")
-    raising = check._replace(hypothesis=Hypothesis("p > 0", lambda p: 1 // (p.p - 11) >= 0))
+    raising = check._replace(hypothesis=Hypothesis("p > 0", lambda p: 1 // (p - 11) >= 0))
     monkeypatch.setitem(registry._CHECKS, "eq1.0", raising)
     serial = run_suite(["eq1.0"], [5, 7, 11, 13])
     parallel = run_suite(["eq1.0"], [5, 7, 11, 13], workers=2)
@@ -252,7 +260,12 @@ def test_records_are_immutable_hashable_picklable_tuples():
     p = OddPrime(13)
     ws = Workspace(p, 2)
     result = run_suite(["eq1.0", "gauss"], [13])
-    records = [p, ResidueMod(p, 2, 1000), WeightSpec("lucas_u", 1, 16),
+    # a prime is an immutable int, which pickles as its type and hashes as its value
+    assert type(pickle.loads(pickle.dumps(p))) is OddPrime and pickle.loads(pickle.dumps(p)) == p
+    with pytest.raises(AttributeError):
+        p.extra = 1
+    assert hash(p) == hash(13) and p == 13 and isinstance(p, int)
+    records = [ResidueMod(p, 2, 1000), WeightSpec("lucas_u", 1, 16),
                SumSpec(3, 64, [1, 0], WeightSpec("harmonic")), QuadRep(p, 1, 3, 2, RAW),
                align_pi(ws.rep(1, RAW), ws.sqrt(-1)), get_check("cor4.3").evaluate(ws),
                get_check("eq1.0"), result.reports[0], result]
@@ -263,13 +276,13 @@ def test_records_are_immutable_hashable_picklable_tuples():
             record.extra = 1
         if record is not result:  # its summary is a dict
             assert hash(record._replace()) == hash(record)
-    assert repr(records[4]) == "QuadRep(p=OddPrime(13), d=1, x=3, y=2, convention='raw')"
-    assert repr(records[1]) == "155 (mod 13^2)" and records[3].poly == (1, 0)
+    assert repr(records[3]) == "QuadRep(p=OddPrime(13), d=1, x=3, y=2, convention='raw')"
+    assert repr(records[0]) == "155 (mod 13^2)" and records[2].poly == (1, 0)
     assert OddPrime(11) < p < OddPrime(17)
     # _replace validates as the constructor does
-    assert records[1]._replace(value=-1).value == 168
+    assert records[0]._replace(value=-1).value == 168
     with pytest.raises(ValueError, match="15 is not prime"):
-        p._replace(p=15)
+        OddPrime(15)
 
 
 def test_override_refused_where_the_power_is_fixed():
@@ -287,6 +300,12 @@ def test_override_refused_where_the_power_is_fixed():
             run_suite(["su2.21k8"], [11, 13], overrides={"su2.21k8": e})
         with pytest.raises(OverrideRefused, match="outside 1..4"):
             run_check("su2.21k8", 11, e_override=e)
+    # 3.0 in range(1, 5) holds, and True ran eq1.2 at p^1: neither is an int
+    for e in (3.0, True, 2.5):
+        with pytest.raises(TypeError, match="override power"):
+            run_suite(["eq1.2"], [13], overrides={"eq1.2": e})
+        with pytest.raises(TypeError, match="override power"):
+            run_check("eq1.2", 13, e_override=e)
 
 
 def test_override_refused_for_a_check_outside_the_run():
@@ -323,6 +342,44 @@ def test_a_prime_must_be_an_int():
     assert run_check("eq1.0", _Thirteen()).p == 13
     res = run_suite(["eq1.0"], [True, 2, 9, _Thirteen(), 15, 17])
     assert [r.p for r in res.reports] == [13, 17]
+
+
+# every function that takes a prime, each asked one question about it
+PRIME_READERS = {
+    "OddPrime": OddPrime,
+    "ResidueMod": lambda p: ResidueMod(p, 2, 200),
+    "legendre_symbol": lambda p: legendre_symbol(3, p),
+    "fermat_quotient": lambda p: fermat_quotient(2, p),
+    "sqrt_mod": lambda p: sqrt_mod(3, p, 2),
+    "represent": lambda p: represent(p, 1),
+    "PrimeContext": lambda p: PrimeContext(p, 2).bh(1),
+    "binomial_sum": lambda p: binomial_sum(SumSpec(3, 64), p),
+    "Workspace": lambda p: Workspace(p, 2).sum(3, 64),
+    "run_check": lambda p: run_check("eq1.0", p),
+    "exact_sum": lambda p: exact_sum(SumSpec(3, 64), p),
+    "exhaustive_represent": lambda p: exhaustive_represent(p, 1),
+    "brute_sqrt": lambda p: brute_sqrt(3, p, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIME_READERS))
+def test_every_function_reads_a_prime_through_one_door(name):
+    read = PRIME_READERS[name]
+    assert read(13) == read(OddPrime(13)) == read(_Thirteen()), name
+    for bad in (13.0, "13", 13.5, None):
+        with pytest.raises(TypeError):
+            read(bad)
+    for bad in (15, 2, True):
+        with pytest.raises(ValueError):
+            read(bad)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reports_hold_plain_ints(workers):
+    # a report holding an OddPrime would run a primality test each time it is unpickled
+    reports = run_suite(check_ids(), range(5, 60), workers=workers).reports
+    assert reports and {type(r.p) for r in reports} == {int}
+    assert {type(v) for r in reports for v in (r.lhs, r.rhs, r.modulus)} <= {int, type(None)}
 
 
 @pytest.fixture
@@ -393,6 +450,10 @@ def test_run_check_refuses_a_mismatched_workspace():
     for power in (0, 5):
         with pytest.raises(ValueError, match="outside 1..4"):
             Workspace(OddPrime(11), power)
+    # 2.0 used to build a context whose modulus was the float 11^3.0
+    for power in (2.0, True):
+        with pytest.raises(TypeError, match="power must be an int"):
+            Workspace(11, power)
 
 
 def test_gauss_and_cde_build_tables_to_their_one_entry():
@@ -423,8 +484,8 @@ def test_a_full_sweep_keeps_each_table_once(monkeypatch):
     assert len(ctx._inv) <= q + 1
     tables = [ctx._inv, *ctx._bh.values(), *ctx._weights.values(), *ctx._legendre.values()]
     assert max(len(t) for t in tables[1:]) <= q
-    assert set(ctx.__slots__) == {"prime", "p", "digits", "mod", "n", "_inv", "_bh",
-                                  "_weights", "_moments", "_legendre"}
+    assert set(ctx.__slots__) == {"p", "digits", "mod", "n", "_inv", "_bh", "_weights",
+                                  "_moments", "_legendre"}
     # inverses, binom^1..3, the harmonic gap and P_n coefficients: 5.5 p entries
     assert sum(map(len, tables)) <= 5.5 * q + 2
 
@@ -434,7 +495,7 @@ def test_run_suite_builds_one_context_per_prime(monkeypatch):
     init = engine.PrimeContext.__init__
 
     def counting_init(self, prime, digits):
-        builds.append(prime.p)
+        builds.append(prime)
         init(self, prime, digits)
 
     monkeypatch.setattr(engine.PrimeContext, "__init__", counting_init)
