@@ -18,6 +18,7 @@ from .engine import (
     ENGINE_PRIME_BOUND,
     FULL,
     HALF,
+    MAX_POWER,
     SumSpec,
     WeightSpec,
     binomial_sum,
@@ -32,7 +33,7 @@ from .errors import (
     SuperconError,
     UnknownCheckId,
 )
-from .quadform import CONVENTIONS, RAW, QuadRep, normalize, represent
+from .quadform import CONVENTIONS, RAW, SUPPORTED_D, normalize, represent
 from .registry import (
     CONJECTURAL,
     PROVED,
@@ -89,6 +90,8 @@ def _parse_checks(text: str) -> list:
     if names == "conjectural":
         return [c.id for c in checks() if c.status == CONJECTURAL]
     ids = [part.strip() for part in names.split(",") if part.strip()]
+    if not ids:
+        raise ValueError(f"checks {text!r} names no check")
     for cid in ids:
         get_check(cid)
     return ids
@@ -286,14 +289,13 @@ def cmd_verify(args) -> int:
 
 def cmd_represent(args) -> int:
     try:
-        out = normalize(represent(args.p, args.d), args.convention)
+        reps = normalize(represent(args.p, args.d), args.convention)
     except (NotRepresentable, RamifiedPrime, ConventionUnachievable) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (ValueError, SuperconError) as exc:  # a ValueError: args.p is no odd prime
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reps = (out,) if isinstance(out, QuadRep) else out
     for r in reps:
         print(f"{r.p} = {_square(r.x)} + {args.d}*{_square(r.y)}  (x, y) = ({r.x}, {r.y})")
     return 0
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("represent", help="write p as x^2 + d*y^2")
     p_rep.add_argument("p", type=int)
-    p_rep.add_argument("d", type=int, choices=[1, 2, 3, 7])
+    p_rep.add_argument("d", type=int, choices=SUPPORTED_D)
     p_rep.add_argument(
         "--convention", default=RAW,
         choices=sorted(CONVENTIONS),
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--lucas-a", type=int, default=0)
     p_sum.add_argument("--lucas-b", type=int, default=0)
     p_sum.add_argument("--range", default=FULL, choices=[HALF, FULL])
-    p_sum.add_argument("--e", type=int, default=2, choices=[1, 2, 3, 4])
+    p_sum.add_argument("--e", type=int, default=2, choices=range(1, MAX_POWER + 1))
     p_sum.add_argument("-p", type=int, required=True, dest="p")
     p_sum.set_defaults(func=cmd_sum)
     return parser

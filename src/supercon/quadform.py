@@ -3,7 +3,9 @@
 Only d in {1, 2, 3, 7} are supported: each has class number one, so an odd
 prime p with (-d/p) = 1 and p not dividing d has an essentially unique
 representation.  Congruence statements fix signs through parity conventions
-and through alignment with a chosen square root of -d mod p^e.
+and through alignment with a chosen square root of -d mod p^e.  Each
+convention is one rule in SIGN_RULES, which QuadRep, normalize and align_pi
+all read.
 """
 
 from __future__ import annotations
@@ -22,15 +24,30 @@ Y1MOD4 = "y1mod4"
 XPLUSY1MOD4 = "xplusy1mod4"
 D1_ODDX1MOD4 = "d1_oddx1mod4"
 
-CONVENTIONS = (RAW, X1MOD4, Y1MOD4, XPLUSY1MOD4, D1_ODDX1MOD4)
+# convention -> (the rule's text, the rule as a predicate on (d, x, y))
+SIGN_RULES = {
+    RAW: ("any signs", lambda d, x, y: True),
+    X1MOD4: ("x = 1 (mod 4)", lambda d, x, y: x % 4 == 1),
+    Y1MOD4: ("y = 1 (mod 4)", lambda d, x, y: y % 4 == 1),
+    XPLUSY1MOD4: ("x+y = 1 (mod 4)", lambda d, x, y: (x + y) % 4 == 1),
+    D1_ODDX1MOD4: ("d = 1 and x = 1 (mod 4)", lambda d, x, y: d == 1 and x % 4 == 1),
+}
+
+CONVENTIONS = tuple(SIGN_RULES)
+
+
+def _rule(convention: str) -> tuple:
+    try:
+        return SIGN_RULES[convention]
+    except KeyError:
+        raise ValueError(f"unknown convention {convention!r}") from None
 
 
 class QuadRep(Record, namedtuple("QuadRep", "p d x y convention")):
-    """One signed representation p = x^2 + d*y^2 under a named convention.
+    """One signed representation p = x^2 + d*y^2 that meets a named convention.
 
-    The convention field records which sign rule produced the pair; the
-    parity constraints it implies are validated, signs are whatever the rule
-    left (alignment may later flip y where the convention leaves it free).
+    The convention's rule is validated; the signs it leaves free are whatever
+    normalize or align_pi chose.
     """
 
     __slots__ = ()
@@ -41,22 +58,14 @@ class QuadRep(Record, namedtuple("QuadRep", "p d x y convention")):
             raise ValueError(f"unsupported d={d}; expected one of {SUPPORTED_D}")
         if x**2 + d * y**2 != p:
             raise ValueError(f"{x}^2 + {d}*{y}^2 != {p}")
-        c = convention
-        if c not in CONVENTIONS:
-            raise ValueError(f"unknown convention {c!r}")
-        if c == X1MOD4 and x % 4 != 1:
-            raise ValueError(f"x = {x} violates x = 1 (mod 4)")
-        if c == Y1MOD4 and y % 4 != 1:
-            raise ValueError(f"y = {y} violates y = 1 (mod 4)")
-        if c == XPLUSY1MOD4 and (x + y) % 4 != 1:
-            raise ValueError(f"x+y = {x + y} violates x+y = 1 (mod 4)")
-        if c == D1_ODDX1MOD4 and (d != 1 or x % 2 == 0 or y % 2 != 0 or x % 4 != 1):
-            raise ValueError("d=1 convention needs x odd, y even, x = 1 (mod 4)")
+        text, meets = _rule(convention)
+        if not meets(d, x, y):
+            raise ValueError(f"(x, y) = ({x}, {y}) violates {text}")
         return super().__new__(cls, p, d, x, y, convention)
 
 
 class AlignedRep(Record, namedtuple("AlignedRep", "rep sqrt_md")):
-    """A representation whose y-sign is tied to a square root of -d.
+    """A representation whose signs are tied to a square root of -d.
 
     Alignment means x + y*s = 0 (mod p) for s = sqrt_md: the factor
     x + y*sqrt(-d) lies over the prime ideal that s singles out, so the
@@ -102,77 +111,41 @@ def represent(p: int, d: int) -> QuadRep:
                 x = b
                 if d == 1 and x % 2 == 0:
                     x, y = y, x
-                assert x * x + d * y * y == p
                 return QuadRep(p, d, x, y, RAW)
     raise NotRepresentable(f"no x^2 + {d}y^2 = {p} found")  # pragma: no cover
 
 
-def normalize(rep: QuadRep, convention: str):
-    """Apply a sign convention to a representation.
+def normalize(rep: QuadRep, convention: str) -> tuple:
+    """The representations of rep's p under a sign convention, as a tuple.
 
-    Returns a single QuadRep, except for XPLUSY1MOD4 where exactly two of
-    the four sign choices qualify and both are returned as a tuple; the
-    caller disambiguates via select_aligned.  A QuadRep is a tuple too, so
-    tell the two apart with isinstance(out, QuadRep).
+    The sign choices of (|x|, |y|) are tried in the order (+,+), (+,-),
+    (-,+), (-,-); the first that meets the convention's rule is kept, or
+    under XPLUSY1MOD4 both that meet it.  D1_ODDX1MOD4 first moves the odd
+    part into x.  ConventionUnachievable when no choice meets the rule.
     """
-    x, y = abs(rep.x), abs(rep.y)
-    p, d = rep.p, rep.d
-    if convention == RAW:
-        return QuadRep(p, d, x, y, RAW)
-    if convention == X1MOD4:
-        if x % 2 == 0:
-            raise ConventionUnachievable(f"x = {x} is even; x = 1 (mod 4) impossible")
-        return QuadRep(p, d, x if x % 4 == 1 else -x, y, X1MOD4)
-    if convention == Y1MOD4:
-        if y % 2 == 0:
-            raise ConventionUnachievable(f"y = {y} is even; y = 1 (mod 4) impossible")
-        return QuadRep(p, d, x, y if y % 4 == 1 else -y, Y1MOD4)
-    if convention == D1_ODDX1MOD4:
-        if d != 1:
-            raise ConventionUnachievable("convention only applies to d = 1")
-        if x % 2 == 0:
-            x, y = y, x
-        if x % 2 == 0 or y % 2 != 0:
-            raise ConventionUnachievable(f"no odd/even split for ({x}, {y})")
-        return QuadRep(p, d, x if x % 4 == 1 else -x, y, D1_ODDX1MOD4)
-    if convention == XPLUSY1MOD4:
-        picks = [
-            (sx * x, sy * y)
-            for sx in (1, -1)
-            for sy in (1, -1)
-            if (sx * x + sy * y) % 4 == 1
-        ]
-        if len(picks) != 2:
-            raise ConventionUnachievable(
-                f"{len(picks)} sign choices qualify for ({x}, {y}); x+y must be odd"
-            )
-        return tuple(QuadRep(p, d, a, b, XPLUSY1MOD4) for a, b in picks)
-    raise ValueError(f"unknown convention {convention!r}")
+    text, meets = _rule(convention)
+    p, d, x, y = rep.p, rep.d, abs(rep.x), abs(rep.y)
+    if convention == D1_ODDX1MOD4 and x % 2 == 0:
+        x, y = y, x
+    picks = [(sx * x, sy * y) for sx in (1, -1) for sy in (1, -1) if meets(d, sx * x, sy * y)]
+    if not picks:
+        raise ConventionUnachievable(f"no sign choice of ({x}, {y}) with d = {d} meets {text}")
+    kept = picks if convention == XPLUSY1MOD4 else picks[:1]
+    return tuple(QuadRep(p, d, a, b, convention) for a, b in kept)
 
 
 def align_pi(rep: QuadRep, sqrt_md: ResidueMod) -> AlignedRep:
-    """Flip the sign of y, if needed, so that x + y*sqrt_md = 0 (mod p).
+    """rep with a sign flipped, if needed, so that x + y*sqrt_md = 0 (mod p).
 
-    Only used with conventions that leave the sign of y free; a flip that
-    would break the recorded convention degrades the label to raw.
+    y is flipped where the convention leaves it free, else x: since
+    -x + y*s = -(x - y*s), either flip aligns an unaligned representation,
+    and every rule leaves one of them free.
     """
-    s = sqrt_md.value
-    if (rep.x + rep.y * s) % rep.p == 0:
-        return AlignedRep(rep, sqrt_md)
-    label = rep.convention
-    if label in (Y1MOD4, XPLUSY1MOD4):
-        label = RAW
-    flipped = QuadRep(rep.p, rep.d, rep.x, -rep.y, label)
-    return AlignedRep(flipped, sqrt_md)
-
-
-def select_aligned(pair, sqrt_md: ResidueMod) -> AlignedRep:
-    """Pick the member of a normalize() pair that is aligned with sqrt_md."""
-    s = sqrt_md.value
-    for rep in pair:
-        if (rep.x + rep.y * s) % rep.p == 0:
-            return AlignedRep(rep, sqrt_md)
-    raise ConventionUnachievable("no member of the pair aligns; wrong sqrt?")
+    p, d, x, y, convention = rep
+    if (x + y * sqrt_md.value) % p != 0:
+        _, meets = SIGN_RULES[convention]
+        x, y = (x, -y) if meets(d, x, -y) else (-x, y)
+    return AlignedRep(QuadRep(p, d, x, y, convention), sqrt_md)
 
 
 def pi_bar(aligned: AlignedRep) -> ResidueMod:

@@ -79,7 +79,6 @@ from .quadform import (
     normalize,
     pi_bar,
     represent,
-    select_aligned,
 )
 from .seq import (
     COMPANION_PELL,
@@ -193,10 +192,10 @@ class Workspace:
         return ctx.bh(1, n + 1), ctx.weight_table(GAP_WEIGHT, n + 1), ctx.inverses(2 * n + 1)
 
     def rep(self, d: int, convention: str):
+        """The first representation normalize gives under convention."""
         key = ("rep", d, convention)
         if key not in self._cache:
-            raw = self._cache.setdefault(("raw", d), represent(self.q, d))
-            self._cache[key] = raw if convention == RAW else normalize(raw, convention)
+            self._cache[key] = normalize(represent(self.q, d), convention)[0]
         return self._cache[key]
 
     def sqrt(self, a: int) -> ResidueMod:
@@ -209,12 +208,7 @@ class Workspace:
     def aligned(self, d: int, convention: str):
         key = ("aligned", d, convention)
         if key not in self._cache:
-            root = self.sqrt(-d)
-            rep = self.rep(d, convention)
-            if convention == XPLUSY1MOD4:
-                self._cache[key] = select_aligned(rep, root)
-            else:
-                self._cache[key] = align_pi(rep, root)
+            self._cache[key] = align_pi(self.rep(d, convention), self.sqrt(-d))
         return self._cache[key]
 
     def legendre_poly(self, x0, x1=0, disc: int = 0) -> tuple:

@@ -287,9 +287,11 @@ def _faulted_sweep(install, power=None) -> tuple:
     1 + (call count mod (q - 1)) that differs per call, so both sides of a
     congruence cannot shift alike and no reduction mod p^e removes it.
     reached holds the checks that drew an offset, passing those that PASS
-    somewhere without faults, and moved those of them that leave PASS at some
-    prime with them; for the biconditionals cor4.3 and cor4.4, whose truths can
-    all flip together, a changed truth vector is enough.  Each prime runs
+    somewhere without faults, and moved those of them that FAIL or report a
+    COUNTEREXAMPLE at some prime with them; for the biconditionals cor4.3 and
+    cor4.4, whose truths can all flip together, a changed truth vector is
+    enough.  An ERROR is not a move: a fault that raises shows nothing about
+    whether the check reads the faulted value.  Each prime runs
     through _evaluate_prime, as run_suite would run it, but without its stop
     at the first FAIL.  With power(check, q) given, offset(q) is the unit times
     q^(power - 1) for the running check, and passing and moved hold
@@ -325,7 +327,8 @@ def _faulted_sweep(install, power=None) -> tuple:
             key = (before.check, power(before.check, q)) if power else before.check
             passing.add(key)
             equivalence = before.check in ("cor4.3", "cor4.4")
-            if after.verdict != PASS or (equivalence and after.detail != before.detail):
+            flipped = equivalence and after.verdict == PASS and after.detail != before.detail
+            if after.verdict in (FAIL, COUNTEREXAMPLE) or flipped:
                 moved.add(key)
     return reached, passing, moved
 

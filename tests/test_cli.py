@@ -14,6 +14,7 @@ import pytest
 import supercon
 from supercon.arith import is_prime
 from supercon.cli import _load_config, main
+from supercon.quadform import CONVENTIONS
 
 
 def run_cli(capsys, *argv):
@@ -183,9 +184,31 @@ def test_represent_failures(capsys):
     assert rc == 1 and "ConventionUnachievable" in err
 
 
+def test_represent_output_is_byte_identical_to_golden(capsys):
+    # every odd prime below 200, every d and every convention: 900 exit codes
+    # and stdouts, unachievable and unrepresentable cases included
+    digest = hashlib.sha256()
+    for p in filter(is_prime, range(3, 200)):
+        for d in (1, 2, 3, 7):
+            for c in CONVENTIONS:
+                rc, out, _ = run_cli(capsys, "represent", str(p), str(d), "--convention", c)
+                digest.update(f"{p} {d} {c} {rc}\n{out}".encode())
+    assert digest.hexdigest() == "970183cc7df50c84847fd1314d6fb319f60fa5ca6bb49ed0ce2167ec92700c57"
+
+
 def test_verify_no_primes_exit_2(capsys):
     rc, _, err = run_cli(capsys, "verify", "--primes", "4..4")
     assert rc == 2 and "no primes" in err
+
+
+def test_verify_refuses_checks_that_name_no_check(capsys, tmp_path):
+    # "," used to run nothing, print an empty report and exit 0
+    rc, out, err = run_cli(capsys, "verify", "--checks", ",", "--primes", "5..7")
+    assert rc == 2 and out == "" and err.startswith("error:")
+    conf = tmp_path / "suite.conf"
+    conf.write_text("checks = ,\nprimes = 5..7\n")
+    rc, out, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert rc == 2 and out == "" and err.startswith("error:")
 
 
 def test_verify_bad_inputs_exit_2(capsys, monkeypatch, tmp_path):

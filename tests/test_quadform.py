@@ -2,12 +2,14 @@
 
 import pytest
 
-from supercon.arith import OddPrime, ResidueMod, legendre_symbol, sqrt_mod
+from supercon.arith import OddPrime, ResidueMod, is_prime, legendre_symbol, sqrt_mod
 from supercon.errors import ConventionUnachievable, NotRepresentable, RamifiedPrime
 from supercon.oracle import exhaustive_represent
 from supercon.quadform import (
+    CONVENTIONS,
     D1_ODDX1MOD4,
     RAW,
+    SIGN_RULES,
     X1MOD4,
     XPLUSY1MOD4,
     Y1MOD4,
@@ -17,7 +19,6 @@ from supercon.quadform import (
     normalize,
     pi_bar,
     represent,
-    select_aligned,
 )
 
 PRIMES_200 = [q for q in range(3, 200) if all(q % d for d in range(2, q))]
@@ -58,14 +59,14 @@ def test_quadrep_validates_form_and_convention():
 
 def test_normalize_examples():
     p11 = QuadRep(OddPrime(11), 2, 3, 1, RAW)
-    out = normalize(p11, X1MOD4)
+    (out,) = normalize(p11, X1MOD4)
     assert out.x == -3 and abs(out.y) == 1
     p13 = QuadRep(OddPrime(13), 3, 1, 2, RAW)
     pair = normalize(p13, XPLUSY1MOD4)
     assert {(r.x, r.y) for r in pair} == {(-1, 2), (-1, -2)}
     p23 = QuadRep(OddPrime(23), 7, 4, 1, RAW)
-    assert normalize(p23, Y1MOD4).y == 1
-    rep13 = normalize(represent(OddPrime(13), 1), D1_ODDX1MOD4)
+    assert normalize(p23, Y1MOD4)[0].y == 1
+    (rep13,) = normalize(represent(OddPrime(13), 1), D1_ODDX1MOD4)
     assert rep13.x % 4 == 1 and rep13.x % 2 == 1 and rep13.y % 2 == 0
 
 
@@ -84,10 +85,10 @@ def test_normalize_is_projection():
             if d % q == 0 or legendre_symbol(-d, q) != 1:
                 continue
             try:
-                once = normalize(represent(OddPrime(q), d), conv)
+                (once,) = normalize(represent(OddPrime(q), d), conv)
             except ConventionUnachievable:
                 continue
-            twice = normalize(once, conv)
+            (twice,) = normalize(once, conv)
             assert (twice.x, twice.y) == (once.x, once.y)
 
 
@@ -117,9 +118,42 @@ def test_select_aligned_picks_the_aligned_branch():
             p = OddPrime(q)
             root = sqrt_mod(-d, p, 2)[0]
             pair = normalize(represent(p, d), XPLUSY1MOD4)
-            chosen = select_aligned(pair, root)
+            chosen = align_pi(pair[0], root)
             s = root.value
             assert (chosen.rep.x + chosen.rep.y * s) % q == 0
+
+
+def test_convention_laws():
+    # every member of normalize's tuple meets its rule and normalizes to the
+    # same tuple; align_pi keeps the convention and |x|, |y|, and under
+    # xplusy1mod4 lands on a member of the pair
+    achieved = 0
+    for q in range(3, 2000, 2):
+        if not is_prime(q):
+            continue
+        p = OddPrime(q)
+        for d in (1, 2, 3, 7):
+            if d % q == 0 or legendre_symbol(-d, q) != 1:
+                continue
+            raw = represent(p, d)
+            for c in CONVENTIONS:
+                try:
+                    reps = normalize(raw, c)
+                except ConventionUnachievable:
+                    continue
+                achieved += 1
+                assert len(reps) == (2 if c == XPLUSY1MOD4 else 1), (q, d, c)
+                for rep in reps:
+                    assert rep.convention == c and SIGN_RULES[c][1](d, rep.x, rep.y)
+                    assert normalize(rep, c) == reps, (q, d, c, rep)
+                for root in sqrt_mod(-d, p, 2):
+                    aligned = align_pi(reps[0], root).rep
+                    assert (aligned.x + aligned.y * root.value) % q == 0
+                    assert aligned.convention == c
+                    assert (abs(aligned.x), abs(aligned.y)) == (abs(reps[0].x), abs(reps[0].y))
+                    if c == XPLUSY1MOD4:
+                        assert aligned in reps, (q, d, root, aligned)
+    assert achieved > 1500, achieved
 
 
 def test_pi_bar_congruences():
